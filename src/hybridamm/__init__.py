@@ -44,7 +44,6 @@ from .oracle import (
     constant_path,
     dump_price_csv,
     gbm_path,
-    generate_path,
     load_price_csv,
     schedule_path,
 )
@@ -53,12 +52,11 @@ from .simulator import (
     NoiseParams,
     ScenarioConfig,
     ScenarioRun,
-    StepMetrics,
     load_scenario,
     run_scenario,
     sweep_reserve_curve,
 )
-from .swap import SwapResult, TradeDirection, quote, swap_exact_in, swap_exact_out
+from .swap import SwapResult, TradeDirection, swap_exact_in, swap_exact_out
 
 __version__ = "0.1.0"
 
@@ -70,14 +68,14 @@ __all__ = [
     # core
     "PoolState", "anchor_k", "reserve_y", "dy_dx", "d2y_dx2", "spot_price", "max_x_bound",
     # swap
-    "TradeDirection", "SwapResult", "swap_exact_in", "swap_exact_out", "quote",
+    "TradeDirection", "SwapResult", "swap_exact_in", "swap_exact_out",
     # analytics
     "ILReport", "SlippageEstimate", "il_closed_form", "il_standard_amm", "il_simulated",
     "rebalance_to_oracle", "slippage_taylor", "slippage_exact", "normalized_taylor_coefficient",
     # oracle
-    "PricePath", "GbmParams", "generate_path", "constant_path", "schedule_path", "gbm_path",
+    "PricePath", "GbmParams", "constant_path", "schedule_path", "gbm_path",
     "apply_oracle_update", "load_price_csv", "dump_price_csv",
     # simulator
-    "NoiseParams", "ScenarioConfig", "StepMetrics", "ScenarioRun", "load_scenario",
+    "NoiseParams", "ScenarioConfig", "ScenarioRun", "load_scenario",
     "run_scenario", "sweep_reserve_curve", "METRICS_HEADER",
 ]

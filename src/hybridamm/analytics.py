@@ -12,17 +12,17 @@ With rho = p0/p1 and a pool balanced at p0 with x0 = y0/p0:
     il_paper = v_hold - v_pool = 1 + rho - 2*rho**(1/(2-z))
 
 Slippage for an infinitesimal trade dx is 1/2 * y''(x) * dx (trader cost,
-nonnegative); the algebraically expanded form used for cross-checking is
-1/2 * dx*(z-2)/x * (dy/dx + z*p/(2-z)).
+nonnegative); the tests cross-check it against the algebraically expanded
+form 1/2 * dx*(z-2)/x * (dy/dx + z*p/(2-z)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernels
-from .core import PoolState, d2y_dx2, dy_dx, reserve_y
+from .core import PoolState, _check_finite_positive, _check_mix, d2y_dx2, reserve_y
 from .errors import DomainError, UnsupportedConfigurationError
 from .swap import SwapResult, TradeDirection, swap_exact_in
 
@@ -37,20 +37,6 @@ __all__ = [
     "slippage_exact",
     "normalized_taylor_coefficient",
 ]
-
-
-def _check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
-def _check_mix(z: float) -> float:
-    z = float(z)
-    if not (math.isfinite(z) and 0.0 <= z <= 1.0):
-        raise DomainError(f"z must lie in [0, 1], got {z!r}")
-    return z
 
 
 def _rho_power(rho: float, z: float) -> float:
@@ -73,21 +59,11 @@ class ILReport:
     il_paper: float
     il_relative: float
 
-    def __post_init__(self):
-        closed = 1.0 + self.rho - 2.0 * _rho_power(self.rho, self.z)
-        # il_paper crosses zero at rho = 1, so the consistency check is
-        # absolute at the v_hold scale rather than relative
-        if abs(self.il_paper - closed) > 1e-12 * max(1.0, self.v_hold):
-            raise DomainError(
-                f"il_paper={self.il_paper} deviates from the closed form {closed} "
-                f"(z={self.z}, rho={self.rho})"
-            )
-
 
 def il_closed_form(z: float, rho: float) -> ILReport:
     """Closed-form impermanent loss for a pool balanced at p0, moved to p1 = p0/rho."""
     z = _check_mix(z)
-    rho = _check_positive(rho, "rho")
+    rho = _check_finite_positive(rho, "rho")
     v_pool = 2.0 * _rho_power(rho, z)
     v_hold = 1.0 + rho
     il = v_hold - v_pool
@@ -97,7 +73,7 @@ def il_closed_form(z: float, rho: float) -> ILReport:
 
 def il_standard_amm(r: float) -> float:
     """Classic constant-product IL curve 2*sqrt(r) - r - 1 (nonpositive, 0 at r = 1)."""
-    r = _check_positive(r, "r")
+    r = _check_finite_positive(r, "r")
     return 2.0 * math.sqrt(r) - r - 1.0
 
 
@@ -108,7 +84,7 @@ def rebalance_to_oracle(state: PoolState, p_new: float) -> PoolState:
     changes.  Undefined at z = 1, where the quoted price is p everywhere on
     the line and no finite rebalancing point exists.
     """
-    p_new = _check_positive(p_new, "p_new")
+    p_new = _check_finite_positive(p_new, "p_new")
     if state.z == 1.0:
         raise UnsupportedConfigurationError(
             "rebalance_to_oracle is undefined at z = 1: the curve quotes the oracle "
@@ -126,9 +102,9 @@ def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
     both the pool and the held reserves at p1.  Agrees with
     :func:`il_closed_form` at rho = p0/p1 up to rounding.
     """
-    x0 = _check_positive(x0, "x0")
-    p0 = _check_positive(p0, "p0")
-    p1 = _check_positive(p1, "p1")
+    x0 = _check_finite_positive(x0, "x0")
+    p0 = _check_finite_positive(p0, "p0")
+    p1 = _check_finite_positive(p1, "p1")
     z = _check_mix(z)
     y0 = p0 * x0
     start = PoolState.anchored(x0, y0, p0, z)
@@ -144,49 +120,30 @@ def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
 class SlippageEstimate:
     """First-order slippage prediction for a trade of ``trade_size`` X.
 
-    ``taylor_second_derivative_form`` is 1/2*y''(x)*dx;
-    ``taylor_simplified_form`` is the expanded equivalent; ``exact`` (when
-    present) is the realized slippage of the full swap.  All values are
-    nonnegative trader costs, and the two predictions must agree up to
-    rounding noise.
+    ``taylor_second_derivative_form`` is 1/2*y''(x)*dx; ``exact`` (when
+    present) is the realized slippage of the full swap.  Both are
+    nonnegative trader costs.
     """
 
     trade_size: float
     taylor_second_derivative_form: float
-    taylor_simplified_form: float
     exact: float | None = None
-    # noise scale of the cancellation inside the simplified form; not part of the value
-    _cancellation_scale: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = self.taylor_second_derivative_form, self.taylor_simplified_form
+        a = self.taylor_second_derivative_form
         if a < 0.0 or (self.exact is not None and self.exact < 0.0):
             raise DomainError(f"slippage must be a nonnegative trader cost: {a}, {self.exact}")
-        # the simplified route cancels to 0 as z -> 1, leaving ~eps*p of
-        # absolute noise, hence the small absolute floor alongside 1e-10 rel
-        tol = 1e-10 * max(abs(a), abs(b)) + 1e-13 * self._cancellation_scale
-        if abs(a - b) > tol:
-            raise DomainError(
-                f"Taylor slippage forms disagree: {a} vs {b} (trade_size={self.trade_size})"
-            )
 
 
-def _taylor_forms(state: PoolState, dx: float) -> tuple[float, float, float]:
-    k, x, p, z = state.k, state.x, state.p, state.z
-    second = 0.5 * d2y_dx2(k, x, p, z) * dx
-    slope_excess = dy_dx(k, x, p, z) + z * p / (2.0 - z)
-    simplified = 0.5 * (dx * (z - 2.0) / x) * slope_excess
-    scale = abs(0.5 * dx * (z - 2.0) / x) * (abs(dy_dx(k, x, p, z)) + z * p / (2.0 - z))
-    return second, simplified, scale
+def _taylor(state: PoolState, dx: float) -> float:
+    return 0.5 * d2y_dx2(state.k, state.x, state.p, state.z) * dx
 
 
 def slippage_taylor(state: PoolState, dx: float) -> SlippageEstimate:
     """Second-order Taylor prediction of trader slippage for buying with dx of X."""
-    dx = _check_positive(dx, "dx")
+    dx = _check_finite_positive(dx, "dx")
     reserve_y(state.k, state.x + dx, state.p, state.z)   # insolvency check only
-    second, simplified, scale = _taylor_forms(state, dx)
-    return SlippageEstimate(trade_size=dx, taylor_second_derivative_form=second,
-                            taylor_simplified_form=simplified, _cancellation_scale=scale)
+    return SlippageEstimate(trade_size=dx, taylor_second_derivative_form=_taylor(state, dx))
 
 
 def slippage_exact(state: PoolState, direction: TradeDirection,
@@ -198,10 +155,8 @@ def slippage_exact(state: PoolState, direction: TradeDirection,
     """
     result: SwapResult = swap_exact_in(state, direction, amount_in)
     dx = amount_in if TradeDirection(direction) is TradeDirection.SELL_X else result.amount_out
-    second, simplified, scale = _taylor_forms(state, dx)
-    return SlippageEstimate(trade_size=dx, taylor_second_derivative_form=second,
-                            taylor_simplified_form=simplified, exact=result.slippage_cost,
-                            _cancellation_scale=scale)
+    return SlippageEstimate(trade_size=dx, taylor_second_derivative_form=_taylor(state, dx),
+                            exact=result.slippage_cost)
 
 
 def normalized_taylor_coefficient(z: float) -> float:

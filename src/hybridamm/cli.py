@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
         name = f"metrics_z{run.z:.12g}.{extension}"
         with open(os.path.join(args.out, name), "w", newline="", encoding="utf-8") as handle:
             write_rows(handle, args.format, METRICS_HEADER, run.rows())
-        final_il = run.metrics[-1].il_relative
+        final_il = run.table[-1, METRICS_HEADER.index("il_relative")]
         print(f"z={run.z:.12g} final_il_relative={final_il:.10g} "
               f"clamped_trades={run.clamped_trades} skipped_trades={run.skipped_trades}")
     return 0

@@ -28,7 +28,6 @@ from .errors import ConfigError, DomainError
 __all__ = [
     "PricePath",
     "GbmParams",
-    "generate_path",
     "constant_path",
     "schedule_path",
     "gbm_path",
@@ -131,24 +130,6 @@ def gbm_path(params: GbmParams) -> PricePath:
     log_steps = (params.mu - 0.5 * params.sigma * params.sigma) + params.sigma * draws
     prices = params.p0 * np.exp(np.concatenate(([0.0], np.cumsum(log_steps))))
     return PricePath(_pairs(prices), source="gbm")
-
-
-PathSpec = Union[GbmParams, Sequence[float], Mapping[str, object]]
-
-
-def generate_path(spec: PathSpec) -> PricePath:
-    """Build a path from GbmParams, an explicit price sequence, or a config mapping.
-
-    Mappings carry a ``kind`` field (constant | schedule | gbm | replay) plus
-    kind-specific fields, mirroring the scenario config file format.
-    """
-    if isinstance(spec, GbmParams):
-        return gbm_path(spec)
-    if isinstance(spec, Mapping):
-        return _path_from_mapping(spec)
-    if isinstance(spec, Sequence) and not isinstance(spec, (str, bytes)):
-        return schedule_path(spec)
-    raise DomainError(f"cannot build a price path from {type(spec).__name__}")
 
 
 def _take(mapping: Mapping[str, object], where: str, required: dict, optional: dict) -> dict:

@@ -1,8 +1,9 @@
 """Locale-independent table rendering: CSV, JSON, and aligned text.
 
-Floats are always written with 17 significant digits (``%.17g``), enough to
-round-trip any IEEE double exactly; non-finite values become ``nan``/``inf``
-in CSV and text and ``null`` in JSON.
+Cells are strings or numbers.  Numbers are always written with 17
+significant digits (``%.17g``), enough to round-trip any IEEE double exactly,
+and with 10 in aligned tables; non-finite values become ``nan``/``inf`` in
+CSV and text and ``null`` in JSON.  Strings pass through (quoted in JSON).
 """
 
 from __future__ import annotations
@@ -11,23 +12,19 @@ import csv
 import math
 from typing import Sequence
 
-__all__ = ["FORMATS", "fmt_float", "write_csv", "write_json", "write_table", "write_rows"]
+__all__ = ["FORMATS", "write_csv", "write_json", "write_table", "write_rows"]
 
 FORMATS = ("csv", "json", "table")
 
 
-def fmt_float(value: float) -> str:
-    return "%.17g" % value
+def _cell(value, spec: str = "%.17g") -> str:
+    return value if isinstance(value, str) else spec % value
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt_float(value)
-    return str(value)
+def _json_cell(value) -> str:
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return "%.17g" % value if math.isfinite(value) else "null"
 
 
 def write_csv(handle, header: Sequence[str], rows) -> None:
@@ -35,20 +32,6 @@ def write_csv(handle, header: Sequence[str], rows) -> None:
     writer.writerow(list(header))
     for row in rows:
         writer.writerow([_cell(v) for v in row])
-
-
-def _json_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return "null"
-        return fmt_float(value)
-    if value is None:
-        return "null"
-    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def write_json(handle, header: Sequence[str], rows) -> None:
@@ -59,19 +42,14 @@ def write_json(handle, header: Sequence[str], rows) -> None:
         if not first:
             handle.write(",\n")
         first = False
-        pairs = ", ".join(f'"{name}": {_json_scalar(value)}' for name, value in zip(header, row))
+        pairs = ", ".join(f'"{name}": {_json_cell(value)}' for name, value in zip(header, row))
         handle.write("  {" + pairs + "}")
     handle.write("\n]\n")
 
 
 def write_table(handle, header: Sequence[str], rows) -> None:
     """Aligned human-readable table; shorter 10-digit floats for scanning."""
-    def short(value) -> str:
-        if isinstance(value, float):
-            return "%.10g" % value
-        return _cell(value)
-
-    text_rows = [[short(v) for v in row] for row in rows]
+    text_rows = [[_cell(v, "%.10g") for v in row] for row in rows]
     widths = [len(h) for h in header]
     for row in text_rows:
         for i, cell in enumerate(row):

@@ -15,33 +15,25 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
-from .core import PoolState, anchor_k
+from .core import PoolState, _check_finite_positive, _check_mix, anchor_k
 from .errors import ConfigError, DomainError
 from .oracle import PricePath, _cast, _path_from_mapping, _take
 
 __all__ = [
     "NoiseParams",
     "ScenarioConfig",
-    "StepMetrics",
     "ScenarioRun",
     "load_scenario",
     "run_scenario",
     "sweep_reserve_curve",
     "METRICS_HEADER",
 ]
-
-
-def _check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -86,15 +78,12 @@ class ScenarioConfig:
     noise: Optional[NoiseParams] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", _check_positive(self.x0, "x0"))
-        object.__setattr__(self, "y0", _check_positive(self.y0, "y0"))
-        object.__setattr__(self, "p0", _check_positive(self.p0, "p0"))
-        zs = tuple(float(z) for z in self.z_values)
+        object.__setattr__(self, "x0", _check_finite_positive(self.x0, "x0"))
+        object.__setattr__(self, "y0", _check_finite_positive(self.y0, "y0"))
+        object.__setattr__(self, "p0", _check_finite_positive(self.p0, "p0"))
+        zs = tuple(_check_mix(z) for z in self.z_values)
         if not zs:
             raise DomainError("z_values must be non-empty")
-        for z in zs:
-            if not (math.isfinite(z) and 0.0 <= z <= 1.0):
-                raise DomainError(f"every z must lie in [0, 1], got {z!r}")
         object.__setattr__(self, "z_values", zs)
         if not isinstance(self.steps, int) or self.steps < 1:
             raise DomainError(f"steps must be an integer >= 1, got {self.steps!r}")
@@ -172,50 +161,26 @@ def load_scenario(path: Union[str, os.PathLike]) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data, base_dir=os.path.dirname(name), where=name)
 
 
-@dataclass(frozen=True)
-class StepMetrics:
-    """Pool telemetry recorded at the end of each step.
-
-    Values are in X units (value = x + y/p); ``slippage_cost`` is the cost of
-    the last trade executed during the step (0 if none traded);
-    ``cum_volume`` accumulates |delta x| over every executed trade.
-    """
-
-    step: int
-    oracle_price: float
-    spot_price: float
-    reserve_x: float
-    reserve_y: float
-    pool_value: float
-    hold_value: float
-    il_relative: float
-    slippage_cost: float
-    cum_volume: float
-
-    def __post_init__(self):
-        if not (self.pool_value > 0.0 and self.hold_value > 0.0):
-            raise DomainError(
-                f"step {self.step}: pool/hold values must be > 0, "
-                f"got {self.pool_value!r}/{self.hold_value!r}"
-            )
-        if not math.isfinite(self.il_relative):
-            raise DomainError(f"step {self.step}: il_relative must be finite")
+# Per-step metric columns, in table order.  Values are in X units
+# (value = x + y/p); ``slippage_cost`` is the cost of the last trade executed
+# during the step (0 if none traded); ``cum_volume`` accumulates |delta x|
+# over every executed trade.
+METRICS_HEADER = ("step", "oracle_price", "spot_price", "reserve_x", "reserve_y",
+                  "pool_value", "hold_value", "il_relative", "slippage_cost", "cum_volume")
 
 
-METRICS_HEADER: tuple[str, ...] = tuple(f.name for f in fields(StepMetrics))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioRun:
-    """One pool's full metric stream plus noise-trade bookkeeping."""
+    """One pool's metric table, shaped (steps, len(METRICS_HEADER)), plus
+    noise-trade bookkeeping."""
 
     z: float
-    metrics: tuple[StepMetrics, ...]
+    table: np.ndarray
     clamped_trades: int
     skipped_trades: int
 
-    def rows(self) -> list[tuple]:
-        return [astuple(m) for m in self.metrics]
+    def rows(self) -> list[list[float]]:
+        return self.table.tolist()
 
 
 def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
@@ -239,28 +204,20 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
         trades_per_step = 0
         max_fraction = 0.0
 
+    step = np.arange(config.steps, dtype=np.float64)
     runs: list[ScenarioRun] = []
     for z in config.z_values:
         spot, xs, ys, pool, hold, il, slip, vol, clamped, skipped = _kernels.run_steps(
             config.x0, config.y0, float(z), prices, bool(config.arbitrageur),
             fractions, directions, trades_per_step, max_fraction,
         )
-        metrics = tuple(
-            StepMetrics(
-                step=t,
-                oracle_price=float(prices[t]),
-                spot_price=float(spot[t]),
-                reserve_x=float(xs[t]),
-                reserve_y=float(ys[t]),
-                pool_value=float(pool[t]),
-                hold_value=float(hold[t]),
-                il_relative=float(il[t]),
-                slippage_cost=float(slip[t]),
-                cum_volume=float(vol[t]),
-            )
-            for t in range(config.steps)
-        )
-        runs.append(ScenarioRun(z=float(z), metrics=metrics,
+        bad = ~((pool > 0.0) & np.isfinite(il))
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise DomainError(f"z={z}, step {t}: pool value {pool[t]:.17g} must be > 0 "
+                              f"and il_relative {il[t]:.17g} finite")
+        table = np.column_stack((step, prices, spot, xs, ys, pool, hold, il, slip, vol))
+        runs.append(ScenarioRun(z=float(z), table=table,
                                 clamped_trades=int(clamped), skipped_trades=int(skipped)))
     return runs
 
@@ -275,12 +232,9 @@ def sweep_reserve_curve(anchor: Union[PoolState, float], z_values: Sequence[floa
     (oracle price ``p`` defaults to 1).  Grid points outside a curve's domain
     yield y = nan rather than failing.
     """
-    zs = [float(z) for z in z_values]
+    zs = [_check_mix(z) for z in z_values]
     if not zs:
         raise DomainError("z_values must be non-empty")
-    for z in zs:
-        if not (math.isfinite(z) and 0.0 <= z <= 1.0):
-            raise DomainError(f"every z must lie in [0, 1], got {z!r}")
     xs = np.ascontiguousarray(x_grid, dtype=np.float64)
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError("x_grid must be a non-empty 1-d sequence")
@@ -296,8 +250,8 @@ def sweep_reserve_curve(anchor: Union[PoolState, float], z_values: Sequence[floa
             ys = _kernels.curve_grid(k, anchor.p, z, xs)
             rows.extend((z, float(x), float(y)) for x, y in zip(xs, ys))
     else:
-        k = _check_positive(anchor, "k")
-        p_eff = 1.0 if p is None else _check_positive(p, "p")
+        k = _check_finite_positive(anchor, "k")
+        p_eff = 1.0 if p is None else _check_finite_positive(p, "p")
         for z in zs:
             ys = _kernels.curve_grid(k, p_eff, z, xs)
             rows.extend((z, float(x), float(y)) for x, y in zip(xs, ys))

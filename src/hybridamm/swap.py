@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .core import PoolState
+from .core import PoolState, _check_finite_positive
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -31,7 +31,7 @@ from .errors import (
     InsolvencyError,
 )
 
-__all__ = ["TradeDirection", "SwapResult", "swap_exact_in", "swap_exact_out", "quote"]
+__all__ = ["TradeDirection", "SwapResult", "swap_exact_in", "swap_exact_out"]
 
 # exact-out must leave strictly positive reserves; margin keeps the inversion bracketable
 _EXACT_OUT_MARGIN = 1.0 - 1e-12
@@ -64,19 +64,16 @@ class SwapResult:
     new_state: PoolState
 
     def __post_init__(self):
-        for name in ("amount_in", "amount_out", "exec_price", "spot_before", "spot_after"):
+        for name in ("amount_in", "amount_out", "exec_price", "spot_before"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"swap produced non-finite or non-positive {name}: {value!r}")
+        # near the solvency bound at subnormal z the true spot_after can lie
+        # below the smallest subnormal and round to 0
+        if not (math.isfinite(self.spot_after) and self.spot_after >= 0.0):
+            raise DomainError(f"swap produced non-finite or negative spot_after: {self.spot_after!r}")
         if not (math.isfinite(self.slippage_cost) and self.slippage_cost >= 0.0):
             raise DomainError(f"swap produced invalid slippage_cost: {self.slippage_cost!r}")
-
-
-def _check_amount(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-    return value
 
 
 def _sell_y_capacity(state: PoolState) -> tuple[float, float]:
@@ -104,7 +101,7 @@ def swap_exact_in(state: PoolState, direction: TradeDirection, amount_in: float)
     below 1e-15 of the input-side reserve.
     """
     direction = TradeDirection(direction)
-    amount_in = _check_amount(amount_in, "amount_in")
+    amount_in = _check_finite_positive(amount_in, "amount_in")
     k, p, z = state.k, state.p, state.z
     spot_before = _kernels.blend_spot(state.x, state.y, p, z)
 
@@ -174,7 +171,7 @@ def swap_exact_out(state: PoolState, direction: TradeDirection, amount_out: floa
     request reaches or exceeds the available reserve.
     """
     direction = TradeDirection(direction)
-    amount_out = _check_amount(amount_out, "amount_out")
+    amount_out = _check_finite_positive(amount_out, "amount_out")
     k, p, z = state.k, state.p, state.z
     spot_before = _kernels.blend_spot(state.x, state.y, p, z)
 
@@ -235,11 +232,3 @@ def swap_exact_out(state: PoolState, direction: TradeDirection, amount_out: floa
         new_state=new_state,
     )
 
-
-def quote(state: PoolState, direction: TradeDirection, amount_in: float) -> SwapResult:
-    """Price an exact-in swap without intending to execute it.
-
-    Numerically identical to :func:`swap_exact_in` (same code path); the
-    caller simply discards ``new_state``.
-    """
-    return swap_exact_in(state, direction, amount_in)

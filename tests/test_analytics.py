@@ -156,8 +156,9 @@ def test_il_pipeline_matches_closed_form(x0, p0, p1, z):
     rho = p0 / p1
     closed = ha.il_closed_form(z, rho)
     simulated = ha.il_simulated(x0, p0, p1, z)
-    # absolute escape hatch at the portfolio scale: near rho = 1 the IL
-    # crosses zero and a purely relative comparison is meaningless
+    # absolute at the portfolio scale: near rho = 1 the IL crosses zero and a
+    # relative comparison is meaningless
+    assert abs(simulated.il_paper - closed.il_paper) <= 1e-12 * max(1.0, simulated.v_hold)
     assert simulated.il_paper == pytest.approx(closed.il_paper,
                                                rel=1e-9, abs=1e-12 * closed.v_hold)
     assert simulated.v_pool == pytest.approx(closed.v_pool, rel=1e-9)
@@ -195,7 +196,8 @@ def test_slippage_taylor_zero_at_full_mix():
     state = ha.PoolState.anchored(1.0, 1.0, 1.0, 1.0)
     estimate = ha.slippage_taylor(state, 0.5)
     assert estimate.taylor_second_derivative_form == 0.0
-    assert estimate.taylor_simplified_form == 0.0
+    # the expanded form's slope excess y' + z*p/(2-z) is exactly 0 here too
+    assert ha.dy_dx(state.k, state.x, state.p, 1.0) + state.p == 0.0
 
 
 def test_slippage_taylor_rejects_insolvent_size():
@@ -213,12 +215,17 @@ def test_taylor_forms_agree(x, y, p, z, frac):
     state = ha.PoolState.anchored(x, y, p, z)
     bound = _kernels.solvency_bound(state.k, p, z)
     cap = x if math.isinf(bound) else min(x, 0.9 * (bound - x))
-    estimate = ha.slippage_taylor(state, frac * cap)
-    # agreement is asserted by the SlippageEstimate constructor; re-derive the
-    # second-derivative form here so the test does not rely on it alone
-    expected = 0.5 * ha.d2y_dx2(state.k, x, p, z) * (frac * cap)
+    dx = frac * cap
+    estimate = ha.slippage_taylor(state, dx)
+    expected = 0.5 * ha.d2y_dx2(state.k, x, p, z) * dx
     assert estimate.taylor_second_derivative_form == expected
     assert estimate.taylor_second_derivative_form >= 0.0
+    # the expanded form 1/2*dx*(z-2)/x*(y' + z*p/(2-z)) cancels to 0 as z -> 1,
+    # leaving ~eps*p of absolute noise: hence the floor at the terms' scale
+    slope = ha.dy_dx(state.k, x, p, z)
+    expanded = 0.5 * (dx * (z - 2.0) / x) * (slope + z * p / (2.0 - z))
+    scale = abs(0.5 * dx * (z - 2.0) / x) * (abs(slope) + z * p / (2.0 - z))
+    assert abs(expected - expanded) <= 1e-10 * max(abs(expected), abs(expanded)) + 1e-13 * scale
 
 
 def test_slippage_exact_constant_product_reference():

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, formats, files, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -286,6 +287,31 @@ def test_simulate_is_byte_identical_across_runs(capsys, tmp_path):
         assert len(out.splitlines()) == 4
         outputs.append({name: (out_dir / name).read_bytes() for name in names})
     assert outputs[0] == outputs[1]
+
+
+# sha256 of stdout, then of each output file (name, NUL, bytes) in name order,
+# for one arbitrage-plus-noise scenario; frozen on first generation and
+# guarded here against any drift in the bytes `simulate` writes
+SIMULATE_DIGESTS = {
+    "csv": "eafe21428c70e51680c77b1e604d2ed1949cb63da52a02afba511eb57035916e",
+    "json": "50cb24ad9376be3b8d8ec1e3c7e87e738a4a3614178f997b8d65cc96211ecff9",
+    "table": "4d9426fdbe1b9f2e0eec912a0e224b3fccf77663c681948a00e9fdbc5de455e4",
+}
+
+
+@pytest.mark.parametrize("output_format", sorted(SIMULATE_DIGESTS))
+def test_simulate_golden_digest(capsys, tmp_path, output_format):
+    config = write_scenario(
+        tmp_path, steps=30, path={"kind": "gbm", "mu": 0.0, "sigma": 0.1, "seed": 42},
+        noise={"size_mu": -3.0, "size_sigma": 1.0, "seed": 7, "trades_per_step": 2})
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir), "--format", output_format)
+    assert code == 0
+    digest = hashlib.sha256(out.encode())
+    for path in sorted(out_dir.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == SIMULATE_DIGESTS[output_format]
 
 
 def test_simulate_json_format(capsys, tmp_path):

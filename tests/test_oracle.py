@@ -106,30 +106,21 @@ def test_gapped_path_is_not_contiguous():
     assert path.indices == (0, 2)
 
 
-def test_generate_path_dispatch():
-    params = GbmParams(p0=1.0, mu=0.0, sigma=0.1, steps=4, seed=9)
-    assert ha.generate_path(params).prices == ha.gbm_path(params).prices
-    assert ha.generate_path([1.0, 2.0]).source == "schedule"
-    assert ha.generate_path({"kind": "constant", "price": 3.0, "steps": 2}).prices == (3.0, 3.0)
-    assert ha.generate_path({"kind": "schedule", "prices": [1, 2]}).prices == (1.0, 2.0)
-    gbm_spec = {"kind": "gbm", "p0": 1.0, "mu": 0.0, "sigma": 0.1, "steps": 4, "seed": 9}
-    assert ha.generate_path(gbm_spec).prices == ha.gbm_path(params).prices
-    with pytest.raises(ha.DomainError):
-        ha.generate_path(42)
-
-
 def test_generate_path_rejects_bad_mappings():
+    def config(path):
+        return ha.ScenarioConfig.from_dict({"x0": 1.0, "y0": 1.0, "p0": 1.0,
+                                            "z_values": [0.5], "steps": 4, "path": path})
+
     with pytest.raises(ha.ConfigError):
-        ha.generate_path({"kind": "teleport"})
+        config({"kind": "teleport"})
     with pytest.raises(ha.ConfigError):
-        ha.generate_path({"kind": "constant", "price": 1.0, "steps": 2, "bogus": 1})
+        config({"kind": "constant", "price": 1.0, "steps": 4, "bogus": 1})
     with pytest.raises(ha.ConfigError):
-        ha.generate_path({"kind": "gbm", "p0": 1.0, "mu": 0.0, "sigma": 0.1, "steps": 4})
+        config({"kind": "gbm", "p0": 1.0, "mu": 0.0, "sigma": 0.1, "steps": 4})
     with pytest.raises(ha.ConfigError):
-        ha.generate_path({"kind": "constant", "price": "cheap", "steps": 2})
+        config({"kind": "constant", "price": "cheap", "steps": 4})
     with pytest.raises(ha.ConfigError):
-        ha.generate_path({"kind": "gbm", "p0": 1.0, "mu": 0.0, "sigma": 0.1,
-                          "steps": 4.5, "seed": 1})
+        config({"kind": "gbm", "p0": 1.0, "mu": 0.0, "sigma": 0.1, "steps": 4.5, "seed": 1})
 
 
 # -------------------------------------------------------------- pool updates

@@ -9,7 +9,7 @@ import pytest
 import hybridamm as ha
 from hybridamm import _kernels
 from hybridamm.oracle import GbmParams, PricePath
-from hybridamm.simulator import METRICS_HEADER, NoiseParams, ScenarioConfig, StepMetrics
+from hybridamm.simulator import METRICS_HEADER, NoiseParams, ScenarioConfig
 
 
 def make_config(**overrides) -> ScenarioConfig:
@@ -17,6 +17,16 @@ def make_config(**overrides) -> ScenarioConfig:
                 path=ha.constant_path(1.0, 4), arbitrageur=True, noise=None)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def steps(run) -> list[dict]:
+    """One dict per step of a run's metric table, keyed by METRICS_HEADER."""
+    return [dict(zip(METRICS_HEADER, row)) for row in run.rows()]
+
+
+def same_run(a, b) -> bool:
+    return (a.z, a.rows(), a.clamped_trades, a.skipped_trades) == \
+        (b.z, b.rows(), b.clamped_trades, b.skipped_trades)
 
 
 def balanced_jump_config(p0: float, p1: float, z_values) -> ScenarioConfig:
@@ -31,39 +41,39 @@ def balanced_jump_config(p0: float, p1: float, z_values) -> ScenarioConfig:
 def test_constant_balanced_scenario_is_flat():
     runs = ha.run_scenario(make_config())
     for run in runs:
-        for m in run.metrics:
-            assert m.il_relative == 0.0
-            assert (m.reserve_x, m.reserve_y) == (1.0, 1.0)
-            assert m.cum_volume == 0.0
-            assert m.slippage_cost == 0.0
+        for m in steps(run):
+            assert m["il_relative"] == 0.0
+            assert (m["reserve_x"], m["reserve_y"]) == (1.0, 1.0)
+            assert m["cum_volume"] == 0.0
+            assert m["slippage_cost"] == 0.0
 
 
 def test_constant_unbalanced_scenario_without_arbitrage_is_flat():
     config = make_config(x0=3.0, y0=0.7, p0=2.0, path=ha.constant_path(2.0, 4),
                          arbitrageur=False)
     for run in ha.run_scenario(config):
-        for m in run.metrics:
-            assert m.il_relative == 0.0
-            assert (m.reserve_x, m.reserve_y) == (3.0, 0.7)
+        for m in steps(run):
+            assert m["il_relative"] == 0.0
+            assert (m["reserve_x"], m["reserve_y"]) == (3.0, 0.7)
 
 
 def test_single_jump_constant_product_halves_x():
     runs = ha.run_scenario(balanced_jump_config(1.0, 4.0, [0.0]))
-    first, last = runs[0].metrics
-    assert first.il_relative == 0.0
-    assert last.reserve_x == pytest.approx(0.5, rel=1e-12)
-    assert last.reserve_y == pytest.approx(2.0, rel=1e-12)
-    assert last.spot_price == pytest.approx(4.0, rel=1e-10)
+    first, last = steps(runs[0])
+    assert first["il_relative"] == 0.0
+    assert last["reserve_x"] == pytest.approx(0.5, rel=1e-12)
+    assert last["reserve_y"] == pytest.approx(2.0, rel=1e-12)
+    assert last["spot_price"] == pytest.approx(4.0, rel=1e-10)
     # closed form at rho = 1/4: il_paper = 0.25 per unit x0, hold = 1.25
-    assert last.il_relative == pytest.approx(0.2, rel=1e-12)
-    assert last.cum_volume == pytest.approx(0.5, rel=1e-12)
-    assert last.hold_value == pytest.approx(1.25, rel=1e-12)
-    assert last.pool_value == pytest.approx(1.0, rel=1e-12)
+    assert last["il_relative"] == pytest.approx(0.2, rel=1e-12)
+    assert last["cum_volume"] == pytest.approx(0.5, rel=1e-12)
+    assert last["hold_value"] == pytest.approx(1.25, rel=1e-12)
+    assert last["pool_value"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_final_il_decreases_in_z_when_price_falls():
     runs = ha.run_scenario(balanced_jump_config(4.0, 1.0, [0.0, 0.3, 0.6, 0.9]))
-    finals = [run.metrics[-1].il_relative for run in runs]
+    finals = [steps(run)[-1]["il_relative"] for run in runs]
     assert finals[0] == pytest.approx(0.2, rel=1e-12)
     assert all(a > b for a, b in zip(finals, finals[1:]))
     assert all(f > 0.0 for f in finals)
@@ -75,8 +85,8 @@ def test_arbitrage_tracks_oracle_for_partial_mixes():
                             z_values=(0.0, 0.25, 0.5, 0.75, 0.99), steps=50,
                             path=path, arbitrageur=True, noise=None)
     for run in ha.run_scenario(config):
-        for m in run.metrics:
-            assert abs(m.spot_price - m.oracle_price) / m.oracle_price <= 1e-9
+        for m in steps(run):
+            assert abs(m["spot_price"] - m["oracle_price"]) / m["oracle_price"] <= 1e-9
 
 
 def test_full_mix_pool_quotes_oracle_even_without_arbitrage():
@@ -84,9 +94,9 @@ def test_full_mix_pool_quotes_oracle_even_without_arbitrage():
     config = ScenarioConfig(x0=1.0, y0=2.0, p0=2.0, z_values=(1.0,), steps=30,
                             path=path, arbitrageur=True, noise=None)
     run = ha.run_scenario(config)[0]
-    for m in run.metrics:
-        assert m.spot_price == m.oracle_price
-        assert (m.reserve_x, m.reserve_y) == (1.0, 2.0)   # arb skipped at z=1
+    for m in steps(run):
+        assert m["spot_price"] == m["oracle_price"]
+        assert (m["reserve_x"], m["reserve_y"]) == (1.0, 2.0)   # arb skipped at z=1
 
 
 def test_arbitrage_moves_stay_on_the_reanchored_curve():
@@ -95,21 +105,21 @@ def test_arbitrage_moves_stay_on_the_reanchored_curve():
                             path=path, arbitrageur=True, noise=None)
     run = ha.run_scenario(config)[0]
     x_prev, y_prev = 1.0, 1.0
-    for m in run.metrics:
-        k = ha.anchor_k(x_prev, y_prev, m.oracle_price, 0.4)
-        assert m.reserve_y == pytest.approx(
-            _kernels.curve_y(k, m.reserve_x, m.oracle_price, 0.4), rel=1e-12)
-        x_prev, y_prev = m.reserve_x, m.reserve_y
+    for m in steps(run):
+        k = ha.anchor_k(x_prev, y_prev, m["oracle_price"], 0.4)
+        assert m["reserve_y"] == pytest.approx(
+            _kernels.curve_y(k, m["reserve_x"], m["oracle_price"], 0.4), rel=1e-12)
+        x_prev, y_prev = m["reserve_x"], m["reserve_y"]
 
 
 def test_noise_trading_at_full_mix_never_loses_value():
     noise = NoiseParams(size_mu=-2.5, size_sigma=1.0, seed=21, trades_per_step=3)
     config = make_config(z_values=(1.0,), steps=4, noise=noise)
     run = ha.run_scenario(config)[0]
-    assert run.metrics[-1].cum_volume > 0.0
-    for m in run.metrics:
-        assert abs(m.il_relative) <= 1e-12
-        assert m.slippage_cost <= 1e-12
+    assert steps(run)[-1]["cum_volume"] > 0.0
+    for m in steps(run):
+        assert abs(m["il_relative"]) <= 1e-12
+        assert m["slippage_cost"] <= 1e-12
 
 
 def test_identical_scenarios_share_noise_draws():
@@ -117,7 +127,7 @@ def test_identical_scenarios_share_noise_draws():
     config = make_config(z_values=(0.5, 0.5), steps=6,
                          path=ha.constant_path(1.0, 6), noise=noise)
     first, second = ha.run_scenario(config)
-    assert first == second
+    assert same_run(first, second)
 
 
 def test_run_scenario_is_deterministic():
@@ -125,18 +135,19 @@ def test_run_scenario_is_deterministic():
     noise = NoiseParams(size_mu=-2.0, size_sigma=0.9, seed=31, trades_per_step=2)
     config = ScenarioConfig(x0=2.0, y0=3.0, p0=1.0, z_values=(0.0, 0.5, 0.9),
                             steps=25, path=path, arbitrageur=True, noise=noise)
-    assert ha.run_scenario(config) == ha.run_scenario(config)
+    assert all(same_run(a, b) for a, b in zip(ha.run_scenario(config),
+                                              ha.run_scenario(config)))
 
 
 def test_oversized_noise_is_clamped_and_dust_skipped():
     loud = make_config(z_values=(0.5,), noise=NoiseParams(size_mu=5.0, size_sigma=0.0, seed=1))
     run = ha.run_scenario(loud)[0]
     assert run.clamped_trades >= 4          # every attempt exceeds max_fraction
-    assert run.metrics[-1].cum_volume > 0.0
+    assert steps(run)[-1]["cum_volume"] > 0.0
     quiet = make_config(z_values=(0.5,), noise=NoiseParams(size_mu=-50.0, size_sigma=0.0, seed=1))
     run = ha.run_scenario(quiet)[0]
     assert run.skipped_trades == 4          # below the dust threshold
-    assert run.metrics[-1].cum_volume == 0.0
+    assert steps(run)[-1]["cum_volume"] == 0.0
 
 
 def test_noise_trades_respect_solvency():
@@ -146,9 +157,9 @@ def test_noise_trades_respect_solvency():
     config = make_config(x0=1.0, y0=0.05, p0=1.0, z_values=(0.8,), steps=10,
                          path=ha.constant_path(1.0, 10), arbitrageur=False, noise=noise)
     run = ha.run_scenario(config)[0]
-    for m in run.metrics:
-        assert m.reserve_y > 0.0
-        assert m.pool_value > 0.0
+    for m in steps(run):
+        assert m["reserve_y"] > 0.0
+        assert m["pool_value"] > 0.0
 
 
 # ---------------------------------------------------------------- validation
@@ -184,15 +195,21 @@ def test_noise_params_validation():
         NoiseParams(size_mu=0.0, size_sigma=0.1, seed=1, trades_per_step=0)
 
 
-def test_step_metrics_validation():
-    good = dict(step=0, oracle_price=1.0, spot_price=1.0, reserve_x=1.0,
-                reserve_y=1.0, pool_value=2.0, hold_value=2.0, il_relative=0.0,
-                slippage_cost=0.0, cum_volume=0.0)
-    StepMetrics(**good)
-    with pytest.raises(ha.DomainError):
-        StepMetrics(**{**good, "pool_value": 0.0})
-    with pytest.raises(ha.DomainError):
-        StepMetrics(**{**good, "il_relative": math.nan})
+def test_step_metrics_validation(monkeypatch):
+    config = make_config(z_values=(0.5,))
+    assert steps(ha.run_scenario(config)[0])[2]["pool_value"] == 2.0
+    real = _kernels.run_steps
+    # run_steps returns spot, x, y, pool_value, hold_value, il_relative, ...
+    for column, value in ((3, 0.0), (5, math.nan)):
+        def broken(*args, column=column, value=value):
+            result = list(real(*args))
+            result[column] = result[column].copy()
+            result[column][2] = value
+            return tuple(result)
+
+        monkeypatch.setattr(_kernels, "run_steps", broken)
+        with pytest.raises(ha.DomainError, match="step 2"):
+            ha.run_scenario(config)
 
 
 def test_metrics_header_order():

@@ -162,11 +162,18 @@ def test_exact_out_reproduces_exact_in(x, y, p, z, frac, direction):
     assert replay.amount_out == pytest.approx(forward.amount_out, rel=1e-10)
 
 
-def test_quote_is_identical_to_exact_in():
-    state = unit_pool(0.3)
-    quoted = ha.quote(state, SELL_X, 0.2)
-    executed = ha.swap_exact_in(state, SELL_X, 0.2)
-    assert quoted == executed   # bitwise field equality, same code path
+def test_spot_after_below_double_range_is_admitted():
+    # at subnormal z the bound lies near 6e162, where the true spot (~5e-332)
+    # is below the smallest subnormal and rounds to 0
+    state = ha.PoolState.anchored(1.0, 1.0, 0.01, 5e-324)
+    amount_in = 0.999999 * (ha.max_x_bound(state.k, state.p, state.z) - 1.0)
+    result = ha.swap_exact_in(state, SELL_X, amount_in)
+    assert result.spot_after == 0.0
+    assert result.amount_in == amount_in
+    assert result.new_state.x == 1.0 + amount_in
+    assert result.new_state.y > 0.0
+    assert result.amount_out == 1.0 - result.new_state.y
+    assert result.slippage_cost >= 0.0
 
 
 def test_sell_x_insolvency_reports_max_feasible():
