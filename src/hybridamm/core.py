@@ -49,6 +49,13 @@ def _check_mix(z: float) -> float:
     return z
 
 
+def _check_int(value: int, name: str, minimum: int) -> int:
+    # bool is an int subclass, but True is not a count or a seed
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+             f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PoolState:
     """Immutable pool snapshot: reserves, oracle price, mix parameter, curve constant.
@@ -110,13 +117,19 @@ def max_x_bound(k: float, p: float, z: float) -> float:
     return _kernels.solvency_bound(k, p, z)
 
 
-def _check_x_in_domain(k: float, x: float, p: float, z: float) -> None:
+def _checked_point(k: float, x: float, p: float, z: float) -> tuple[float, float, float, float]:
+    """Validated (k, x, p, z) of a point strictly inside the curve's domain."""
+    k = _check_finite_positive(k, "k")
+    x = _check_finite_positive(x, "x")
+    p = _check_finite_positive(p, "p")
+    z = _check_mix(z)
     bound = _kernels.solvency_bound(k, p, z)
     if x >= bound:
         raise InsolvencyError(
             f"x={x} is at or past the solvency bound {bound} of the (k={k}, p={p}, z={z}) curve",
             bound=bound,
         )
+    return k, x, p, z
 
 
 def reserve_y(k: float, x: float, p: float, z: float) -> float:
@@ -124,32 +137,17 @@ def reserve_y(k: float, x: float, p: float, z: float) -> float:
 
     y = k * x**(z-1) - z*p*x/(2-z); valid for 0 < x < max_x_bound.
     """
-    k = _check_finite_positive(k, "k")
-    x = _check_finite_positive(x, "x")
-    p = _check_finite_positive(p, "p")
-    z = _check_mix(z)
-    _check_x_in_domain(k, x, p, z)
-    return _kernels.curve_y(k, x, p, z)
+    return _kernels.curve_y(*_checked_point(k, x, p, z))
 
 
 def dy_dx(k: float, x: float, p: float, z: float) -> float:
     """Curve slope k*(z-1)*x**(z-2) - z*p/(2-z); negative for z < 1, exactly -p at z = 1."""
-    k = _check_finite_positive(k, "k")
-    x = _check_finite_positive(x, "x")
-    p = _check_finite_positive(p, "p")
-    z = _check_mix(z)
-    _check_x_in_domain(k, x, p, z)
-    return _kernels.curve_dy(k, x, p, z)
+    return _kernels.curve_dy(*_checked_point(k, x, p, z))
 
 
 def d2y_dx2(k: float, x: float, p: float, z: float) -> float:
     """Curve curvature k*(z-1)*(z-2)*x**(z-3); nonnegative everywhere on [0, 1]."""
-    k = _check_finite_positive(k, "k")
-    x = _check_finite_positive(x, "x")
-    p = _check_finite_positive(p, "p")
-    z = _check_mix(z)
-    _check_x_in_domain(k, x, p, z)
-    return _kernels.curve_d2y(k, x, p, z)
+    return _kernels.curve_d2y(*_checked_point(k, x, p, z))
 
 
 def spot_price(state: PoolState) -> float:

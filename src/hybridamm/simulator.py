@@ -20,10 +20,10 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
-from .core import PoolState, _check_finite_positive, _check_mix, anchor_k
+from . import _kernels, oracle
+from .core import PoolState, _check_finite_positive, _check_int, _check_mix, anchor_k
 from .errors import ConfigError, DomainError
-from .oracle import PricePath, _cast, _path_from_mapping, _take
+from .oracle import GbmParams, PricePath
 
 __all__ = [
     "NoiseParams",
@@ -56,12 +56,10 @@ class NoiseParams:
             raise DomainError(f"size_mu must be finite, got {self.size_mu!r}")
         if not (math.isfinite(self.size_sigma) and self.size_sigma >= 0.0):
             raise DomainError(f"size_sigma must be finite and >= 0, got {self.size_sigma!r}")
-        if not isinstance(self.seed, int):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        _check_int(self.seed, "seed", 0)
         if not (0.0 < self.max_fraction < 1.0):
             raise DomainError(f"max_fraction must lie in (0, 1), got {self.max_fraction!r}")
-        if not isinstance(self.trades_per_step, int) or self.trades_per_step < 1:
-            raise DomainError(f"trades_per_step must be an integer >= 1, got {self.trades_per_step!r}")
+        _check_int(self.trades_per_step, "trades_per_step", 1)
 
 
 @dataclass(frozen=True)
@@ -85,12 +83,15 @@ class ScenarioConfig:
         if not zs:
             raise DomainError("z_values must be non-empty")
         object.__setattr__(self, "z_values", zs)
-        if not isinstance(self.steps, int) or self.steps < 1:
-            raise DomainError(f"steps must be an integer >= 1, got {self.steps!r}")
+        # each pool's output files are named by %.12g of its z
+        labels = {"%.12g" % z for z in zs}
+        if len(labels) != len(zs):
+            raise DomainError(f"z_values must differ at 12 significant digits, got {list(zs)}")
+        _check_int(self.steps, "steps", 1)
         if not isinstance(self.path, PricePath):
             raise DomainError("path must be a PricePath")
         # the runner applies exactly one oracle update per step
-        if len(self.path) != self.steps or not self.path.is_contiguous():
+        if len(self.path) != self.steps:
             raise DomainError(
                 f"path must carry one price per step 0..{self.steps - 1}, "
                 f"got {len(self.path)} entries"
@@ -111,8 +112,8 @@ class ScenarioConfig:
         z_values = tuple(
             _cast(z, float, f"{where}.z_values") for z in top["z_values"]
         )
-        path = _resolve_path_spec(top["path"], p0=top["p0"], steps=top["steps"],
-                                  base_dir=base_dir)
+        path = _path_from_spec(top["path"], f"{where}.path", p0=top["p0"],
+                               steps=top["steps"], base_dir=base_dir)
         noise = None
         if top["noise"] is not None:
             noise_fields = _take(
@@ -126,24 +127,58 @@ class ScenarioConfig:
                    noise=noise)
 
 
-def _resolve_path_spec(spec: Mapping[str, object], *, p0: float, steps: int,
-                       base_dir: str) -> PricePath:
-    if not isinstance(spec, Mapping):
-        raise ConfigError(f"path: expected an object, got {type(spec).__name__}")
-    spec = dict(spec)
-    kind = spec.get("kind")
-    # scenario-level p0/steps flow into the path unless explicitly overridden
+def _path_from_spec(spec: dict, where: str, *, p0: float, steps: int,
+                    base_dir: str) -> PricePath:
+    """The price path a config's ``path`` object describes.
+
+    ``constant`` and ``gbm`` paths take the scenario's p0 and steps unless
+    the object overrides them; a relative replay file resolves against
+    ``base_dir``.  ``spec`` is the copy ``_take`` made, so popping its
+    ``kind`` leaves the caller's mapping alone.
+    """
+    kind = spec.pop("kind", None)
+    # builders are looked up on the oracle module, so a wrapper put there
+    # (perfbench traces oracle.gbm_path) sees every call
+    if kind == "constant":
+        fields = _take(spec, where, {}, {"price": (float, p0), "steps": (int, steps)})
+        return oracle.constant_path(fields["price"], fields["steps"])
+    if kind == "schedule":
+        fields = _take(spec, where, {"prices": list}, {})
+        return oracle.schedule_path([_cast(p, float, f"{where}.prices") for p in fields["prices"]])
     if kind == "gbm":
-        spec.setdefault("p0", p0)
-        spec.setdefault("steps", steps)
-    elif kind == "constant":
-        spec.setdefault("price", p0)
-        spec.setdefault("steps", steps)
-    elif kind == "replay" and base_dir:
-        file = spec.get("file")
-        if isinstance(file, str) and not os.path.isabs(file):
-            spec["file"] = os.path.join(base_dir, file)
-    return _path_from_mapping(spec)
+        fields = _take(spec, where, {"mu": float, "sigma": float, "seed": int},
+                       {"p0": (float, p0), "steps": (int, steps)})
+        return oracle.gbm_path(GbmParams(**fields))
+    if kind == "replay":
+        fields = _take(spec, where, {"file": str}, {})
+        return oracle.load_price_csv(os.path.join(base_dir, fields["file"]))
+    raise ConfigError(f"{where}: unknown kind {kind!r}; expected constant | schedule | gbm | replay")
+
+
+def _take(mapping: Mapping[str, object], where: str, required: dict, optional: dict) -> dict:
+    unknown = set(mapping) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s): {', '.join(sorted(unknown))}")
+    out = {}
+    for name, caster in required.items():
+        if name not in mapping:
+            raise ConfigError(f"{where}: missing required field {name!r}")
+        out[name] = _cast(mapping[name], caster, f"{where}.{name}")
+    for name, (caster, default) in optional.items():
+        out[name] = _cast(mapping[name], caster, f"{where}.{name}") if name in mapping else default
+    return out
+
+
+def _cast(value, caster, where: str):
+    # strict about JSON types: no truthiness coercion, no string-to-number, no
+    # bool where a number is expected, and an int field takes a float only when
+    # it is integral (3.0 -> 3, never 1.5 -> 1)
+    if caster is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    accepted = {float: (int, float), list: (list, tuple), dict: Mapping}.get(caster, caster)
+    if not isinstance(value, accepted) or (caster is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{where}: expected {caster.__name__}, got {value!r}")
+    return caster(value)
 
 
 def load_scenario(path: Union[str, os.PathLike]) -> ScenarioConfig:
@@ -189,7 +224,7 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     Every pool sees the same oracle path and the same pre-drawn noise
     attempts, so runs differ only through the curve itself.
     """
-    prices = config.path.prices_array()
+    prices = config.path.prices
     if config.noise is not None:
         noise = config.noise
         rng = np.random.Generator(np.random.PCG64(noise.seed))

@@ -254,7 +254,7 @@ def test_simulate_constant_scenario(capsys, tmp_path):
     for name in ("metrics_z0.csv", "metrics_z0.5.csv", "metrics_z1.csv", "path.csv"):
         assert (out_dir / name).exists()
     replayed = ha.load_price_csv(out_dir / "path.csv")
-    assert replayed.prices == (1.0, 1.0, 1.0)
+    assert replayed.prices.tolist() == [1.0, 1.0, 1.0]
     rows = csv_rows((out_dir / "metrics_z0.csv").read_text(encoding="utf-8"))
     assert len(rows) == 3
     assert all(row["il_relative"] == 0.0 for row in rows)
@@ -337,6 +337,14 @@ def test_simulate_config_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--config", str(missing),
                            "--out", str(tmp_path / "out"))
     assert code == 1
+    # numpy's PCG64 raises its own ValueError on a negative seed
+    for overrides in ({"path": {"kind": "gbm", "mu": 0.0, "sigma": 0.1, "seed": -1}},
+                      {"noise": {"size_mu": -3.0, "size_sigma": 1.0, "seed": -1}}):
+        config = write_scenario(tmp_path, **overrides)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                               "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error:") and "seed must be an integer >= 0" in err
 
 
 # ------------------------------------------------------------ formats & misc

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ mixes = st.floats(min_value=0.0, max_value=1.0)
 
 
 def _digest(path: PricePath) -> str:
-    blob = ",".join("%.17g" % p for p in path.prices)
+    blob = ",".join("%.17g" % p for p in path.prices.tolist())
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -30,22 +31,22 @@ def _digest(path: PricePath) -> str:
 
 def test_constant_path():
     path = ha.constant_path(2.0, 5)
-    assert path.prices == (2.0, 2.0, 2.0, 2.0, 2.0)
-    assert path.indices == (0, 1, 2, 3, 4)
-    assert path.source == "constant"
-    assert path.is_contiguous()
+    assert path.prices.tolist() == [2.0, 2.0, 2.0, 2.0, 2.0]
+    assert path.prices.dtype == np.float64
     assert len(path) == 5
+    for steps in (0, 1.5, True):
+        with pytest.raises(ha.DomainError):
+            ha.constant_path(2.0, steps)
 
 
 def test_schedule_path():
     path = ha.schedule_path([1.0, 4.0, 2.0])
-    assert path.prices == (1.0, 4.0, 2.0)
-    assert path.source == "schedule"
+    assert path.prices.tolist() == [1.0, 4.0, 2.0]
 
 
 def test_degenerate_gbm_is_constant():
     path = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.0, steps=3, seed=7))
-    assert path.prices == (1.0, 1.0, 1.0)
+    assert path.prices.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_gbm_drift_without_noise():
@@ -58,7 +59,7 @@ def test_gbm_drift_correction_is_half_sigma_squared():
     # mu = sigma^2/2 cancels the Ito correction: same seed, pure-noise steps
     corrected = ha.gbm_path(GbmParams(p0=1.0, mu=0.02, sigma=0.2, steps=10, seed=3))
     plain = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.2, steps=10, seed=3))
-    for t, (a, b) in enumerate(zip(corrected.prices, plain.prices)):
+    for t, (a, b) in enumerate(zip(corrected.prices.tolist(), plain.prices.tolist())):
         assert a == pytest.approx(b * math.exp(0.02 * t), rel=1e-12)
 
 
@@ -66,44 +67,35 @@ def test_gbm_golden_digest():
     path = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.1, steps=100, seed=42))
     assert len(path) == 100
     assert path.prices[0] == 1.0
-    assert path.source == "gbm"
     assert _digest(path) == GBM_DIGEST
 
 
 def test_gbm_is_deterministic_per_seed():
     params = GbmParams(p0=2.0, mu=0.01, sigma=0.3, steps=50, seed=123)
-    assert ha.gbm_path(params).prices == ha.gbm_path(params).prices
+    assert np.array_equal(ha.gbm_path(params).prices, ha.gbm_path(params).prices)
     other = ha.gbm_path(GbmParams(p0=2.0, mu=0.01, sigma=0.3, steps=50, seed=124))
-    assert other.prices != ha.gbm_path(params).prices
+    assert not np.array_equal(other.prices, ha.gbm_path(params).prices)
 
 
 def test_gbm_params_validation():
     good = dict(p0=1.0, mu=0.0, sigma=0.1, steps=10, seed=1)
     for bad in (dict(p0=0.0), dict(p0=math.nan), dict(mu=math.inf), dict(sigma=-0.1),
-                dict(steps=0), dict(steps=1.5), dict(seed=1.5)):
+                dict(steps=0), dict(steps=1.5), dict(steps=True), dict(seed=1.5),
+                dict(seed=-1), dict(seed=True)):
         with pytest.raises(ha.DomainError):
             GbmParams(**{**good, **bad})
 
 
 def test_path_validation():
-    with pytest.raises(ha.DomainError):
-        PricePath((), source="schedule")
-    with pytest.raises(ha.DomainError):
-        PricePath(((1, 1.0),), source="schedule")          # must start at 0
-    with pytest.raises(ha.DomainError):
-        PricePath(((0, 1.0), (0, 2.0)), source="schedule")  # not increasing
-    with pytest.raises(ha.DomainError):
-        PricePath(((0, -1.0),), source="schedule")
-    with pytest.raises(ha.DomainError):
-        PricePath(((0, math.nan),), source="schedule")
-    with pytest.raises(ha.DomainError):
-        PricePath(((0, 1.0),), source="mystery")
-
-
-def test_gapped_path_is_not_contiguous():
-    path = PricePath(((0, 1.0), (2, 3.0)), source="replay")
-    assert not path.is_contiguous()
-    assert path.indices == (0, 2)
+    for prices in ([], [[1.0, 2.0]], [1.0, 0.0], [1.0, -1.0], [math.nan], [1.0, math.inf]):
+        with pytest.raises(ha.DomainError):
+            PricePath(prices)
+    source = np.array([1.0, 2.0])
+    path = PricePath(source)
+    source[0] = 5.0                      # the path keeps its own copy
+    assert path.prices.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        path.prices[0] = 3.0
 
 
 def test_generate_path_rejects_bad_mappings():
@@ -169,16 +161,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     target = tmp_path / "path.csv"
     ha.dump_price_csv(path, target)
     replayed = ha.load_price_csv(target)
-    assert replayed.prices == path.prices
-    assert replayed.indices == path.indices
-    assert replayed.source == "replay"
-
-
-def test_csv_round_trip_preserves_gaps():
-    buffer = io.StringIO()
-    ha.dump_price_csv(PricePath(((0, 1.0), (3, 2.5)), source="replay"), buffer)
-    replayed = ha.load_price_csv(io.StringIO(buffer.getvalue()))
-    assert replayed.steps == ((0, 1.0), (3, 2.5))
+    assert np.array_equal(replayed.prices, path.prices)
 
 
 def test_csv_format_shape():
@@ -199,6 +182,7 @@ def test_csv_parse_errors_carry_line_numbers():
         ("step,price\n0,cheap\n", ":2:"),
         ("step,price\n1,1\n", ":2:"),
         ("step,price\n0,1\n0,2\n", ":3:"),
+        ("step,price\n0,1\n2,2\n", ":3:"),
         ("step,price\n0,1\n1,-2\n", ":3:"),
         ("step,price\n0,1\n1,inf\n", ":3:"),
     ]

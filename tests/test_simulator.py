@@ -8,7 +8,7 @@ import pytest
 
 import hybridamm as ha
 from hybridamm import _kernels
-from hybridamm.oracle import GbmParams, PricePath
+from hybridamm.oracle import GbmParams
 from hybridamm.simulator import METRICS_HEADER, NoiseParams, ScenarioConfig
 
 
@@ -123,11 +123,13 @@ def test_noise_trading_at_full_mix_never_loses_value():
 
 
 def test_identical_scenarios_share_noise_draws():
+    # a pool run second in a sweep sees the same draws as the same pool alone
     noise = NoiseParams(size_mu=-2.0, size_sigma=0.7, seed=5)
-    config = make_config(z_values=(0.5, 0.5), steps=6,
-                         path=ha.constant_path(1.0, 6), noise=noise)
-    first, second = ha.run_scenario(config)
-    assert same_run(first, second)
+    swept = make_config(z_values=(0.6, 0.5), steps=6,
+                        path=ha.constant_path(1.0, 6), noise=noise)
+    alone = make_config(z_values=(0.5,), steps=6,
+                        path=ha.constant_path(1.0, 6), noise=noise)
+    assert same_run(ha.run_scenario(swept)[1], ha.run_scenario(alone)[0])
 
 
 def test_run_scenario_is_deterministic():
@@ -177,7 +179,11 @@ def test_config_validation():
     with pytest.raises(ha.DomainError):
         make_config(steps=2.0)
     with pytest.raises(ha.DomainError):
-        make_config(path=PricePath(((0, 1.0), (2, 1.0)), source="replay"), steps=2)
+        make_config(steps=True, path=ha.constant_path(1.0, 1))
+    with pytest.raises(ha.DomainError):
+        make_config(path=(1.0, 1.0, 1.0, 1.0))            # not a PricePath
+    with pytest.raises(ha.DomainError):
+        make_config(z_values=(0.5, 0.5000000000001))      # same metrics_z0.5 file
     with pytest.raises(ha.DomainError):
         make_config(noise={"seed": 1})
 
@@ -190,9 +196,15 @@ def test_noise_params_validation():
     with pytest.raises(ha.DomainError):
         NoiseParams(size_mu=0.0, size_sigma=0.1, seed=1.5)
     with pytest.raises(ha.DomainError):
+        NoiseParams(size_mu=0.0, size_sigma=0.1, seed=-1)
+    with pytest.raises(ha.DomainError):
+        NoiseParams(size_mu=0.0, size_sigma=0.1, seed=True)
+    with pytest.raises(ha.DomainError):
         NoiseParams(size_mu=0.0, size_sigma=0.1, seed=1, max_fraction=1.0)
     with pytest.raises(ha.DomainError):
         NoiseParams(size_mu=0.0, size_sigma=0.1, seed=1, trades_per_step=0)
+    with pytest.raises(ha.DomainError):
+        NoiseParams(size_mu=0.0, size_sigma=0.1, seed=1, trades_per_step=1.5)
 
 
 def test_step_metrics_validation(monkeypatch):
@@ -230,11 +242,11 @@ def scenario_dict(**overrides):
 
 def test_from_dict_inherits_scenario_price_and_steps():
     config = ScenarioConfig.from_dict(scenario_dict(p0=2.5))
-    assert config.path.prices == (2.5, 2.5, 2.5)
+    assert config.path.prices.tolist() == [2.5, 2.5, 2.5]
     config = ScenarioConfig.from_dict(
         scenario_dict(path={"kind": "gbm", "mu": 0.0, "sigma": 0.1, "seed": 7}))
-    assert config.path.prices == ha.gbm_path(
-        GbmParams(p0=1.0, mu=0.0, sigma=0.1, steps=3, seed=7)).prices
+    assert np.array_equal(config.path.prices, ha.gbm_path(
+        GbmParams(p0=1.0, mu=0.0, sigma=0.1, steps=3, seed=7)).prices)
 
 
 def test_from_dict_builds_noise():
@@ -258,6 +270,10 @@ def test_from_dict_rejects_unknown_and_missing_fields():
         ScenarioConfig.from_dict(missing)
     with pytest.raises(ha.ConfigError):
         ScenarioConfig.from_dict(scenario_dict(steps="three"))
+    with pytest.raises(ha.ConfigError):
+        ScenarioConfig.from_dict(scenario_dict(kind="constant"))    # only paths have a kind
+    with pytest.raises(ha.ConfigError):
+        ScenarioConfig.from_dict(scenario_dict(path={"kind": "replay", "file": 5}))
 
 
 def test_load_scenario_round_trip(tmp_path):
@@ -268,8 +284,7 @@ def test_load_scenario_round_trip(tmp_path):
                                                           "file": "prices.csv"})),
                            encoding="utf-8")
     config = ha.load_scenario(config_file)
-    assert config.path.prices == (1.0, 2.0, 1.5)
-    assert config.path.source == "replay"
+    assert config.path.prices.tolist() == [1.0, 2.0, 1.5]
 
 
 def test_load_scenario_reports_json_errors(tmp_path):
