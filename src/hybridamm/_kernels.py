@@ -1,12 +1,9 @@
 """Numerical kernels shared by the scalar API and the simulator loop.
 
-Every function here is written in nopython-compatible style and compiled with
-``numba.njit(cache=True)`` when numba is importable, unless the environment
-variable ``HYBRIDAMM_NO_NUMBA`` is set to 1/true/yes/on, in which case the
-same functions run as plain Python on numpy scalars.  Kernels never raise:
-invalid requests return ``nan`` and the public wrappers turn sentinels into
-typed exceptions.  All randomness stays outside this module; stochastic
-kernels receive pre-drawn arrays so both backends consume identical streams.
+Kernels are plain Python on floats.  They never raise: an infeasible request
+returns ``nan``, which ``run_steps`` counts as a skipped trade and the public
+wrappers in ``core`` and ``swap`` turn into typed exceptions.  All randomness
+stays outside this module; stochastic kernels receive pre-drawn arrays.
 
 Curve family (mix parameter z in [0, 1], oracle price p, constant k):
 
@@ -20,22 +17,11 @@ z = 0 is the constant-product curve x*y = k; z = 1 is the line y = k - p*x.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a hard dependency, but stay usable without it
-    numba = None
-
-NUMBA_DISABLE_ENV = "HYBRIDAMM_NO_NUMBA"
-
-#: True when kernels are compiled; False on the pure-Python fallback path.
-NUMBA_ENABLED = (
-    numba is not None
-    and os.environ.get(NUMBA_DISABLE_ENV, "").strip().lower() not in ("1", "true", "yes", "on")
-)
+# Kernels are never compiled; perfbench/probe.py reads this to name the backend.
+NUMBA_ENABLED = False
 
 # Trades moving less than this fraction of the input-side reserve are dust.
 DUST_REL = 1e-15
@@ -43,13 +29,6 @@ DUST_REL = 1e-15
 X_FLOOR_REL = 1e-12
 
 
-def _maybe_jit(fn):
-    if NUMBA_ENABLED:
-        return numba.njit(cache=True)(fn)
-    return fn
-
-
-@_maybe_jit
 def pow_zm1(x, z):
     """x**(z-1) with the curve-limit cases exact."""
     if z == 0.0:
@@ -59,7 +38,6 @@ def pow_zm1(x, z):
     return math.exp((z - 1.0) * math.log(x))
 
 
-@_maybe_jit
 def curve_anchor(x, y, p, z):
     """Constant k of the curve through (x, y) at oracle price p."""
     # k = (y + z*p*x/(2-z)) * x**(1-z); dividing by pow_zm1 keeps the
@@ -67,28 +45,23 @@ def curve_anchor(x, y, p, z):
     return (y + z * p * x / (2.0 - z)) / pow_zm1(x, z)
 
 
-@_maybe_jit
 def curve_y(k, x, p, z):
     return k * pow_zm1(x, z) - z * p * x / (2.0 - z)
 
 
-@_maybe_jit
 def curve_dy(k, x, p, z):
     return k * (z - 1.0) * (pow_zm1(x, z) / x) - z * p / (2.0 - z)
 
 
-@_maybe_jit
 def curve_d2y(k, x, p, z):
     return k * (z - 1.0) * (z - 2.0) * (pow_zm1(x, z) / (x * x))
 
 
-@_maybe_jit
 def blend_spot(x, y, p, z):
     """Marginal price (1-z)*y/x + z*p; equals -curve_dy on the curve."""
     return (1.0 - z) * (y / x) + z * p
 
 
-@_maybe_jit
 def solvency_bound(k, p, z):
     """x where the Y reserve hits zero; +inf only for the z = 0 hyperbola."""
     if z == 0.0:
@@ -104,7 +77,6 @@ def solvency_bound(k, p, z):
     return math.exp(math.log((2.0 - z) * k / (z * p)) / (2.0 - z))
 
 
-@_maybe_jit
 def arb_target_x(k, p, z):
     """x on the (k, p, z) curve where the marginal price equals p.
 
@@ -115,7 +87,6 @@ def arb_target_x(k, p, z):
     return math.exp(math.log((2.0 - z) * k / (2.0 * p)) / (2.0 - z))
 
 
-@_maybe_jit
 def invert_curve(k, p, z, y_target, lo, hi):
     """Solve curve_y(k, x, p, z) == y_target for x in [lo, hi].
 
@@ -171,7 +142,6 @@ def invert_curve(k, p, z, y_target, lo, hi):
     return x
 
 
-@_maybe_jit
 def delta_y(x, y, p, z, dx):
     """Change of the Y reserve when X moves by dx (dx > -x) along the curve.
 
@@ -190,7 +160,6 @@ def delta_y(x, y, p, z, dx):
     return (y + c * x) * math.expm1((z - 1.0) * log_ratio) - c * dx
 
 
-@_maybe_jit
 def _power_term_size(x, a, z, s, t):
     """Size u at which the power term of delta_y, a*expm1((z-1)*log1p(s*u/x)), is -s*t."""
     v = math.log1p(-s * t / a) / (z - 1.0)
@@ -199,7 +168,6 @@ def _power_term_size(x, a, z, s, t):
     return s * x * math.expm1(v)
 
 
-@_maybe_jit
 def solve_delta_x(x, y, p, z, dy):
     """dx with delta_y(x, y, p, z, dx) == dy: the X move that shifts Y by dy.
 
@@ -245,21 +213,38 @@ def solve_delta_x(x, y, p, z, dy):
     return math.nan
 
 
-@_maybe_jit
-def curve_grid(k, p, z, xs):
-    """Vector curve_y over xs; out-of-domain points (x <= 0 or past the bound) map to nan."""
-    bound = solvency_bound(k, p, z)
-    ys = np.empty_like(xs)
-    for i in range(xs.shape[0]):
-        x = xs[i]
-        if x <= 0.0 or x >= bound:
-            ys[i] = math.nan
-        else:
-            ys[i] = curve_y(k, x, p, z)
-    return ys
+def sell_x(x, y, p, z, k, amount):
+    """Y reserve after ``amount`` of X is paid in, on the (k, p, z) curve.
+
+    The Y paid out is ``delta_y`` of the trade, unless it takes more than
+    half of Y: what is left is then small next to the delta and its
+    rounding, so it is read from the curve at the new X instead.
+    """
+    paid = -delta_y(x, y, p, z, amount)
+    if paid <= 0.5 * y:
+        return y - paid
+    return curve_y(k, x + amount, p, z)
 
 
-@_maybe_jit
+def sell_y_capacity(x, y, p, z, k):
+    """(x floor, max Y the pool absorbs) for SELL_Y: X never drops below X_FLOOR_REL of x."""
+    x_floor = X_FLOOR_REL * x
+    return x_floor, curve_y(k, x_floor, p, z) - y
+
+
+def sell_y(x, y, p, z, k, amount, x_floor):
+    """X reserve after ``amount`` of Y is paid in, or nan when that X is not found.
+
+    The X paid out is ``solve_delta_x`` of the trade, unless it takes more
+    than half of X or the solver fails: the new X is then found on the curve
+    by ``invert_curve`` over [x_floor, x].
+    """
+    dx = solve_delta_x(x, y, p, z, amount)
+    if -dx <= 0.5 * x:
+        return x + dx
+    return invert_curve(k, p, z, y + amount, x_floor, x)
+
+
 def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
               max_fraction):
     """Advance one pool through the full scenario; returns per-step metric arrays.
@@ -269,7 +254,8 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
     ``noise_frac`` holds pre-drawn lognormal size fractions laid out step-major,
     ``noise_dir`` the matching directions (0 sells X, 1 sells Y).  Trades are
     clamped to ``max_fraction`` of the input-side reserve and to 99.9% of the
-    solvency headroom; dust and infeasible trades are skipped.  Counters for
+    solvency headroom, then priced by ``sell_x``/``sell_y`` as ``swap_exact_in``
+    prices them; dust and infeasible trades are skipped.  Counters for
     clamped and skipped trades come back with the metric arrays.
     """
     n = prices.shape[0]
@@ -339,7 +325,7 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
                     continue
                 spot0 = blend_spot(x, y, p, z)
                 x_new = x + amount_in
-                y_new = curve_y(k, x_new, p, z)
+                y_new = sell_x(x, y, p, z, k, amount_in)
                 out = y - y_new
                 if out <= 0.0:
                     skipped += 1
@@ -353,9 +339,8 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
                 y = y_new
             else:
                 amount_in = frac * y
-                x_floor = X_FLOOR_REL * x
-                y_cap = curve_y(k, x_floor, p, z)
-                cap = 0.999 * (y_cap - y)
+                x_floor, capacity = sell_y_capacity(x, y, p, z, k)
+                cap = 0.999 * capacity
                 if cap <= 0.0:
                     skipped += 1
                     continue
@@ -367,7 +352,7 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
                     continue
                 spot0 = blend_spot(x, y, p, z)
                 y_new = y + amount_in
-                x_new = invert_curve(k, p, z, y_new, x_floor, x)
+                x_new = sell_y(x, y, p, z, k, amount_in, x_floor)
                 if math.isnan(x_new) or x_new >= x:
                     skipped += 1
                     continue

@@ -142,13 +142,22 @@ def cmd_slippage(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_scenario(args.config)
+    extension = {"csv": "csv", "json": "json", "table": "txt"}[args.format]
+    names = [f"metrics_z{z:.12g}.{extension}" for z in config.z_values]
+    # metrics of an earlier run would leave a directory that no longer
+    # describes one run, so refuse before doing any work
+    if os.path.isdir(args.out):
+        stale = sorted(name for name in os.listdir(args.out)
+                       if name.startswith("metrics_z") and name.endswith((".csv", ".json", ".txt"))
+                       and name not in names)
+        if stale:
+            raise DomainError(f"{args.out} holds metrics files this run would not write: "
+                              f"{', '.join(stale)}")
     runs = run_scenario(config)
     os.makedirs(args.out, exist_ok=True)
     # the resolved oracle path is written in replay format for reproduction
     dump_price_csv(config.path, os.path.join(args.out, "path.csv"))
-    extension = {"csv": "csv", "json": "json", "table": "txt"}[args.format]
-    for run in runs:
-        name = f"metrics_z{run.z:.12g}.{extension}"
+    for name, run in zip(names, runs):
         with open(os.path.join(args.out, name), "w", newline="", encoding="utf-8") as handle:
             write_rows(handle, args.format, METRICS_HEADER, run.rows())
         final_il = run.table[-1, METRICS_HEADER.index("il_relative")]
@@ -233,6 +242,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors and --help
         return 2 if exc.code is None else int(exc.code)
     except BrokenPipeError:
+        return 1
+    except OSError as err:   # an output file or directory that cannot be written
+        print(f"error: {err.filename}: {err.strerror}", file=sys.stderr)
         return 1
     except HybridAmmError as err:
         print(f"error: {err}", file=sys.stderr)

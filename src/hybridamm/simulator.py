@@ -276,18 +276,17 @@ def sweep_reserve_curve(anchor: Union[PoolState, float], z_values: Sequence[floa
     if not np.all(np.isfinite(xs)):
         raise DomainError("x_grid values must be finite")
 
-    rows: list[tuple[float, float, float]] = []
     if isinstance(anchor, PoolState):
         if p is not None:
             raise DomainError("p is implied by an anchored state; pass it only with a raw k")
-        for z in zs:
-            k = anchor_k(anchor.x, anchor.y, anchor.p, z)
-            ys = _kernels.curve_grid(k, anchor.p, z, xs)
-            rows.extend((z, float(x), float(y)) for x, y in zip(xs, ys))
+        curves = [(z, anchor_k(anchor.x, anchor.y, anchor.p, z), anchor.p) for z in zs]
     else:
         k = _check_finite_positive(anchor, "k")
         p_eff = 1.0 if p is None else _check_finite_positive(p, "p")
-        for z in zs:
-            ys = _kernels.curve_grid(k, p_eff, z, xs)
-            rows.extend((z, float(x), float(y)) for x, y in zip(xs, ys))
+        curves = [(z, k, p_eff) for z in zs]
+    rows: list[tuple[float, float, float]] = []
+    for z, k, p_z in curves:
+        bound = _kernels.solvency_bound(k, p_z, z)
+        rows.extend((z, x, _kernels.curve_y(k, x, p_z, z) if 0.0 < x < bound else math.nan)
+                    for x in xs.tolist())
     return rows

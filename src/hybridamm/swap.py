@@ -11,9 +11,10 @@ reserve it is paid from, what is left of that reserve is small next to the
 delta and its rounding, so the new state is read from the curve instead:
 the Y left at the new X for SELL_X exact-in, and the X at the new Y, by
 bracketed bisection with a Newton polish, for SELL_Y exact-in and for
-SELL_X exact-out with 0 < z < 1.  The trader-specified amount is
-conserved exactly in the resulting state; the other amount is the
-difference of the stored reserves.
+SELL_X exact-out with 0 < z < 1.  Exact-in trades go through
+``_kernels.sell_x``/``sell_y``, the kernels the simulator's noise trades
+use.  The trader-specified amount is conserved exactly in the resulting
+state; the other amount is the difference of the stored reserves.
 """
 
 from __future__ import annotations
@@ -76,21 +77,11 @@ class SwapResult:
             raise DomainError(f"swap produced invalid slippage_cost: {self.slippage_cost!r}")
 
 
-def _sell_y_capacity(state: PoolState) -> tuple[float, float]:
-    """(x floor, max Y the pool will absorb) for SELL_Y trades."""
-    x_floor = _kernels.X_FLOOR_REL * state.x
-    y_cap = _kernels.curve_y(state.k, x_floor, state.p, state.z)
-    return x_floor, y_cap - state.y
-
-
-def _invert(state: PoolState, y_target: float, lo: float, hi: float) -> float:
-    x = _kernels.invert_curve(state.k, state.p, state.z, y_target, lo, hi)
-    if math.isnan(x):
-        raise ConvergenceError(
-            f"curve inversion failed for y={y_target} on (k={state.k}, p={state.p}, "
-            f"z={state.z}) over [{lo}, {hi}]"
-        )
-    return x
+def _inversion_failed(state: PoolState, y_target: float, lo: float, hi: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"curve inversion failed for y={y_target} on (k={state.k}, p={state.p}, "
+        f"z={state.z}) over [{lo}, {hi}]"
+    )
 
 
 def swap_exact_in(state: PoolState, direction: TradeDirection, amount_in: float) -> SwapResult:
@@ -117,11 +108,7 @@ def swap_exact_in(state: PoolState, direction: TradeDirection, amount_in: float)
                 bound=bound,
                 max_amount_in=bound - state.x,
             )
-        paid = -_kernels.delta_y(state.x, state.y, p, z, amount_in)
-        if paid <= 0.5 * state.y:
-            y_new = state.y - paid
-        else:
-            y_new = _kernels.curve_y(k, x_new, p, z)
+        y_new = _kernels.sell_x(state.x, state.y, p, z, k, amount_in)
         amount_out = state.y - y_new
         if amount_out <= 0.0:
             raise DomainError(f"amount_in={amount_in} is too small to move the curve")
@@ -130,7 +117,7 @@ def swap_exact_in(state: PoolState, direction: TradeDirection, amount_in: float)
     else:
         if amount_in < _kernels.DUST_REL * state.y:
             raise DomainError(f"amount_in={amount_in} is dust below 1e-15 of the Y reserve")
-        x_floor, capacity = _sell_y_capacity(state)
+        x_floor, capacity = _kernels.sell_y_capacity(state.x, state.y, p, z, k)
         if amount_in >= capacity:
             raise InsolvencyError(
                 f"selling {amount_in} Y would exhaust the X reserve "
@@ -138,11 +125,9 @@ def swap_exact_in(state: PoolState, direction: TradeDirection, amount_in: float)
                 max_amount_in=capacity,
             )
         y_new = state.y + amount_in
-        dx = _kernels.solve_delta_x(state.x, state.y, p, z, amount_in)
-        if -dx <= 0.5 * state.x:
-            x_new = state.x + dx
-        else:   # also when the solver returned nan
-            x_new = _invert(state, y_new, x_floor, state.x)
+        x_new = _kernels.sell_y(state.x, state.y, p, z, k, amount_in, x_floor)
+        if math.isnan(x_new):
+            raise _inversion_failed(state, y_new, x_floor, state.x)
         amount_out = state.x - x_new
         if amount_out <= 0.0:
             raise DomainError(f"amount_in={amount_in} is too small to move the curve")
@@ -199,7 +184,9 @@ def swap_exact_out(state: PoolState, direction: TradeDirection, amount_out: floa
                     f"of the solvency bound",
                     max_amount_out=state.y - _kernels.curve_y(k, hi, p, z),
                 )
-            x_new = _invert(state, y_new, state.x, hi)
+            x_new = _kernels.invert_curve(k, p, z, y_new, state.x, hi)
+            if math.isnan(x_new):
+                raise _inversion_failed(state, y_new, state.x, hi)
         amount_in = x_new - state.x
         if amount_in <= 0.0:
             raise DomainError(f"amount_out={amount_out} is too small to move the curve")

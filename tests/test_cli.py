@@ -290,12 +290,13 @@ def test_simulate_is_byte_identical_across_runs(capsys, tmp_path):
 
 
 # sha256 of stdout, then of each output file (name, NUL, bytes) in name order,
-# for one arbitrage-plus-noise scenario; frozen on first generation and
-# guarded here against any drift in the bytes `simulate` writes
+# for one arbitrage-plus-noise scenario; guarded here against any drift in the
+# bytes `simulate` writes.  Re-pinned once when noise trades moved onto the
+# swap kernels, after tests/test_kernels.py's replay through swap_exact_in held
 SIMULATE_DIGESTS = {
-    "csv": "eafe21428c70e51680c77b1e604d2ed1949cb63da52a02afba511eb57035916e",
-    "json": "50cb24ad9376be3b8d8ec1e3c7e87e738a4a3614178f997b8d65cc96211ecff9",
-    "table": "4d9426fdbe1b9f2e0eec912a0e224b3fccf77663c681948a00e9fdbc5de455e4",
+    "csv": "e678053ea32f359e771939e13af490cd11cea19e5eecb92d215d8fb2eff610a0",
+    "json": "c1d4703dbc3fd6cb7d340639f27a38e16620fe82731a12d64656c0e24873a36c",
+    "table": "7926ceb053e4a55b915484d4c9cb3b329509642df088c49d25f14fbc812baa5f",
 }
 
 
@@ -345,6 +346,36 @@ def test_simulate_config_errors(capsys, tmp_path):
                                "--out", str(tmp_path / "out"))
         assert code == 1
         assert err.startswith("error:") and "seed must be an integer >= 0" in err
+
+
+def test_simulate_refuses_stale_metrics_files(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    config = write_scenario(tmp_path, z_values=[0.0, 0.9])
+    assert run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))[0] == 0
+    # a rerun with the same z values and format overwrites its own files
+    assert run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))[0] == 0
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    config = write_scenario(tmp_path, z_values=[0.5])
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "metrics_z0.csv" in err and "metrics_z0.9.csv" in err
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
+def test_unwritable_output_is_an_error_not_a_traceback(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    config = write_scenario(tmp_path)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(taken))
+    assert code == 1
+    assert err == f"error: {taken}: File exists\n"
+    target = tmp_path / "nodir" / "x.csv"
+    code, _, err = run_cli(capsys, "swap", "--z", "0.5", "--x", "1", "--y", "1", "--p", "1",
+                           "--direction", "sell-x", "--amount-in", "0.1", "--out", str(target))
+    assert code == 1
+    assert err == f"error: {target}: No such file or directory\n"
 
 
 # ------------------------------------------------------------ formats & misc

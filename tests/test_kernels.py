@@ -1,52 +1,27 @@
-"""Backend contract: compiled and pure-Python kernels must agree.
+"""Kernel contract: flags, nan sentinels, mpmath references, and one trade engine.
 
-The package module is imported normally (compiled when numba is available);
-a second copy of the same source file is loaded with the disable flag forced,
-giving a pure-Python twin.  Agreement is checked to 1e-13 relative rather
-than bitwise: the two backends may differ by an ulp in transcendental calls.
+The kernels are plain Python.  Inversion and the delta kernels are checked
+against mpmath or exact curve points, and ``run_steps`` is replayed step by
+step through the public API (``PoolState.anchored``, ``rebalance_to_oracle``,
+``swap_exact_in``), which must give bit-identical reserves because both
+trade through ``sell_x``/``sell_y``.
 """
 
-import importlib.util
 import math
-import os
 
 import mpmath
 import numpy as np
 import pytest
 
-from hybridamm import _kernels, max_x_bound
-
-RTOL = 1e-13
-
-
-def load_kernels_twin(env_value):
-    """Load _kernels.py again under the given HYBRIDAMM_NO_NUMBA setting."""
-    saved = os.environ.get(_kernels.NUMBA_DISABLE_ENV)
-    os.environ[_kernels.NUMBA_DISABLE_ENV] = env_value
-    try:
-        spec = importlib.util.spec_from_file_location(
-            f"kernels_twin_{env_value or 'empty'}", _kernels.__file__)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-    finally:
-        if saved is None:
-            del os.environ[_kernels.NUMBA_DISABLE_ENV]
-        else:
-            os.environ[_kernels.NUMBA_DISABLE_ENV] = saved
-
-
-@pytest.fixture(scope="module")
-def pure():
-    return load_kernels_twin("1")
-
-
-def close(a, b, rtol=RTOL):
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= rtol * max(abs(a), abs(b), 1e-300)
+from hybridamm import (
+    PoolState,
+    TradeDirection,
+    _kernels,
+    max_x_bound,
+    rebalance_to_oracle,
+    swap_exact_in,
+)
+from hybridamm.errors import HybridAmmError
 
 
 def sample_states(n=250, seed=17):
@@ -62,90 +37,26 @@ def sample_states(n=250, seed=17):
 
 
 def test_module_flags():
-    assert _kernels.NUMBA_DISABLE_ENV == "HYBRIDAMM_NO_NUMBA"
-    assert isinstance(_kernels.NUMBA_ENABLED, bool)
+    assert _kernels.NUMBA_ENABLED is False
     assert _kernels.DUST_REL == 1e-15
     assert _kernels.X_FLOOR_REL == 1e-12
 
 
-def test_disable_env_values():
-    assert load_kernels_twin("1").NUMBA_ENABLED is False
-    assert load_kernels_twin("TRUE").NUMBA_ENABLED is False
-    assert load_kernels_twin(" on ").NUMBA_ENABLED is False
-    try:
-        import numba  # noqa: F401
-        expected = True
-    except ImportError:
-        expected = False
-    assert load_kernels_twin("0").NUMBA_ENABLED is expected
-    assert load_kernels_twin("").NUMBA_ENABLED is expected
-
-
-# -------------------------------------------------------------------- parity
-
-
-def test_scalar_kernel_parity(pure):
-    xs, ys, ps, zs = sample_states()
-    for x, y, p, z in zip(xs, ys, ps, zs):
-        k = _kernels.curve_anchor(x, y, p, z)
-        assert close(k, pure.curve_anchor(x, y, p, z))
-        assert close(_kernels.pow_zm1(x, z), pure.pow_zm1(x, z))
-        assert close(_kernels.curve_y(k, x, p, z), pure.curve_y(k, x, p, z))
-        assert close(_kernels.curve_dy(k, x, p, z), pure.curve_dy(k, x, p, z))
-        assert close(_kernels.curve_d2y(k, x, p, z), pure.curve_d2y(k, x, p, z))
-        assert close(_kernels.blend_spot(x, y, p, z), pure.blend_spot(x, y, p, z))
-        assert close(_kernels.solvency_bound(k, p, z), pure.solvency_bound(k, p, z))
-        assert close(_kernels.arb_target_x(k, p, z), pure.arb_target_x(k, p, z))
-        assert close(_kernels.delta_y(x, y, p, z, 0.3 * x), pure.delta_y(x, y, p, z, 0.3 * x))
-        assert close(_kernels.solve_delta_x(x, y, p, z, 0.3 * y),
-                     pure.solve_delta_x(x, y, p, z, 0.3 * y))
-
-
-def test_invert_parity_and_accuracy(pure):
+def test_invert_accuracy():
     xs, ys, ps, zs = sample_states(n=120, seed=23)
     rng = np.random.Generator(np.random.PCG64(99))
     for x, y, p, z in zip(xs, ys, ps, zs):
         k = _kernels.curve_anchor(x, y, p, z)
         x_true = x * rng.uniform(0.2, 0.95)
         y_target = _kernels.curve_y(k, x_true, p, z)
-        lo = x * 1e-12
-        compiled = _kernels.invert_curve(k, p, z, y_target, lo, x)
-        fallback = pure.invert_curve(k, p, z, y_target, lo, x)
-        assert close(compiled, fallback, rtol=1e-12)
-        assert compiled == pytest.approx(x_true, rel=1e-12)
+        got = _kernels.invert_curve(k, p, z, y_target, x * 1e-12, x)
+        assert got == pytest.approx(x_true, rel=1e-12)
 
 
 def test_invert_returns_nan_outside_bracket():
     k = _kernels.curve_anchor(1.0, 1.0, 1.0, 0.5)
     y_above_range = _kernels.curve_y(k, 0.05, 1.0, 0.5)
     assert math.isnan(_kernels.invert_curve(k, 1.0, 0.5, y_above_range, 0.5, 1.0))
-
-
-def test_curve_grid_parity_with_nan_markers(pure):
-    k, p, z = 4.0 / 3.0, 1.0, 0.5
-    bound = _kernels.solvency_bound(k, p, z)
-    grid = np.linspace(0.1, bound * 1.2, 64)
-    compiled = _kernels.curve_grid(k, p, z, grid)
-    fallback = pure.curve_grid(k, p, z, grid)
-    assert np.array_equal(np.isnan(compiled), np.isnan(fallback))
-    assert np.allclose(compiled, fallback, rtol=RTOL, atol=0.0, equal_nan=True)
-    assert np.isnan(compiled[-1])
-    assert not np.isnan(compiled[0])
-
-
-def test_run_steps_parity(pure):
-    rng = np.random.Generator(np.random.PCG64(7))
-    steps = 60
-    prices = np.exp(np.cumsum(np.concatenate(([0.0], 0.15 * rng.standard_normal(steps - 1)))))
-    fractions = np.exp(-2.0 + 0.8 * rng.standard_normal(steps * 2))
-    directions = rng.integers(0, 2, size=steps * 2, dtype=np.int8)
-    args = (1.0, 1.0, 0.37, prices, True, fractions, directions, 2, 0.25)
-    compiled = _kernels.run_steps(*args)
-    fallback = pure.run_steps(*args)
-    for got, want in zip(compiled[:8], fallback[:8]):
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
-    assert compiled[8] == fallback[8]   # clamped
-    assert compiled[9] == fallback[9]   # skipped
 
 
 # ------------------------------------------------------------- nan sentinels
@@ -217,3 +128,61 @@ def test_solve_delta_x_matches_mpmath(z, dy):
             else:
                 hi = mid
         assert ulps(got, lo) <= 4.0
+
+
+# ------------------------------------------------------------ one trade engine
+
+
+def replay_step(x, y, p, z, fractions, directions, max_fraction):
+    """One run_steps step through the public API: (x, y, clamped, skipped) after it."""
+    state = PoolState.anchored(x, y, p, z)
+    if z < 1.0:
+        moved = rebalance_to_oracle(state, p)
+        if abs(moved.x - state.x) > 1e-12 * state.x:   # run_steps' dead band
+            state = moved
+    clamped = skipped = 0
+    for frac, direction in zip(fractions, directions):
+        if frac > max_fraction:
+            frac = max_fraction
+            clamped += 1
+        # the 0.999 headroom clamps, written out independently of the kernels'
+        # own capacity helper
+        if direction == 0:
+            direction, amount = TradeDirection.SELL_X, frac * state.x
+            cap = 0.999 * (max_x_bound(state.k, p, z) - state.x)
+        else:
+            direction, amount = TradeDirection.SELL_Y, frac * state.y
+            x_floor = _kernels.X_FLOOR_REL * state.x
+            cap = 0.999 * (_kernels.curve_y(state.k, x_floor, p, z) - state.y)
+        if amount > cap > 0.0:
+            amount = cap
+            clamped += 1
+        try:
+            state = swap_exact_in(state, direction, amount).new_state
+        except HybridAmmError:
+            skipped += 1
+    return state.x, state.y, clamped, skipped
+
+
+@pytest.mark.parametrize("z", [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -52, 1.0])
+def test_run_steps_replays_through_swap_exact_in(z):
+    # noise large enough to hit both clamps; the z = 1 pool has no
+    # arbitrage, drains, and then skips most of its trades
+    steps, per_step, max_fraction = 1000, 2, 0.25
+    rng = np.random.Generator(np.random.PCG64(11))
+    prices = np.exp(np.cumsum(0.03 * rng.standard_normal(steps)))
+    fractions = np.exp(-2.5 + 1.5 * rng.standard_normal(steps * per_step))
+    directions = rng.integers(0, 2, size=steps * per_step, dtype=np.int8)
+    result = _kernels.run_steps(1.0, 1.0, z, prices, True, fractions, directions,
+                                per_step, max_fraction)
+    xs, ys = result[1].tolist(), result[2].tolist()
+    x, y = 1.0, 1.0
+    clamped = skipped = 0
+    for t in range(steps):
+        trades = slice(t * per_step, (t + 1) * per_step)
+        x, y, c, s = replay_step(x, y, float(prices[t]), z, fractions[trades].tolist(),
+                                 directions[trades].tolist(), max_fraction)
+        assert (x, y) == (xs[t], ys[t]), f"step {t}"
+        clamped += c
+        skipped += s
+    assert (clamped, skipped) == (result[8], result[9])

@@ -332,6 +332,22 @@ def test_sweep_marks_out_of_domain_points():
     assert math.isnan(rows[1][2])
 
 
+@pytest.mark.parametrize("z", [0.0, 1e-300, 0.5, 1.0])
+def test_sweep_nan_markers_at_domain_edges(z):
+    k, p = 4.0 / 3.0, 1.0
+    bound = ha.max_x_bound(k, p, z)
+    xs = [-1.0, -5e-324, 0.0, 0.1, 1.0, 1.5]
+    if math.isfinite(bound):
+        xs += [math.nextafter(bound, 0.0), bound, bound * 1.2]
+    rows = ha.sweep_reserve_curve(k, [z], xs, p=p)
+    assert [x for _, x, _ in rows] == xs
+    for _, x, y in rows:
+        if x <= 0.0 or x >= bound:
+            assert math.isnan(y)
+        else:
+            assert y == ha.reserve_y(k, x, p, z)
+
+
 def test_sweep_validation():
     state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5)
     with pytest.raises(ha.DomainError):
