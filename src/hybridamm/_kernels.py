@@ -1,9 +1,17 @@
 """Numerical kernels shared by the scalar API and the simulator loop.
 
 Kernels are plain Python on floats.  They never raise: an infeasible request
-returns ``nan``, which ``run_steps`` counts as a skipped trade and the public
-wrappers in ``core`` and ``swap`` turn into typed exceptions.  All randomness
+returns ``nan`` or ``inf``, and a trade returns a reason code.  All randomness
 stays outside this module; stochastic kernels receive pre-drawn arrays.
+
+One exact-in trade kernel, ``trade_in``, decides whether a trade executes
+and what it costs, for ``swap_exact_in`` and for the noise trades of
+``run_steps`` alike.  It returns ``EXECUTED``, or why it did not execute:
+``DUST`` (below ``DUST_REL`` of the input-side reserve), ``NO_MOVE`` (the
+trade pays out nothing) or ``NO_ROOT`` (the new X was not found).
+``headroom`` is the largest input the pool can take.  ``swap_exact_in``
+turns the reasons into typed exceptions; ``run_steps`` counts them as
+skipped trades.
 
 Curve family (mix parameter z in [0, 1], oracle price p, constant k):
 
@@ -28,6 +36,9 @@ DUST_REL = 1e-15
 # SellY feasibility floor: the pool never quotes below this fraction of current x.
 X_FLOOR_REL = 1e-12
 
+# trade_in reason codes
+EXECUTED, DUST, NO_MOVE, NO_ROOT = 0, 1, 2, 3
+
 
 def pow_zm1(x, z):
     """x**(z-1) with the curve-limit cases exact."""
@@ -35,7 +46,10 @@ def pow_zm1(x, z):
         return 1.0 / x
     if z == 1.0:
         return 1.0
-    return math.exp((z - 1.0) * math.log(x))
+    try:
+        return math.exp((z - 1.0) * math.log(x))
+    except OverflowError:   # tiny x with small z: past double range
+        return math.inf
 
 
 def curve_anchor(x, y, p, z):
@@ -54,7 +68,12 @@ def curve_dy(k, x, p, z):
 
 
 def curve_d2y(k, x, p, z):
-    return k * (z - 1.0) * (z - 2.0) * (pow_zm1(x, z) / (x * x))
+    xx = x * x
+    if xx < 2.0 ** -1022:
+        # x*x underflows below x ~ 1.5e-154 and reaches 0 below ~ 1.5e-162;
+        # dividing by x twice gives inf (or -0.0 at z = 1), never 1/0 or nan
+        return k * (z - 1.0) * (z - 2.0) * pow_zm1(x, z) / x / x
+    return k * (z - 1.0) * (z - 2.0) * (pow_zm1(x, z) / xx)
 
 
 def blend_spot(x, y, p, z):
@@ -213,36 +232,60 @@ def solve_delta_x(x, y, p, z, dy):
     return math.nan
 
 
-def sell_x(x, y, p, z, k, amount):
-    """Y reserve after ``amount`` of X is paid in, on the (k, p, z) curve.
+def headroom(x, y, p, z, k, sell_y):
+    """Largest input the pool can take.
 
-    The Y paid out is ``delta_y`` of the trade, unless it takes more than
-    half of Y: what is left is then small next to the delta and its
-    rounding, so it is read from the curve at the new X instead.
+    X up to the solvency bound, or Y until X falls to X_FLOOR_REL of x.
     """
-    paid = -delta_y(x, y, p, z, amount)
-    if paid <= 0.5 * y:
-        return y - paid
-    return curve_y(k, x + amount, p, z)
+    if sell_y:
+        return curve_y(k, X_FLOOR_REL * x, p, z) - y
+    return solvency_bound(k, p, z) - x
 
 
-def sell_y_capacity(x, y, p, z, k):
-    """(x floor, max Y the pool absorbs) for SELL_Y: X never drops below X_FLOOR_REL of x."""
-    x_floor = X_FLOOR_REL * x
-    return x_floor, curve_y(k, x_floor, p, z) - y
+def trade_in(x, y, p, z, k, sell_y, amount):
+    """Pay ``amount`` of X (or of Y, if ``sell_y``) into the pool on the (k, p, z) curve.
 
+    Returns ``(x_new, y_new, amount_out, slippage, reason)``.  Unless
+    ``reason`` is ``EXECUTED`` the trade did not happen and the reserves come
+    back unchanged.  An ``amount`` at or past ``headroom`` gives a
+    meaningless result, which callers discard or avoid.
 
-def sell_y(x, y, p, z, k, amount, x_floor):
-    """X reserve after ``amount`` of Y is paid in, or nan when that X is not found.
+    The reserve paid out moves by ``delta_y`` (SELL_X) or ``solve_delta_x``
+    (SELL_Y) of the trade, unless the trade takes more than half of it: what
+    is left is then small next to the delta and its rounding, so it is read
+    from the curve at the new input-side reserve instead (by ``invert_curve``
+    over [X_FLOOR_REL*x, x] for SELL_Y, which is also the fallback when the
+    solver fails).  ``slippage`` is the trader's cost against the pre-trade
+    marginal price, never negative.
 
-    The X paid out is ``solve_delta_x`` of the trade, unless it takes more
-    than half of X or the solver fails: the new X is then found on the curve
-    by ``invert_curve`` over [x_floor, x].
+    Known gap: a SELL_X trade whose Y read from the curve lies at or below 0
+    still executes.
     """
-    dx = solve_delta_x(x, y, p, z, amount)
-    if -dx <= 0.5 * x:
-        return x + dx
-    return invert_curve(k, p, z, y + amount, x_floor, x)
+    if amount < DUST_REL * (y if sell_y else x):
+        return x, y, 0.0, 0.0, DUST
+    spot0 = blend_spot(x, y, p, z)
+    if sell_y:
+        dx = solve_delta_x(x, y, p, z, amount)
+        if -dx <= 0.5 * x:
+            x_new = x + dx
+        else:
+            x_new = invert_curve(k, p, z, y + amount, X_FLOOR_REL * x, x)
+        if math.isnan(x_new):
+            return x, y, 0.0, 0.0, NO_ROOT
+        y_new = y + amount
+        out = x - x_new
+    else:
+        paid = -delta_y(x, y, p, z, amount)
+        if paid <= 0.5 * y:
+            y_new = y - paid
+        else:
+            y_new = curve_y(k, x + amount, p, z)
+        x_new = x + amount
+        out = y - y_new
+    if out <= 0.0:
+        return x, y, 0.0, 0.0, NO_MOVE
+    slip = amount / out - spot0 if sell_y else spot0 - out / amount
+    return x_new, y_new, out, 0.0 if slip < 0.0 else slip, EXECUTED
 
 
 def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
@@ -253,9 +296,9 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
     oracle price (skipped at z = 1), then ``trades_per_step`` noise trades.
     ``noise_frac`` holds pre-drawn lognormal size fractions laid out step-major,
     ``noise_dir`` the matching directions (0 sells X, 1 sells Y).  Trades are
-    clamped to ``max_fraction`` of the input-side reserve and to 99.9% of the
-    solvency headroom, then priced by ``sell_x``/``sell_y`` as ``swap_exact_in``
-    prices them; dust and infeasible trades are skipped.  Counters for
+    clamped to ``max_fraction`` of the input-side reserve and to 99.9% of
+    ``headroom``, then executed by ``trade_in`` as ``swap_exact_in`` executes
+    them; a trade whose reason is not ``EXECUTED`` is skipped.  Counters for
     clamped and skipped trades come back with the metric arrays.
     """
     n = prices.shape[0]
@@ -302,68 +345,29 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
 
         for j in range(trades_per_step):
             frac = noise_frac[t * trades_per_step + j]
-            direction = noise_dir[t * trades_per_step + j]
+            sell_y = noise_dir[t * trades_per_step + j] != 0
             if not math.isfinite(frac) or frac <= 0.0:
                 skipped += 1
                 continue
             if frac > max_fraction:
                 frac = max_fraction
                 clamped += 1
-            if direction == 0:
-                amount_in = frac * x
-                bound = solvency_bound(k, p, z)
-                if math.isfinite(bound):
-                    cap = 0.999 * (bound - x)
-                    if cap <= 0.0:
-                        skipped += 1
-                        continue
-                    if amount_in > cap:
-                        amount_in = cap
-                        clamped += 1
-                if amount_in < DUST_REL * x:
-                    skipped += 1
-                    continue
-                spot0 = blend_spot(x, y, p, z)
-                x_new = x + amount_in
-                y_new = sell_x(x, y, p, z, k, amount_in)
-                out = y - y_new
-                if out <= 0.0:
-                    skipped += 1
-                    continue
-                slip = spot0 - out / amount_in
-                if slip < 0.0:
-                    slip = 0.0
-                last_slip = slip
-                volume += amount_in
-                x = x_new
-                y = y_new
-            else:
-                amount_in = frac * y
-                x_floor, capacity = sell_y_capacity(x, y, p, z, k)
-                cap = 0.999 * capacity
-                if cap <= 0.0:
-                    skipped += 1
-                    continue
-                if amount_in > cap:
-                    amount_in = cap
-                    clamped += 1
-                if amount_in < DUST_REL * y:
-                    skipped += 1
-                    continue
-                spot0 = blend_spot(x, y, p, z)
-                y_new = y + amount_in
-                x_new = sell_y(x, y, p, z, k, amount_in, x_floor)
-                if math.isnan(x_new) or x_new >= x:
-                    skipped += 1
-                    continue
-                out = x - x_new
-                slip = amount_in / out - spot0
-                if slip < 0.0:
-                    slip = 0.0
-                last_slip = slip
-                volume += out
-                x = x_new
-                y = y_new
+            amount_in = frac * (y if sell_y else x)
+            cap = 0.999 * headroom(x, y, p, z, k, sell_y)
+            if cap <= 0.0:
+                skipped += 1
+                continue
+            if amount_in > cap:
+                amount_in = cap
+                clamped += 1
+            x_new, y_new, out, slip, reason = trade_in(x, y, p, z, k, sell_y, amount_in)
+            if reason != EXECUTED:
+                skipped += 1
+                continue
+            last_slip = slip
+            volume += out if sell_y else amount_in   # volume counts X traded
+            x = x_new
+            y = y_new
 
         spot_a[t] = blend_spot(x, y, p, z)
         x_a[t] = x

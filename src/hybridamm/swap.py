@@ -2,19 +2,17 @@
 
 Directions are named from the trader's side: SELL_X pays X into the pool and
 receives Y, SELL_Y the reverse.  Exact-in fixes the paid amount, exact-out the
-received amount.  The reserve change on the other side is computed directly
-from the trade, not as a difference of two points on the curve: Y moves by
-``_kernels.delta_y``, and X moves by ``_kernels.solve_delta_x``, closed-form
-at z = 0 and z = 1 and by Newton otherwise, so both keep their accuracy
-relative to the trade itself.  Once a trade takes more than half of the
-reserve it is paid from, what is left of that reserve is small next to the
-delta and its rounding, so the new state is read from the curve instead:
-the Y left at the new X for SELL_X exact-in, and the X at the new Y, by
-bracketed bisection with a Newton polish, for SELL_Y exact-in and for
-SELL_X exact-out with 0 < z < 1.  Exact-in trades go through
-``_kernels.sell_x``/``sell_y``, the kernels the simulator's noise trades
-use.  The trader-specified amount is conserved exactly in the resulting
-state; the other amount is the difference of the stored reserves.
+received amount.  Reserve changes come from the trade itself, not from
+differences of curve points: Y moves by ``_kernels.delta_y`` and X by
+``_kernels.solve_delta_x``, so both keep their accuracy relative to the
+trade.  A trade that takes more than half of the reserve it is paid from
+reads the new state from the curve instead.
+
+Exact-in trades run through ``_kernels.trade_in``, which also runs the
+simulator's noise trades; its reason codes ``DUST`` and ``NO_MOVE`` become a
+``DomainError`` and ``NO_ROOT`` a ``ConvergenceError``.  The trader-specified
+amount is conserved exactly in the resulting state; the other amount is the
+difference of the stored reserves.
 """
 
 from __future__ import annotations
@@ -93,57 +91,42 @@ def swap_exact_in(state: PoolState, direction: TradeDirection, amount_in: float)
     """
     direction = TradeDirection(direction)
     amount_in = _check_finite_positive(amount_in, "amount_in")
-    k, p, z = state.k, state.p, state.z
-    spot_before = _kernels.blend_spot(state.x, state.y, p, z)
-
-    if direction is TradeDirection.SELL_X:
-        if amount_in < _kernels.DUST_REL * state.x:
-            raise DomainError(f"amount_in={amount_in} is dust below 1e-15 of the X reserve")
-        bound = _kernels.solvency_bound(k, p, z)
-        x_new = state.x + amount_in
-        if x_new >= bound:
-            raise InsolvencyError(
-                f"selling {amount_in} X would exhaust the Y reserve "
-                f"(max feasible amount_in {bound - state.x})",
-                bound=bound,
-                max_amount_in=bound - state.x,
-            )
-        y_new = _kernels.sell_x(state.x, state.y, p, z, k, amount_in)
-        amount_out = state.y - y_new
-        if amount_out <= 0.0:
-            raise DomainError(f"amount_in={amount_in} is too small to move the curve")
-        exec_price = amount_out / amount_in
-        slippage = max(spot_before - exec_price, 0.0)
+    x, y, k, p, z = state.x, state.y, state.k, state.p, state.z
+    sell_y = direction is TradeDirection.SELL_Y
+    sold, other = ("Y", "X") if sell_y else ("X", "Y")
+    x_new, y_new, amount_out, slippage, reason = _kernels.trade_in(x, y, p, z, k, sell_y, amount_in)
+    # dust is reported before insolvency; an insolvent trade's result is discarded
+    if reason == _kernels.DUST:
+        raise DomainError(f"amount_in={amount_in} is dust below 1e-15 of the {sold} reserve")
+    if sell_y:
+        bound = None
+        max_in = _kernels.headroom(x, y, p, z, k, True)
+        insolvent = amount_in >= max_in
     else:
-        if amount_in < _kernels.DUST_REL * state.y:
-            raise DomainError(f"amount_in={amount_in} is dust below 1e-15 of the Y reserve")
-        x_floor, capacity = _kernels.sell_y_capacity(state.x, state.y, p, z, k)
-        if amount_in >= capacity:
-            raise InsolvencyError(
-                f"selling {amount_in} Y would exhaust the X reserve "
-                f"(max feasible amount_in {capacity})",
-                max_amount_in=capacity,
-            )
-        y_new = state.y + amount_in
-        x_new = _kernels.sell_y(state.x, state.y, p, z, k, amount_in, x_floor)
-        if math.isnan(x_new):
-            raise _inversion_failed(state, y_new, x_floor, state.x)
-        amount_out = state.x - x_new
-        if amount_out <= 0.0:
-            raise DomainError(f"amount_in={amount_in} is too small to move the curve")
-        exec_price = amount_in / amount_out
-        slippage = max(exec_price - spot_before, 0.0)
+        bound = _kernels.solvency_bound(k, p, z)
+        max_in = bound - x
+        insolvent = x + amount_in >= bound
+    if insolvent:
+        raise InsolvencyError(
+            f"selling {amount_in} {sold} would exhaust the {other} reserve "
+            f"(max feasible amount_in {max_in})",
+            bound=bound,
+            max_amount_in=max_in,
+        )
+    if reason == _kernels.NO_MOVE:
+        raise DomainError(f"amount_in={amount_in} is too small to move the curve")
+    if reason == _kernels.NO_ROOT:
+        raise _inversion_failed(state, y + amount_in, _kernels.X_FLOOR_REL * x, x)
 
-    new_state = PoolState(x_new, y_new, p, z, k)
     return SwapResult(
         direction=direction,
         amount_in=amount_in,
         amount_out=amount_out,
-        exec_price=exec_price,
-        spot_before=spot_before,
+        exec_price=amount_in / amount_out if sell_y else amount_out / amount_in,
+        spot_before=_kernels.blend_spot(x, y, p, z),
         spot_after=_kernels.blend_spot(x_new, y_new, p, z),
         slippage_cost=slippage,
-        new_state=new_state,
+        new_state=PoolState(x_new, y_new, p, z, k),
     )
 
 

@@ -378,6 +378,25 @@ def test_unwritable_output_is_an_error_not_a_traceback(capsys, tmp_path):
     assert err == f"error: {target}: No such file or directory\n"
 
 
+def test_subnormal_reserves_are_not_tracebacks(capsys):
+    # x**(z-1) overflows at x = 1e-310, z = 1e-300, and x*x underflows to 0
+    # at x = 1e-200; both once ended in tracebacks
+    code, out, _ = run_cli(capsys, "curve", "--z", "1e-300", "--k", "1",
+                           "--x-grid", "0:1e-310:3")
+    assert code == 0
+    ys = [row["y"] for row in csv_rows(out)]
+    assert math.isnan(ys[0]) and ys[1:] == [math.inf, math.inf]
+    code, out, _ = run_cli(capsys, "slippage", "--z-list", "0.99", "--x", "1e-200", "--y", "1",
+                           "--p", "1", "--dx-grid", "1e-201:1e-201:1")
+    assert code == 0
+    assert csv_rows(out)[0]["taylor"] == math.inf
+    code, out, err = run_cli(capsys, "swap", "--x", "1e-310", "--z", "1e-300", "--y", "1",
+                             "--p", "1", "--direction", "sell-x", "--amount-in", "0.1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ------------------------------------------------------------ formats & misc
 
 

@@ -3,8 +3,10 @@
 The kernels are plain Python.  Inversion and the delta kernels are checked
 against mpmath or exact curve points, and ``run_steps`` is replayed step by
 step through the public API (``PoolState.anchored``, ``rebalance_to_oracle``,
-``swap_exact_in``), which must give bit-identical reserves because both
-trade through ``sell_x``/``sell_y``.
+``swap_exact_in``), which must give bit-identical reserves, clamp counts and
+skip counts because both execute trades through ``trade_in`` and clamp them
+to ``headroom``.  How each ``trade_in`` reason code maps to an exception and
+to a skipped trade is checked in ``test_swap.py::test_dust_trades_rejected``.
 """
 
 import math
@@ -40,6 +42,8 @@ def test_module_flags():
     assert _kernels.NUMBA_ENABLED is False
     assert _kernels.DUST_REL == 1e-15
     assert _kernels.X_FLOOR_REL == 1e-12
+    reasons = (_kernels.EXECUTED, _kernels.DUST, _kernels.NO_MOVE, _kernels.NO_ROOT)
+    assert len(set(reasons)) == 4
 
 
 def test_invert_accuracy():
@@ -145,8 +149,8 @@ def replay_step(x, y, p, z, fractions, directions, max_fraction):
         if frac > max_fraction:
             frac = max_fraction
             clamped += 1
-        # the 0.999 headroom clamps, written out independently of the kernels'
-        # own capacity helper
+        # the 0.999 headroom clamps, written out independently of
+        # _kernels.headroom
         if direction == 0:
             direction, amount = TradeDirection.SELL_X, frac * state.x
             cap = 0.999 * (max_x_bound(state.k, p, z) - state.x)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -206,7 +207,7 @@ def test_exact_out_infeasible_requests():
         ha.swap_exact_out(state, SELL_Y, 1.5)
 
 
-def test_dust_trades_rejected():
+def test_dust_trades_rejected(monkeypatch):
     state = unit_pool(0.5)
     for direction in (SELL_X, SELL_Y):
         with pytest.raises(ha.DomainError):
@@ -215,6 +216,30 @@ def test_dust_trades_rejected():
         ha.swap_exact_in(state, SELL_X, -0.5)
     with pytest.raises(ha.DomainError):
         ha.swap_exact_in(state, SELL_X, math.nan)
+
+    # each reason code of trade_in is one exception in swap_exact_in and one
+    # skipped trade in run_steps; on this pool 2e-15 X is not dust, but
+    # 1e20 - 2e-15 rounds back to 1e20
+    lopsided = ha.PoolState.anchored(1.0, 1e20, 1.0, 1.0)
+    cases = [
+        (lopsided, SELL_X, 5e-16, _kernels.DUST, ha.DomainError, "dust below 1e-15 of the X"),
+        (lopsided, SELL_X, 2e-15, _kernels.NO_MOVE, ha.DomainError, "too small to move the curve"),
+        (state, SELL_Y, 1e-17, _kernels.DUST, ha.DomainError, "dust below 1e-15 of the Y"),
+        (state, SELL_Y, 5.0, _kernels.NO_ROOT, ha.ConvergenceError, "curve inversion failed"),
+    ]
+    # past half of X a SELL_Y trade inverts the curve; make that inversion fail
+    monkeypatch.setattr(_kernels, "invert_curve", lambda *args: math.nan)
+    for pool, direction, amount, reason, error, message in cases:
+        sell_y = direction is SELL_Y
+        got = _kernels.trade_in(pool.x, pool.y, pool.p, pool.z, pool.k, sell_y, amount)
+        assert got == (pool.x, pool.y, 0.0, 0.0, reason)
+        with pytest.raises(error, match=message):
+            ha.swap_exact_in(pool, direction, amount)
+        frac = amount / (pool.y if sell_y else pool.x)
+        result = _kernels.run_steps(pool.x, pool.y, pool.z, np.full(1, pool.p), False,
+                                    np.full(1, frac), np.full(1, int(sell_y), dtype=np.int8),
+                                    1, 10.0)
+        assert (result[1][0], result[2][0], result[8], result[9]) == (pool.x, pool.y, 0, 1)
 
 
 def test_direction_accepts_wire_names():
