@@ -4,14 +4,16 @@ Kernels are plain Python on floats.  They never raise: an infeasible request
 returns ``nan`` or ``inf``, and a trade returns a reason code.  All randomness
 stays outside this module; stochastic kernels receive pre-drawn arrays.
 
-One exact-in trade kernel, ``trade_in``, decides whether a trade executes
-and what it costs, for ``swap_exact_in`` and for the noise trades of
-``run_steps`` alike.  It returns ``EXECUTED``, or why it did not execute:
-``DUST`` (below ``DUST_REL`` of the input-side reserve), ``NO_MOVE`` (the
-trade pays out nothing) or ``NO_ROOT`` (the new X was not found).
-``headroom`` is the largest input the pool can take.  ``swap_exact_in``
-turns the reasons into typed exceptions; ``run_steps`` counts them as
-skipped trades.
+One trade kernel, ``trade``, decides whether a trade executes and what it
+costs, for ``swap_exact_in``, ``swap_exact_out`` and every trade of
+``run_steps``, the arbitrage included.  It returns ``EXECUTED``, or why it
+did not execute: ``DUST`` (an exact-in amount below ``DUST_REL`` of the
+input-side reserve), ``NO_MOVE`` (the amount that follows is not positive),
+``NO_ROOT`` (the new X was not found) or ``PAST_BOUND`` (an exact-out SELL_X
+lands closer to the solvency bound than doubles resolve).  ``headroom`` is the
+largest input the pool can take.  The swaps turn the reasons into typed
+exceptions; ``run_steps`` counts a noise trade that did not execute as
+skipped.
 
 Curve family (mix parameter z in [0, 1], oracle price p, constant k):
 
@@ -36,8 +38,11 @@ DUST_REL = 1e-15
 # SellY feasibility floor: the pool never quotes below this fraction of current x.
 X_FLOOR_REL = 1e-12
 
-# trade_in reason codes
-EXECUTED, DUST, NO_MOVE, NO_ROOT = 0, 1, 2, 3
+# exact-out SELL_X inverts the curve no further than this fraction of the solvency bound
+BOUND_REL = 1.0 - 1e-15
+
+# trade reason codes
+EXECUTED, DUST, NO_MOVE, NO_ROOT, PAST_BOUND = 0, 1, 2, 3, 4
 
 
 def pow_zm1(x, z):
@@ -242,50 +247,69 @@ def headroom(x, y, p, z, k, sell_y):
     return solvency_bound(k, p, z) - x
 
 
-def trade_in(x, y, p, z, k, sell_y, amount):
-    """Pay ``amount`` of X (or of Y, if ``sell_y``) into the pool on the (k, p, z) curve.
+def trade(x, y, p, z, k, sell_y, amount, exact_out):
+    """Trade X for Y (or Y for X, if ``sell_y``) on the (k, p, z) curve.
 
-    Returns ``(x_new, y_new, amount_out, slippage, reason)``.  Unless
-    ``reason`` is ``EXECUTED`` the trade did not happen and the reserves come
-    back unchanged.  An ``amount`` at or past ``headroom`` gives a
-    meaningless result, which callers discard or avoid.
+    ``amount`` is what the trader pays in, or with ``exact_out`` what they
+    receive.  Returns ``(x_new, y_new, amount_in, amount_out, slippage,
+    reason)``.  Unless ``reason`` is ``EXECUTED`` the trade did not happen and
+    the reserves come back unchanged.  An exact-in ``amount`` at or past
+    ``headroom`` gives a meaningless result, which callers discard or avoid.
 
-    The reserve paid out moves by ``delta_y`` (SELL_X) or ``solve_delta_x``
-    (SELL_Y) of the trade, unless the trade takes more than half of it: what
-    is left is then small next to the delta and its rounding, so it is read
-    from the curve at the new input-side reserve instead (by ``invert_curve``
-    over [X_FLOOR_REL*x, x] for SELL_Y, which is also the fallback when the
-    solver fails).  ``slippage`` is the trader's cost against the pre-trade
-    marginal price, never negative.
+    The trader fixes one reserve's move and the other follows from it:
+    - X fixed (SELL_X in, SELL_Y out): Y moves by ``delta_y``, unless more
+      than half of Y is paid out; what is left is then small next to the
+      delta and its rounding, so it is read from the curve at the new X.
+    - Y fixed (SELL_Y in, SELL_X out): X moves by ``solve_delta_x``, unless
+      more than half of X is paid out, more than half of Y is paid out at
+      0 < z < 1, or the solver fails.  Then ``invert_curve`` finds the new X
+      over [X_FLOOR_REL*x, x] (X paid out) or [x, bound*BOUND_REL] (X paid
+      in; a Y target the curve only reaches past that is ``PAST_BOUND``).
+    The amount that follows is a difference of the stored reserves, and a
+    trade where it is not positive is ``NO_MOVE``.  ``slippage`` is the
+    trader's cost against the pre-trade marginal price, never negative.
 
     Known gap: a SELL_X trade whose Y read from the curve lies at or below 0
     still executes.
     """
-    if amount < DUST_REL * (y if sell_y else x):
-        return x, y, 0.0, 0.0, DUST
+    if not exact_out and amount < DUST_REL * (y if sell_y else x):
+        return x, y, 0.0, 0.0, 0.0, DUST
     spot0 = blend_spot(x, y, p, z)
-    if sell_y:
-        dx = solve_delta_x(x, y, p, z, amount)
+    if exact_out == sell_y:
+        dx = -amount if sell_y else amount
+        x_new = x + dx
+        dy = delta_y(x, y, p, z, dx)
+        y_new = y + dy if -dy <= 0.5 * y else curve_y(k, x_new, p, z)
+        moved = y_new - y if sell_y else y - y_new
+    else:
+        dy = amount if sell_y else -amount
+        y_new = y + dy
+        dx = math.nan
+        # past half of Y the solver meets dy, not the small y_new, to its
+        # rounding; the closed forms at z = 0 and z = 1 do not
+        if -dy <= 0.5 * y or z == 0.0 or z == 1.0:
+            dx = solve_delta_x(x, y, p, z, dy)
         if -dx <= 0.5 * x:
             x_new = x + dx
+        elif sell_y:
+            x_new = invert_curve(k, p, z, y_new, X_FLOOR_REL * x, x)
         else:
-            x_new = invert_curve(k, p, z, y + amount, X_FLOOR_REL * x, x)
+            hi = solvency_bound(k, p, z) * BOUND_REL
+            if curve_y(k, hi, p, z) > y_new:
+                return x, y, 0.0, 0.0, 0.0, PAST_BOUND
+            x_new = invert_curve(k, p, z, y_new, x, hi)
+            if math.isnan(x_new) and x + solve_delta_x(x, y, p, z, dy) == x:
+                # the X move is below the resolution of x, so the bracket
+                # held only the rounding of curve_y at x
+                x_new = x
         if math.isnan(x_new):
-            return x, y, 0.0, 0.0, NO_ROOT
-        y_new = y + amount
-        out = x - x_new
-    else:
-        paid = -delta_y(x, y, p, z, amount)
-        if paid <= 0.5 * y:
-            y_new = y - paid
-        else:
-            y_new = curve_y(k, x + amount, p, z)
-        x_new = x + amount
-        out = y - y_new
-    if out <= 0.0:
-        return x, y, 0.0, 0.0, NO_MOVE
-    slip = amount / out - spot0 if sell_y else spot0 - out / amount
-    return x_new, y_new, out, 0.0 if slip < 0.0 else slip, EXECUTED
+            return x, y, 0.0, 0.0, 0.0, NO_ROOT
+        moved = x - x_new if sell_y else x_new - x
+    if moved <= 0.0:
+        return x, y, 0.0, 0.0, 0.0, NO_MOVE
+    amount_in, amount_out = (moved, amount) if exact_out else (amount, moved)
+    slip = amount_in / amount_out - spot0 if sell_y else spot0 - amount_out / amount_in
+    return x_new, y_new, amount_in, amount_out, 0.0 if slip < 0.0 else slip, EXECUTED
 
 
 def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
@@ -297,11 +321,16 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
     ``noise_frac`` holds pre-drawn lognormal size fractions laid out step-major,
     ``noise_dir`` the matching directions (0 sells X, 1 sells Y).  Trades are
     clamped to ``max_fraction`` of the input-side reserve and to 99.9% of
-    ``headroom``, then executed by ``trade_in`` as ``swap_exact_in`` executes
-    them; a trade whose reason is not ``EXECUTED`` is skipped.  Counters for
-    clamped and skipped trades come back with the metric arrays.
+    ``headroom``.  Every trade, the arbitrage included, is executed by
+    ``trade`` as ``swap_exact_in`` and ``swap_exact_out`` execute it; a trade
+    whose reason is not ``EXECUTED`` is skipped.  Counters for clamped and
+    skipped noise trades come back with the metric arrays.
     """
     n = prices.shape[0]
+    # Python floats: arithmetic on numpy scalars costs several times as much
+    prices = prices.tolist()
+    noise_frac = noise_frac.tolist()
+    noise_dir = noise_dir.tolist()
     spot_a = np.empty(n)
     x_a = np.empty(n)
     y_a = np.empty(n)
@@ -327,21 +356,15 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
             # dead-band absorbs exp/log rounding so already-balanced pools
             # do not trade; a skipped arb leaves |spot - p| ~ 1e-12 * p at worst
             if abs(x_star - x) > 1e-12 * x:
-                spot0 = blend_spot(x, y, p, z)
-                y_star = curve_y(k, x_star, p, z)
-                dx = x_star - x
-                dy = y_star - y
-                exec_price = abs(dy / dx)
-                if dx > 0.0:
-                    slip = spot0 - exec_price
-                else:
-                    slip = exec_price - spot0
-                if slip < 0.0:  # rounding guard, trader cost is nonnegative
-                    slip = 0.0
-                last_slip = slip
-                volume += abs(dx)
-                x = x_star
-                y = y_star
+                # X out of the pool is an exact-out SELL_Y, X in an exact-in SELL_X
+                sell_y = x_star < x
+                x_new, y_new, amount_in, amount_out, slip, reason = trade(
+                    x, y, p, z, k, sell_y, abs(x_star - x), sell_y)
+                if reason == EXECUTED:
+                    last_slip = slip
+                    volume += amount_out if sell_y else amount_in   # volume counts X traded
+                    x = x_new
+                    y = y_new
 
         for j in range(trades_per_step):
             frac = noise_frac[t * trades_per_step + j]
@@ -360,12 +383,13 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
             if amount_in > cap:
                 amount_in = cap
                 clamped += 1
-            x_new, y_new, out, slip, reason = trade_in(x, y, p, z, k, sell_y, amount_in)
+            x_new, y_new, amount_in, amount_out, slip, reason = trade(
+                x, y, p, z, k, sell_y, amount_in, False)
             if reason != EXECUTED:
                 skipped += 1
                 continue
             last_slip = slip
-            volume += out if sell_y else amount_in   # volume counts X traded
+            volume += amount_out if sell_y else amount_in
             x = x_new
             y = y_new
 

@@ -102,7 +102,11 @@ def anchor_k(x: float, y: float, p: float, z: float) -> float:
     y = _check_finite_positive(y, "y")
     p = _check_finite_positive(p, "p")
     z = _check_mix(z)
-    return _kernels.curve_anchor(x, y, p, z)
+    k = _kernels.curve_anchor(x, y, p, z)
+    # curve_anchor divides by x**(z-1), which is inf at tiny x with small z
+    if k == 0.0 and _kernels.pow_zm1(x, z) == math.inf:
+        raise DomainError(f"x**(z-1) is past double range at x={x!r}, z={z!r}")
+    return k
 
 
 def max_x_bound(k: float, p: float, z: float) -> float:

@@ -37,6 +37,8 @@ def test_anchor_k_rejects_bad_inputs():
                  (1, 1, 1, 1.5), (1, 1, 1, -0.1), (math.inf, 1, 1, 0.5)]:
         with pytest.raises(ha.DomainError):
             ha.anchor_k(*args)
+    with pytest.raises(ha.DomainError, match=r"x\*\*\(z-1\) is past double range"):
+        ha.anchor_k(1e-310, 1, 1, 1e-300)
 
 
 @given(x=reserves, y=reserves, p=prices, z=mixes)

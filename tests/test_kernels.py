@@ -2,11 +2,12 @@
 
 The kernels are plain Python.  Inversion and the delta kernels are checked
 against mpmath or exact curve points, and ``run_steps`` is replayed step by
-step through the public API (``PoolState.anchored``, ``rebalance_to_oracle``,
-``swap_exact_in``), which must give bit-identical reserves, clamp counts and
-skip counts because both execute trades through ``trade_in`` and clamp them
-to ``headroom``.  How each ``trade_in`` reason code maps to an exception and
-to a skipped trade is checked in ``test_swap.py::test_dust_trades_rejected``.
+step through the public API (``PoolState.anchored``, ``rebalance_to_oracle``
+for the arbitrage target only, ``swap_exact_in`` and ``swap_exact_out``),
+which must give bit-identical reserves, slippage, volume, clamp counts and
+skip counts because every trade runs through ``trade`` and noise trades are
+clamped to ``headroom``.  How each ``trade`` reason code maps to an exception
+and to a skipped trade is checked in ``test_swap.py::test_dust_trades_rejected``.
 """
 
 import math
@@ -22,6 +23,7 @@ from hybridamm import (
     max_x_bound,
     rebalance_to_oracle,
     swap_exact_in,
+    swap_exact_out,
 )
 from hybridamm.errors import HybridAmmError
 
@@ -42,8 +44,9 @@ def test_module_flags():
     assert _kernels.NUMBA_ENABLED is False
     assert _kernels.DUST_REL == 1e-15
     assert _kernels.X_FLOOR_REL == 1e-12
-    reasons = (_kernels.EXECUTED, _kernels.DUST, _kernels.NO_MOVE, _kernels.NO_ROOT)
-    assert len(set(reasons)) == 4
+    reasons = (_kernels.EXECUTED, _kernels.DUST, _kernels.NO_MOVE, _kernels.NO_ROOT,
+               _kernels.PAST_BOUND)
+    assert len(set(reasons)) == 5
 
 
 def test_invert_accuracy():
@@ -138,12 +141,22 @@ def test_solve_delta_x_matches_mpmath(z, dy):
 
 
 def replay_step(x, y, p, z, fractions, directions, max_fraction):
-    """One run_steps step through the public API: (x, y, clamped, skipped) after it."""
+    """One run_steps step through the public API.
+
+    Returns the state after it, its clamp and skip counts, and the executed
+    SwapResults in order.
+    """
     state = PoolState.anchored(x, y, p, z)
+    trades = []
     if z < 1.0:
-        moved = rebalance_to_oracle(state, p)
-        if abs(moved.x - state.x) > 1e-12 * state.x:   # run_steps' dead band
-            state = moved
+        # rebalance_to_oracle supplies only the target; the swaps move the pool
+        x_star = rebalance_to_oracle(state, p).x
+        if abs(x_star - state.x) > 1e-12 * state.x:   # run_steps' dead band
+            if x_star > state.x:
+                trades.append(swap_exact_in(state, TradeDirection.SELL_X, x_star - state.x))
+            else:
+                trades.append(swap_exact_out(state, TradeDirection.SELL_Y, state.x - x_star))
+            state = trades[-1].new_state
     clamped = skipped = 0
     for frac, direction in zip(fractions, directions):
         if frac > max_fraction:
@@ -162,10 +175,12 @@ def replay_step(x, y, p, z, fractions, directions, max_fraction):
             amount = cap
             clamped += 1
         try:
-            state = swap_exact_in(state, direction, amount).new_state
+            trades.append(swap_exact_in(state, direction, amount))
         except HybridAmmError:
             skipped += 1
-    return state.x, state.y, clamped, skipped
+            continue
+        state = trades[-1].new_state
+    return state, clamped, skipped, trades
 
 
 @pytest.mark.parametrize("z", [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -52, 1.0])
@@ -179,14 +194,20 @@ def test_run_steps_replays_through_swap_exact_in(z):
     directions = rng.integers(0, 2, size=steps * per_step, dtype=np.int8)
     result = _kernels.run_steps(1.0, 1.0, z, prices, True, fractions, directions,
                                 per_step, max_fraction)
-    xs, ys = result[1].tolist(), result[2].tolist()
+    xs, ys, slips, volumes = (result[i].tolist() for i in (1, 2, 6, 7))
     x, y = 1.0, 1.0
     clamped = skipped = 0
+    volume = 0.0
     for t in range(steps):
         trades = slice(t * per_step, (t + 1) * per_step)
-        x, y, c, s = replay_step(x, y, float(prices[t]), z, fractions[trades].tolist(),
-                                 directions[trades].tolist(), max_fraction)
-        assert (x, y) == (xs[t], ys[t]), f"step {t}"
+        state, c, s, executed = replay_step(x, y, float(prices[t]), z,
+                                            fractions[trades].tolist(),
+                                            directions[trades].tolist(), max_fraction)
+        x, y = state.x, state.y
+        for trade in executed:   # volume counts X traded
+            volume += trade.amount_out if trade.direction is TradeDirection.SELL_Y else trade.amount_in
+        slip = executed[-1].slippage_cost if executed else 0.0
+        assert (x, y, slip, volume) == (xs[t], ys[t], slips[t], volumes[t]), f"step {t}"
         clamped += c
         skipped += s
     assert (clamped, skipped) == (result[8], result[9])

@@ -217,29 +217,57 @@ def test_dust_trades_rejected(monkeypatch):
     with pytest.raises(ha.DomainError):
         ha.swap_exact_in(state, SELL_X, math.nan)
 
-    # each reason code of trade_in is one exception in swap_exact_in and one
-    # skipped trade in run_steps; on this pool 2e-15 X is not dust, but
-    # 1e20 - 2e-15 rounds back to 1e20
+    # each reason code of trade is one exception in swap_exact_in or
+    # swap_exact_out, and one skipped trade in run_steps; on this pool 2e-15 X
+    # is not dust, but 1e20 - 2e-15 rounds back to 1e20
     lopsided = ha.PoolState.anchored(1.0, 1e20, 1.0, 1.0)
+    # past half of Y this pool's X move rounds away, so the inversion that
+    # reads x from the curve has no root to find
+    fine_x = ha.PoolState.anchored(313712079.96682334, 1.6737245634894265e-08,
+                                   63.11089448371312, 0.3)
+    steep = ha.PoolState.anchored(2.065616501414323, 1.6311924165368586e-18,
+                                  0.03645492685389293, 0.568859738231471)
     cases = [
-        (lopsided, SELL_X, 5e-16, _kernels.DUST, ha.DomainError, "dust below 1e-15 of the X"),
-        (lopsided, SELL_X, 2e-15, _kernels.NO_MOVE, ha.DomainError, "too small to move the curve"),
-        (state, SELL_Y, 1e-17, _kernels.DUST, ha.DomainError, "dust below 1e-15 of the Y"),
-        (state, SELL_Y, 5.0, _kernels.NO_ROOT, ha.ConvergenceError, "curve inversion failed"),
+        (lopsided, SELL_X, False, 5e-16, _kernels.DUST, ha.DomainError,
+         "dust below 1e-15 of the X"),
+        (lopsided, SELL_X, False, 2e-15, _kernels.NO_MOVE, ha.DomainError,
+         "amount_in=2e-15 is too small to move the curve"),
+        (state, SELL_Y, False, 1e-17, _kernels.DUST, ha.DomainError, "dust below 1e-15 of the Y"),
+        (ha.PoolState.anchored(1e20, 1.0, 1.0, 1.0), SELL_X, True, 1e-3, _kernels.NO_MOVE,
+         ha.DomainError, "amount_out=0.001 is too small to move the curve"),
+        (lopsided, SELL_Y, True, 2e-15, _kernels.NO_MOVE, ha.DomainError,
+         "amount_out=2e-15 is too small to move the curve"),
+        (steep, SELL_X, True, 8.967967195644817e-19, _kernels.PAST_BOUND,
+         ha.InfeasibleTradeError, "beyond numerical resolution of the solvency bound"),
+        (fine_x, SELL_X, True, 8.368622834184378e-09, _kernels.NO_MOVE, ha.DomainError,
+         "too small to move the curve"),
     ]
-    # past half of X a SELL_Y trade inverts the curve; make that inversion fail
-    monkeypatch.setattr(_kernels, "invert_curve", lambda *args: math.nan)
-    for pool, direction, amount, reason, error, message in cases:
-        sell_y = direction is SELL_Y
-        got = _kernels.trade_in(pool.x, pool.y, pool.p, pool.z, pool.k, sell_y, amount)
-        assert got == (pool.x, pool.y, 0.0, 0.0, reason)
-        with pytest.raises(error, match=message):
-            ha.swap_exact_in(pool, direction, amount)
-        frac = amount / (pool.y if sell_y else pool.x)
-        result = _kernels.run_steps(pool.x, pool.y, pool.z, np.full(1, pool.p), False,
-                                    np.full(1, frac), np.full(1, int(sell_y), dtype=np.int8),
-                                    1, 10.0)
-        assert (result[1][0], result[2][0], result[8], result[9]) == (pool.x, pool.y, 0, 1)
+    # past half of X a SELL_Y trade inverts the curve, and so does SELL_X
+    # exact-out past half of Y; make that inversion fail
+    failed_inversions = [
+        (state, SELL_Y, False, 5.0, _kernels.NO_ROOT, ha.ConvergenceError,
+         "curve inversion failed"),
+        (state, SELL_X, True, 0.6, _kernels.NO_ROOT, ha.ConvergenceError,
+         "curve inversion failed"),
+    ]
+    for patch_inversion, checked in ((False, cases), (True, failed_inversions)):
+        if patch_inversion:
+            monkeypatch.setattr(_kernels, "invert_curve", lambda *args: math.nan)
+        for pool, direction, exact_out, amount, reason, error, message in checked:
+            sell_y = direction is SELL_Y
+            got = _kernels.trade(pool.x, pool.y, pool.p, pool.z, pool.k, sell_y, amount,
+                                 exact_out)
+            assert got == (pool.x, pool.y, 0.0, 0.0, 0.0, reason)
+            swap = ha.swap_exact_out if exact_out else ha.swap_exact_in
+            with pytest.raises(error, match=message):
+                swap(pool, direction, amount)
+            if exact_out:
+                continue
+            frac = amount / (pool.y if sell_y else pool.x)
+            result = _kernels.run_steps(pool.x, pool.y, pool.z, np.full(1, pool.p), False,
+                                        np.full(1, frac),
+                                        np.full(1, int(sell_y), dtype=np.int8), 1, 10.0)
+            assert (result[1][0], result[2][0], result[8], result[9]) == (pool.x, pool.y, 0, 1)
 
 
 def test_direction_accepts_wire_names():
