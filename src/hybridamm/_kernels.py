@@ -323,22 +323,18 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
     clamped to ``max_fraction`` of the input-side reserve and to 99.9% of
     ``headroom``.  Every trade, the arbitrage included, is executed by
     ``trade`` as ``swap_exact_in`` and ``swap_exact_out`` execute it; a trade
-    whose reason is not ``EXECUTED`` is skipped.  Counters for clamped and
-    skipped noise trades come back with the metric arrays.
+    whose reason is not ``EXECUTED`` is skipped.
+
+    The loop records x, y, the last trade's slippage and the cumulative X
+    volume per step; spot, pool value, hold value and il_relative are then
+    column formulas, bitwise equal to the scalar ones.  Returns ``(spot, x, y,
+    pool, hold, il, slippage, volume, clamped, skipped)``, the counts of noise
+    trades.
     """
-    n = prices.shape[0]
     # Python floats: arithmetic on numpy scalars costs several times as much
-    prices = prices.tolist()
     noise_frac = noise_frac.tolist()
     noise_dir = noise_dir.tolist()
-    spot_a = np.empty(n)
-    x_a = np.empty(n)
-    y_a = np.empty(n)
-    pool_a = np.empty(n)
-    hold_a = np.empty(n)
-    il_a = np.empty(n)
-    slip_a = np.empty(n)
-    vol_a = np.empty(n)
+    rows = []
 
     x = x0
     y = y0
@@ -346,8 +342,7 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
     clamped = 0
     skipped = 0
 
-    for t in range(n):
-        p = prices[t]
+    for t, p in enumerate(prices.tolist()):
         k = curve_anchor(x, y, p, z)
         last_slip = 0.0
 
@@ -393,13 +388,13 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
             x = x_new
             y = y_new
 
-        spot_a[t] = blend_spot(x, y, p, z)
-        x_a[t] = x
-        y_a[t] = y
-        pool_a[t] = x + y / p
-        hold_a[t] = x0 + y0 / p
-        il_a[t] = (hold_a[t] - pool_a[t]) / hold_a[t]
-        slip_a[t] = last_slip
-        vol_a[t] = volume
+        rows.append((x, y, last_slip, volume))
 
+    x_a, y_a, slip_a, vol_a = np.array(rows).T
+    # overflow gives inf or nan silently, as in float arithmetic; run_scenario rejects it
+    with np.errstate(all="ignore"):
+        pool_a = x_a + y_a / prices
+        hold_a = x0 + y0 / prices
+        il_a = (hold_a - pool_a) / hold_a
+        spot_a = blend_spot(x_a, y_a, prices, z)
     return spot_a, x_a, y_a, pool_a, hold_a, il_a, slip_a, vol_a, clamped, skipped

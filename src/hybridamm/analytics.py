@@ -136,7 +136,11 @@ class SlippageEstimate:
 
 
 def _taylor(state: PoolState, dx: float) -> float:
-    return 0.5 * d2y_dx2(state.k, state.x, state.p, state.z) * dx
+    k, x, z = state.k, state.x, state.z
+    d2y = d2y_dx2(k, x, state.p, z)
+    if d2y == math.inf:   # x**(z-3) overflows at tiny x although x**(z-3)*dx may not
+        return 0.5 * k * (z - 1.0) * (z - 2.0) * (_kernels.pow_zm1(x, z) / x) * (dx / x)
+    return 0.5 * d2y * dx
 
 
 def slippage_taylor(state: PoolState, dx: float) -> SlippageEstimate:

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .analytics import il_closed_form, il_simulated, slippage_exact, slippage_taylor
+from .analytics import il_closed_form, il_simulated, slippage_exact
 from .core import PoolState
 from .errors import DomainError, HybridAmmError, InsolvencyError
 from .oracle import dump_price_csv
@@ -69,8 +69,8 @@ def _add_output_flags(sub) -> None:
 def cmd_curve(args) -> int:
     if args.anchor is not None:
         x, y, p = args.anchor
-        # the sweep re-anchors per z, so the state's own z is irrelevant
-        state = PoolState.anchored(x, y, p, 0.0)
+        # the sweep re-anchors per z; at z = 0, 1/x overflows for subnormal x
+        state = PoolState.anchored(x, y, p, args.z[0])
         rows = sweep_reserve_curve(state, args.z, args.x_grid)
     else:
         rows = sweep_reserve_curve(args.k, args.z, args.x_grid, p=args.p)
@@ -131,8 +131,8 @@ def cmd_slippage(args) -> int:
         state = PoolState.anchored(pool[0], pool[1], pool[2], z)
         for dx in args.dx_grid:
             try:
-                taylor = slippage_taylor(state, float(dx)).taylor_second_derivative_form
-                exact = slippage_exact(state, TradeDirection.SELL_X, float(dx)).exact
+                estimate = slippage_exact(state, TradeDirection.SELL_X, float(dx))
+                taylor, exact = estimate.taylor_second_derivative_form, estimate.exact
             except (InsolvencyError, DomainError):
                 taylor = exact = math.nan  # beyond solvency: row kept, marked infeasible
             rows.append((z, float(dx), taylor, exact))

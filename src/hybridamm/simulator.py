@@ -68,9 +68,7 @@ class ScenarioConfig:
 
     x0: float
     y0: float
-    p0: float
     z_values: tuple[float, ...]
-    steps: int
     path: PricePath
     arbitrageur: bool = True
     noise: Optional[NoiseParams] = None
@@ -78,7 +76,6 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "x0", _check_finite_positive(self.x0, "x0"))
         object.__setattr__(self, "y0", _check_finite_positive(self.y0, "y0"))
-        object.__setattr__(self, "p0", _check_finite_positive(self.p0, "p0"))
         zs = tuple(_check_mix(z) for z in self.z_values)
         if not zs:
             raise DomainError("z_values must be non-empty")
@@ -87,15 +84,8 @@ class ScenarioConfig:
         labels = {"%.12g" % z for z in zs}
         if len(labels) != len(zs):
             raise DomainError(f"z_values must differ at 12 significant digits, got {list(zs)}")
-        _check_int(self.steps, "steps", 1)
         if not isinstance(self.path, PricePath):
             raise DomainError("path must be a PricePath")
-        # the runner applies exactly one oracle update per step
-        if len(self.path) != self.steps:
-            raise DomainError(
-                f"path must carry one price per step 0..{self.steps - 1}, "
-                f"got {len(self.path)} entries"
-            )
         if self.noise is not None and not isinstance(self.noise, NoiseParams):
             raise DomainError("noise must be NoiseParams or None")
 
@@ -107,32 +97,37 @@ class ScenarioConfig:
             data, where,
             {"x0": float, "y0": float, "p0": float, "z_values": list,
              "steps": int, "path": dict},
-            {"arbitrageur": (bool, True), "noise": (dict, None)},
+            {"arbitrageur": (bool, cls.arbitrageur), "noise": (dict, None)},
         )
         z_values = tuple(
             _cast(z, float, f"{where}.z_values") for z in top["z_values"]
         )
+        _check_finite_positive(top["p0"], "p0")
+        steps = _check_int(top["steps"], "steps", 1)
         path = _path_from_spec(top["path"], f"{where}.path", p0=top["p0"],
-                               steps=top["steps"], base_dir=base_dir)
+                               steps=steps, base_dir=base_dir)
+        if len(path) != steps:   # the runner applies exactly one oracle update per step
+            raise DomainError(f"path must carry one price per step 0..{steps - 1}, "
+                              f"got {len(path)} entries")
         noise = None
         if top["noise"] is not None:
             noise_fields = _take(
                 top["noise"], f"{where}.noise",
                 {"size_mu": float, "size_sigma": float, "seed": int},
-                {"max_fraction": (float, 0.25), "trades_per_step": (int, 1)},
+                {"max_fraction": (float, NoiseParams.max_fraction),
+                 "trades_per_step": (int, NoiseParams.trades_per_step)},
             )
             noise = NoiseParams(**noise_fields)
-        return cls(x0=top["x0"], y0=top["y0"], p0=top["p0"], z_values=z_values,
-                   steps=top["steps"], path=path, arbitrageur=top["arbitrageur"],
-                   noise=noise)
+        return cls(x0=top["x0"], y0=top["y0"], z_values=z_values, path=path,
+                   arbitrageur=top["arbitrageur"], noise=noise)
 
 
 def _path_from_spec(spec: dict, where: str, *, p0: float, steps: int,
                     base_dir: str) -> PricePath:
     """The price path a config's ``path`` object describes.
 
-    ``constant`` and ``gbm`` paths take the scenario's p0 and steps unless
-    the object overrides them; a relative replay file resolves against
+    ``constant`` and ``gbm`` paths have the scenario's steps and start at its
+    p0 unless the object overrides it; a relative replay file resolves against
     ``base_dir``.  ``spec`` is the copy ``_take`` made, so popping its
     ``kind`` leaves the caller's mapping alone.
     """
@@ -140,15 +135,15 @@ def _path_from_spec(spec: dict, where: str, *, p0: float, steps: int,
     # builders are looked up on the oracle module, so a wrapper put there
     # (perfbench traces oracle.gbm_path) sees every call
     if kind == "constant":
-        fields = _take(spec, where, {}, {"price": (float, p0), "steps": (int, steps)})
-        return oracle.constant_path(fields["price"], fields["steps"])
+        fields = _take(spec, where, {}, {"price": (float, p0)})
+        return oracle.constant_path(fields["price"], steps)
     if kind == "schedule":
         fields = _take(spec, where, {"prices": list}, {})
         return oracle.schedule_path([_cast(p, float, f"{where}.prices") for p in fields["prices"]])
     if kind == "gbm":
         fields = _take(spec, where, {"mu": float, "sigma": float, "seed": int},
-                       {"p0": (float, p0), "steps": (int, steps)})
-        return oracle.gbm_path(GbmParams(**fields))
+                       {"p0": (float, p0)})
+        return oracle.gbm_path(GbmParams(steps=steps, **fields))
     if kind == "replay":
         fields = _take(spec, where, {"file": str}, {})
         return oracle.load_price_csv(os.path.join(base_dir, fields["file"]))
@@ -178,7 +173,10 @@ def _cast(value, caster, where: str):
     accepted = {float: (int, float), list: (list, tuple), dict: Mapping}.get(caster, caster)
     if not isinstance(value, accepted) or (caster is not bool and isinstance(value, bool)):
         raise ConfigError(f"{where}: expected {caster.__name__}, got {value!r}")
-    return caster(value)
+    try:
+        return caster(value)
+    except OverflowError:   # a JSON integer past double range
+        raise ConfigError(f"{where}: expected float, got an integer past double range") from None
 
 
 def load_scenario(path: Union[str, os.PathLike]) -> ScenarioConfig:
@@ -225,10 +223,11 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     attempts, so runs differ only through the curve itself.
     """
     prices = config.path.prices
+    steps = len(prices)
     if config.noise is not None:
         noise = config.noise
         rng = np.random.Generator(np.random.PCG64(noise.seed))
-        total = config.steps * noise.trades_per_step
+        total = steps * noise.trades_per_step
         fractions = np.exp(noise.size_mu + noise.size_sigma * rng.standard_normal(total))
         directions = rng.integers(0, 2, size=total, dtype=np.int8)
         trades_per_step = noise.trades_per_step
@@ -239,7 +238,7 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
         trades_per_step = 0
         max_fraction = 0.0
 
-    step = np.arange(config.steps, dtype=np.float64)
+    step = np.arange(steps, dtype=np.float64)
     runs: list[ScenarioRun] = []
     for z in config.z_values:
         spot, xs, ys, pool, hold, il, slip, vol, clamped, skipped = _kernels.run_steps(

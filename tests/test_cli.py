@@ -6,6 +6,7 @@ import io
 import json
 import math
 
+import mpmath
 import pytest
 
 import hybridamm as ha
@@ -346,6 +347,12 @@ def test_simulate_config_errors(capsys, tmp_path):
                                "--out", str(tmp_path / "out"))
         assert code == 1
         assert err.startswith("error:") and "seed must be an integer >= 0" in err
+    # json reads 1 followed by 400 zeros as an int that no double holds
+    bad.write_text('{"x0": 1' + "0" * 400 + "}", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(bad),
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and ".x0: expected float" in err
 
 
 def test_simulate_refuses_stale_metrics_files(capsys, tmp_path):
@@ -386,10 +393,25 @@ def test_subnormal_reserves_are_not_tracebacks(capsys):
     assert code == 0
     ys = [row["y"] for row in csv_rows(out)]
     assert math.isnan(ys[0]) and ys[1:] == [math.inf, math.inf]
+    # 1/x overflows at x = 1e-310, so the anchor is not checked at z = 0
+    code, out, _ = run_cli(capsys, "curve", "--anchor", "1e-310,1,1", "--z", "0.5",
+                           "--x-grid", "1e-310:1:2")
+    assert code == 0
+    anchor, past_bound = csv_rows(out)
+    assert anchor["y"] == pytest.approx(1.0, rel=1e-12) and math.isnan(past_bound["y"])
+    code, out, err = run_cli(capsys, "curve", "--anchor", "1e-310,1,1", "--z", "0.5,0",
+                             "--x-grid", "1:2:2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: x**(z-1) is past double range") and "z=0.0" in err
+    # x**(z-3) overflows at x = 1e-200, but 0.5*k*(z-1)*(z-2)*x**(z-3)*dx does not
     code, out, _ = run_cli(capsys, "slippage", "--z-list", "0.99", "--x", "1e-200", "--y", "1",
                            "--p", "1", "--dx-grid", "1e-201:1e-201:1")
     assert code == 0
-    assert csv_rows(out)[0]["taylor"] == math.inf
+    with mpmath.workdps(50):
+        x, z, dx = mpmath.mpf(1e-200), mpmath.mpf(0.99), mpmath.mpf(1e-201)
+        k = (1 + z * x / (2 - z)) * x ** (1 - z)
+        taylor = float(k * (z - 1) * (z - 2) * x ** (z - 3) * dx / 2)
+    assert csv_rows(out)[0]["taylor"] == pytest.approx(taylor, rel=1e-12)
     code, out, err = run_cli(capsys, "swap", "--x", "1e-310", "--z", "1e-300", "--y", "1",
                              "--p", "1", "--direction", "sell-x", "--amount-in", "0.1")
     assert code == 1

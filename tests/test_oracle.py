@@ -106,13 +106,15 @@ def test_generate_path_rejects_bad_mappings():
     with pytest.raises(ha.ConfigError):
         config({"kind": "teleport"})
     with pytest.raises(ha.ConfigError):
-        config({"kind": "constant", "price": 1.0, "steps": 4, "bogus": 1})
+        config({"kind": "constant", "price": 1.0, "bogus": 1})
     with pytest.raises(ha.ConfigError):
-        config({"kind": "gbm", "p0": 1.0, "mu": 0.0, "sigma": 0.1, "steps": 4})
+        config({"kind": "gbm", "p0": 1.0, "mu": 0.0, "sigma": 0.1})
     with pytest.raises(ha.ConfigError):
-        config({"kind": "constant", "price": "cheap", "steps": 4})
-    with pytest.raises(ha.ConfigError):
-        config({"kind": "gbm", "p0": 1.0, "mu": 0.0, "sigma": 0.1, "steps": 4.5, "seed": 1})
+        config({"kind": "constant", "price": "cheap"})
+    # steps is stated once, at the top level
+    for kind in ({"kind": "constant"}, {"kind": "gbm", "mu": 0.0, "sigma": 0.1, "seed": 1}):
+        with pytest.raises(ha.ConfigError, match="unknown field"):
+            config({**kind, "steps": 4})
 
 
 # -------------------------------------------------------------- pool updates

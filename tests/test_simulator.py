@@ -13,7 +13,7 @@ from hybridamm.simulator import METRICS_HEADER, NoiseParams, ScenarioConfig
 
 
 def make_config(**overrides) -> ScenarioConfig:
-    base = dict(x0=1.0, y0=1.0, p0=1.0, z_values=(0.0, 0.5, 1.0), steps=4,
+    base = dict(x0=1.0, y0=1.0, z_values=(0.0, 0.5, 1.0),
                 path=ha.constant_path(1.0, 4), arbitrageur=True, noise=None)
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -31,7 +31,7 @@ def same_run(a, b) -> bool:
 
 def balanced_jump_config(p0: float, p1: float, z_values) -> ScenarioConfig:
     path = ha.schedule_path([p0, p1])
-    return ScenarioConfig(x0=1.0, y0=p0, p0=p0, z_values=tuple(z_values), steps=2,
+    return ScenarioConfig(x0=1.0, y0=p0, z_values=tuple(z_values),
                           path=path, arbitrageur=True, noise=None)
 
 
@@ -49,7 +49,7 @@ def test_constant_balanced_scenario_is_flat():
 
 
 def test_constant_unbalanced_scenario_without_arbitrage_is_flat():
-    config = make_config(x0=3.0, y0=0.7, p0=2.0, path=ha.constant_path(2.0, 4),
+    config = make_config(x0=3.0, y0=0.7, path=ha.constant_path(2.0, 4),
                          arbitrageur=False)
     for run in ha.run_scenario(config):
         for m in steps(run):
@@ -81,8 +81,7 @@ def test_final_il_decreases_in_z_when_price_falls():
 
 def test_arbitrage_tracks_oracle_for_partial_mixes():
     path = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.3, steps=50, seed=11))
-    config = ScenarioConfig(x0=1.0, y0=1.0, p0=1.0,
-                            z_values=(0.0, 0.25, 0.5, 0.75, 0.99), steps=50,
+    config = ScenarioConfig(x0=1.0, y0=1.0, z_values=(0.0, 0.25, 0.5, 0.75, 0.99),
                             path=path, arbitrageur=True, noise=None)
     for run in ha.run_scenario(config):
         for m in steps(run):
@@ -91,7 +90,7 @@ def test_arbitrage_tracks_oracle_for_partial_mixes():
 
 def test_full_mix_pool_quotes_oracle_even_without_arbitrage():
     path = ha.gbm_path(GbmParams(p0=2.0, mu=0.0, sigma=0.2, steps=30, seed=4))
-    config = ScenarioConfig(x0=1.0, y0=2.0, p0=2.0, z_values=(1.0,), steps=30,
+    config = ScenarioConfig(x0=1.0, y0=2.0, z_values=(1.0,),
                             path=path, arbitrageur=True, noise=None)
     run = ha.run_scenario(config)[0]
     for m in steps(run):
@@ -101,7 +100,7 @@ def test_full_mix_pool_quotes_oracle_even_without_arbitrage():
 
 def test_arbitrage_moves_stay_on_the_reanchored_curve():
     path = ha.schedule_path([1.0, 1.3, 0.8, 2.2, 1.0])
-    config = ScenarioConfig(x0=1.0, y0=1.0, p0=1.0, z_values=(0.4,), steps=5,
+    config = ScenarioConfig(x0=1.0, y0=1.0, z_values=(0.4,),
                             path=path, arbitrageur=True, noise=None)
     run = ha.run_scenario(config)[0]
     x_prev, y_prev = 1.0, 1.0
@@ -114,7 +113,7 @@ def test_arbitrage_moves_stay_on_the_reanchored_curve():
 
 def test_noise_trading_at_full_mix_never_loses_value():
     noise = NoiseParams(size_mu=-2.5, size_sigma=1.0, seed=21, trades_per_step=3)
-    config = make_config(z_values=(1.0,), steps=4, noise=noise)
+    config = make_config(z_values=(1.0,), noise=noise)
     run = ha.run_scenario(config)[0]
     assert steps(run)[-1]["cum_volume"] > 0.0
     for m in steps(run):
@@ -125,18 +124,16 @@ def test_noise_trading_at_full_mix_never_loses_value():
 def test_identical_scenarios_share_noise_draws():
     # a pool run second in a sweep sees the same draws as the same pool alone
     noise = NoiseParams(size_mu=-2.0, size_sigma=0.7, seed=5)
-    swept = make_config(z_values=(0.6, 0.5), steps=6,
-                        path=ha.constant_path(1.0, 6), noise=noise)
-    alone = make_config(z_values=(0.5,), steps=6,
-                        path=ha.constant_path(1.0, 6), noise=noise)
+    swept = make_config(z_values=(0.6, 0.5), path=ha.constant_path(1.0, 6), noise=noise)
+    alone = make_config(z_values=(0.5,), path=ha.constant_path(1.0, 6), noise=noise)
     assert same_run(ha.run_scenario(swept)[1], ha.run_scenario(alone)[0])
 
 
 def test_run_scenario_is_deterministic():
     path = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.2, steps=25, seed=13))
     noise = NoiseParams(size_mu=-2.0, size_sigma=0.9, seed=31, trades_per_step=2)
-    config = ScenarioConfig(x0=2.0, y0=3.0, p0=1.0, z_values=(0.0, 0.5, 0.9),
-                            steps=25, path=path, arbitrageur=True, noise=noise)
+    config = ScenarioConfig(x0=2.0, y0=3.0, z_values=(0.0, 0.5, 0.9),
+                            path=path, arbitrageur=True, noise=noise)
     assert all(same_run(a, b) for a, b in zip(ha.run_scenario(config),
                                               ha.run_scenario(config)))
 
@@ -156,7 +153,7 @@ def test_noise_trades_respect_solvency():
     # tiny Y reserve: SellX headroom is scarce, trades clamp instead of failing
     noise = NoiseParams(size_mu=0.0, size_sigma=0.0, seed=2,
                         max_fraction=0.9, trades_per_step=5)
-    config = make_config(x0=1.0, y0=0.05, p0=1.0, z_values=(0.8,), steps=10,
+    config = make_config(x0=1.0, y0=0.05, z_values=(0.8,),
                          path=ha.constant_path(1.0, 10), arbitrageur=False, noise=noise)
     run = ha.run_scenario(config)[0]
     for m in steps(run):
@@ -174,12 +171,15 @@ def test_config_validation():
         make_config(z_values=())
     with pytest.raises(ha.DomainError):
         make_config(z_values=(0.5, 1.5))
-    with pytest.raises(ha.DomainError):
-        make_config(steps=5)                 # path has 4 entries
-    with pytest.raises(ha.DomainError):
-        make_config(steps=2.0)
-    with pytest.raises(ha.DomainError):
-        make_config(steps=True, path=ha.constant_path(1.0, 1))
+    # steps is stated once, in the JSON config, and checked against the path
+    with pytest.raises(ha.DomainError, match=r"one price per step 0\.\.2, got 4 entries"):
+        ScenarioConfig.from_dict(scenario_dict(path={"kind": "schedule",
+                                                     "prices": [1.0, 2.0, 1.5, 1.0]}))
+    with pytest.raises(ha.DomainError, match="steps must be an integer >= 1"):
+        ScenarioConfig.from_dict(scenario_dict(steps=0))
+    for bad_steps in (4.5, True):
+        with pytest.raises(ha.ConfigError):
+            ScenarioConfig.from_dict(scenario_dict(steps=bad_steps))
     with pytest.raises(ha.DomainError):
         make_config(path=(1.0, 1.0, 1.0, 1.0))            # not a PricePath
     with pytest.raises(ha.DomainError):
@@ -274,6 +274,12 @@ def test_from_dict_rejects_unknown_and_missing_fields():
         ScenarioConfig.from_dict(scenario_dict(kind="constant"))    # only paths have a kind
     with pytest.raises(ha.ConfigError):
         ScenarioConfig.from_dict(scenario_dict(path={"kind": "replay", "file": 5}))
+    # integers past double range are config errors, not OverflowError
+    with pytest.raises(ha.ConfigError, match=r"config\.x0"):
+        ScenarioConfig.from_dict(scenario_dict(x0=10 ** 400))
+    with pytest.raises(ha.ConfigError, match=r"config\.path\.prices"):
+        ScenarioConfig.from_dict(scenario_dict(path={"kind": "schedule",
+                                                     "prices": [1.0, 10 ** 400, 1.0]}))
 
 
 def test_load_scenario_round_trip(tmp_path):
