@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .core import PoolState, _check_finite_positive, _check_mix, d2y_dx2, reserve_y
+from .core import (PoolState, _anchored, _check_finite_positive, _check_mix, _check_solvent,
+                   _on_curve, d2y_dx2, reserve_y)
 from .errors import DomainError, UnsupportedConfigurationError
 from .swap import SwapResult, TradeDirection, swap_exact_in
 
@@ -84,7 +85,10 @@ def rebalance_to_oracle(state: PoolState, p_new: float) -> PoolState:
     changes.  Undefined at z = 1, where the quoted price is p everywhere on
     the line and no finite rebalancing point exists.
     """
-    p_new = _check_finite_positive(p_new, "p_new")
+    return _rebalance(state, _check_finite_positive(p_new, "p_new"))
+
+
+def _rebalance(state: PoolState, p_new: float) -> PoolState:
     if state.z == 1.0:
         raise UnsupportedConfigurationError(
             "rebalance_to_oracle is undefined at z = 1: the curve quotes the oracle "
@@ -92,7 +96,8 @@ def rebalance_to_oracle(state: PoolState, p_new: float) -> PoolState:
         )
     x_star = _kernels.arb_target_x(state.k, p_new, state.z)
     y_star = _kernels.curve_y(state.k, x_star, p_new, state.z)
-    return PoolState(x_star, y_star, p_new, state.z, state.k)
+    return _on_curve(_check_finite_positive(x_star, "x"), _check_finite_positive(y_star, "y"),
+                     p_new, state.z, state.k)
 
 
 def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
@@ -106,9 +111,8 @@ def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
     p0 = _check_finite_positive(p0, "p0")
     p1 = _check_finite_positive(p1, "p1")
     z = _check_mix(z)
-    y0 = p0 * x0
-    start = PoolState.anchored(x0, y0, p0, z)
-    end = rebalance_to_oracle(start, p1)
+    y0 = _check_finite_positive(p0 * x0, "y")
+    end = _rebalance(_anchored(x0, y0, p0, z), p1)
     v_pool = (end.x + end.y / p1) / x0
     v_hold = (x0 + y0 / p1) / x0
     il = v_hold - v_pool
@@ -137,7 +141,7 @@ class SlippageEstimate:
 
 def _taylor(state: PoolState, dx: float) -> float:
     k, x, z = state.k, state.x, state.z
-    d2y = d2y_dx2(k, x, state.p, z)
+    d2y = _kernels.curve_d2y(k, x, state.p, z)   # callers have checked x below the bound
     if d2y == math.inf:   # x**(z-3) overflows at tiny x although x**(z-3)*dx may not
         return 0.5 * k * (z - 1.0) * (z - 2.0) * (_kernels.pow_zm1(x, z) / x) * (dx / x)
     return 0.5 * d2y * dx
@@ -146,7 +150,7 @@ def _taylor(state: PoolState, dx: float) -> float:
 def slippage_taylor(state: PoolState, dx: float) -> SlippageEstimate:
     """Second-order Taylor prediction of trader slippage for buying with dx of X."""
     dx = _check_finite_positive(dx, "dx")
-    reserve_y(state.k, state.x + dx, state.p, state.z)   # insolvency check only
+    reserve_y(state.k, state.x + dx, state.p, state.z)   # insolvency check of x + dx >= x
     return SlippageEstimate(trade_size=dx, taylor_second_derivative_form=_taylor(state, dx))
 
 
@@ -158,7 +162,9 @@ def slippage_exact(state: PoolState, direction: TradeDirection,
     prediction is evaluated at the realized X output.
     """
     result: SwapResult = swap_exact_in(state, direction, amount_in)
-    dx = amount_in if TradeDirection(direction) is TradeDirection.SELL_X else result.amount_out
+    if result.direction is TradeDirection.SELL_Y:   # a SELL_X swap has checked x + dx < bound
+        _check_solvent(state.k, state.x, state.p, state.z)
+    dx = amount_in if result.direction is TradeDirection.SELL_X else result.amount_out
     return SlippageEstimate(trade_size=dx, taylor_second_derivative_form=_taylor(state, dx),
                             exact=result.slippage_cost)
 

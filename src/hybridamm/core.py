@@ -32,27 +32,24 @@ __all__ = [
 _ON_CURVE_RTOL = 1e-12
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise DomainError(message)
-
-
 def _check_finite_positive(value: float, name: str) -> float:
     value = float(value)
-    _require(math.isfinite(value) and value > 0.0, f"{name} must be finite and > 0, got {value!r}")
+    if not 0.0 < value < math.inf:   # NaN fails every comparison
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 
 def _check_mix(z: float) -> float:
     z = float(z)
-    _require(math.isfinite(z) and 0.0 <= z <= 1.0, f"z must lie in [0, 1], got {z!r}")
+    if not 0.0 <= z <= 1.0:
+        raise DomainError(f"z must lie in [0, 1], got {z!r}")
     return z
 
 
 def _check_int(value: int, name: str, minimum: int) -> int:
     # bool is an int subclass, but True is not a count or a seed
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-             f"{name} must be an integer >= {minimum}, got {value!r}")
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -60,8 +57,9 @@ def _check_int(value: int, name: str, minimum: int) -> int:
 class PoolState:
     """Immutable pool snapshot: reserves, oracle price, mix parameter, curve constant.
 
-    The constructor checks that (x, y) sits on the (k, p, z) curve; use
-    :meth:`anchored` to derive k from reserves instead of supplying it.
+    The constructor checks all five fields and that (x, y) sits on the curve;
+    :meth:`anchored` checks x, y, p, z, the k it derives and the residual once
+    each; swaps, rebalancing and oracle updates skip the fields they keep.
     """
 
     x: float
@@ -76,6 +74,9 @@ class PoolState:
         object.__setattr__(self, "p", _check_finite_positive(self.p, "p"))
         object.__setattr__(self, "z", _check_mix(self.z))
         object.__setattr__(self, "k", _check_finite_positive(self.k, "k"))
+        self._check_on_curve()
+
+    def _check_on_curve(self) -> "PoolState":
         residual = _kernels.curve_y(self.k, self.x, self.p, self.z) - self.y
         # scale by the curve terms, not y itself: near the solvency bound y
         # is a cancellation of two much larger quantities
@@ -85,11 +86,25 @@ class PoolState:
                 f"reserves ({self.x}, {self.y}) do not lie on the (k={self.k}, p={self.p}, "
                 f"z={self.z}) curve: residual {residual:.3e}"
             )
+        return self
 
     @classmethod
     def anchored(cls, x: float, y: float, p: float, z: float) -> "PoolState":
         """Build a state from reserves, deriving k so the curve passes through (x, y)."""
-        return cls(x, y, p, z, anchor_k(x, y, p, z))
+        return _anchored(_check_finite_positive(x, "x"), _check_finite_positive(y, "y"),
+                         _check_finite_positive(p, "p"), _check_mix(z))
+
+
+def _on_curve(x: float, y: float, p: float, z: float, k: float) -> PoolState:
+    """PoolState of fields the caller has checked; only the residual is checked here."""
+    state = object.__new__(PoolState)
+    state.__dict__.update(x=x, y=y, p=p, z=z, k=k)
+    return state._check_on_curve()
+
+
+def _anchored(x: float, y: float, p: float, z: float) -> PoolState:
+    """State through checked reserves (x, y) at a checked p and z."""
+    return _on_curve(x, y, p, z, _check_finite_positive(_anchor(x, y, p, z), "k"))
 
 
 def anchor_k(x: float, y: float, p: float, z: float) -> float:
@@ -98,10 +113,11 @@ def anchor_k(x: float, y: float, p: float, z: float) -> float:
     k = (y + z*p*x/(2-z)) * x**(1-z); reduces to x*y at z = 0 and to
     y + p*x at z = 1.
     """
-    x = _check_finite_positive(x, "x")
-    y = _check_finite_positive(y, "y")
-    p = _check_finite_positive(p, "p")
-    z = _check_mix(z)
+    return _anchor(_check_finite_positive(x, "x"), _check_finite_positive(y, "y"),
+                   _check_finite_positive(p, "p"), _check_mix(z))
+
+
+def _anchor(x: float, y: float, p: float, z: float) -> float:
     k = _kernels.curve_anchor(x, y, p, z)
     # curve_anchor divides by x**(z-1), which is inf at tiny x with small z
     if k == 0.0 and _kernels.pow_zm1(x, z) == math.inf:
@@ -123,10 +139,11 @@ def max_x_bound(k: float, p: float, z: float) -> float:
 
 def _checked_point(k: float, x: float, p: float, z: float) -> tuple[float, float, float, float]:
     """Validated (k, x, p, z) of a point strictly inside the curve's domain."""
-    k = _check_finite_positive(k, "k")
-    x = _check_finite_positive(x, "x")
-    p = _check_finite_positive(p, "p")
-    z = _check_mix(z)
+    return _check_solvent(_check_finite_positive(k, "k"), _check_finite_positive(x, "x"),
+                          _check_finite_positive(p, "p"), _check_mix(z))
+
+
+def _check_solvent(k: float, x: float, p: float, z: float) -> tuple[float, float, float, float]:
     bound = _kernels.solvency_bound(k, p, z)
     if x >= bound:
         raise InsolvencyError(

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import PoolState, _check_finite_positive, _check_int, anchor_k
+from .core import PoolState, _anchored, _check_finite_positive, _check_int
 from .errors import ConfigError, DomainError
 from .serialize import write_csv
 
@@ -107,9 +107,7 @@ def apply_oracle_update(state: PoolState, p_new: float) -> PoolState:
     The spot price moves by exactly z*(p_new - p_old); the reserve-ratio term
     of the blend is untouched.
     """
-    p_new = _check_finite_positive(p_new, "p_new")
-    return PoolState(state.x, state.y, p_new, state.z,
-                     anchor_k(state.x, state.y, p_new, state.z))
+    return _anchored(state.x, state.y, _check_finite_positive(p_new, "p_new"), state.z)
 
 
 def load_price_csv(source: Union[str, os.PathLike, io.TextIOBase]) -> PricePath:

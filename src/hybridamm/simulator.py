@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels, oracle
 from .core import PoolState, _check_finite_positive, _check_int, _check_mix, anchor_k
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, HybridAmmError
 from .oracle import GbmParams, PricePath
 
 __all__ = [
@@ -104,8 +104,13 @@ class ScenarioConfig:
         )
         _check_finite_positive(top["p0"], "p0")
         steps = _check_int(top["steps"], "steps", 1)
-        path = _path_from_spec(top["path"], f"{where}.path", p0=top["p0"],
-                               steps=steps, base_dir=base_dir)
+        try:
+            path = _path_from_spec(top["path"], f"{where}.path", p0=top["p0"],
+                                   steps=steps, base_dir=base_dir)
+        except HybridAmmError:
+            raise
+        except ValueError as err:   # numpy's, for more steps than an array can hold
+            raise ConfigError(f"{where}.steps: too many steps for a price path: {err}") from None
         if len(path) != steps:   # the runner applies exactly one oracle update per step
             raise DomainError(f"path must carry one price per step 0..{steps - 1}, "
                               f"got {len(path)} entries")
@@ -189,6 +194,8 @@ def load_scenario(path: Union[str, os.PathLike]) -> ScenarioConfig:
         raise ConfigError(f"{name}: {err.strerror or err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{name}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except ValueError as err:   # an integer past Python's digit limit, or text that is not UTF-8
+        raise ConfigError(f"{name}: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{name}: top-level JSON value must be an object")
     return ScenarioConfig.from_dict(data, base_dir=os.path.dirname(name), where=name)

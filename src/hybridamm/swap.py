@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .core import PoolState, _check_finite_positive
+from .core import PoolState, _check_finite_positive, _on_curve
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -66,15 +66,16 @@ class SwapResult:
     new_state: PoolState
 
     def __post_init__(self):
-        for name in ("amount_in", "amount_out", "exec_price", "spot_before"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"swap produced non-finite or non-positive {name}: {value!r}")
-        # near the solvency bound at subnormal z the true spot_after can lie
-        # below the smallest subnormal and round to 0
-        if not (math.isfinite(self.spot_after) and self.spot_after >= 0.0):
-            raise DomainError(f"swap produced non-finite or negative spot_after: {self.spot_after!r}")
-        if not (math.isfinite(self.slippage_cost) and self.slippage_cost >= 0.0):
+        # spot_after may round to 0 near the solvency bound at subnormal z
+        if not (0.0 < self.amount_in < math.inf and 0.0 < self.amount_out < math.inf
+                and 0.0 < self.exec_price < math.inf and 0.0 < self.spot_before < math.inf
+                and 0.0 <= self.spot_after < math.inf and 0.0 <= self.slippage_cost < math.inf):
+            for name in ("amount_in", "amount_out", "exec_price", "spot_before"):
+                value = getattr(self, name)
+                if not 0.0 < value < math.inf:
+                    raise DomainError(f"swap produced non-finite or non-positive {name}: {value!r}")
+            if not 0.0 <= self.spot_after < math.inf:
+                raise DomainError(f"swap produced non-finite or negative spot_after: {self.spot_after!r}")
             raise DomainError(f"swap produced invalid slippage_cost: {self.slippage_cost!r}")
 
 
@@ -159,5 +160,6 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
         spot_before=_kernels.blend_spot(x, y, p, z),
         spot_after=_kernels.blend_spot(x_new, y_new, p, z),
         slippage_cost=slippage,
-        new_state=PoolState(x_new, y_new, p, z, k),
+        new_state=_on_curve(_check_finite_positive(x_new, "x"), _check_finite_positive(y_new, "y"),
+                            p, z, k),
     )

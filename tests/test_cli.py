@@ -353,6 +353,26 @@ def test_simulate_config_errors(capsys, tmp_path):
                              "--out", str(tmp_path / "out"))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and ".x0: expected float" in err
+    # past Python's 4,300-digit limit for int parsing, json.load itself fails
+    bad.write_text('{"x0": 1' + "0" * 5000 + "}", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(bad),
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: ") and "digits" in err
+    bad.write_bytes(b'{"x0": "\xe9"}')
+    code, out, err = run_cli(capsys, "simulate", "--config", str(bad),
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+    # numpy refuses these step counts before allocating; counts from about 1e8
+    # up to its dimension limit would try to allocate, so none is tried here
+    for steps, path in ((1e300, {"kind": "constant"}), (10 ** 400, {"kind": "constant"}),
+                        (1e300, {"kind": "gbm", "mu": 0.0, "sigma": 0.1, "seed": 1})):
+        config = write_scenario(tmp_path, steps=steps, path=path)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {config}.steps: too many steps for a price path: ")
 
 
 def test_simulate_refuses_stale_metrics_files(capsys, tmp_path):
