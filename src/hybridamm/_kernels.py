@@ -92,13 +92,33 @@ def solvency_bound(k, p, z):
         return math.inf
     if z == 1.0:
         return k / p
-    if z < 2.0 ** -53:
-        # 2 - z rounds to 2, so the bound is sqrt(2k/(zp)).  Here zp can
-        # underflow and 2k/(zp) overflow although the bound itself lies well
-        # inside double range (about 6.4e161 at z = 5e-324, k = p = 1);
-        # scaling z by 2**1000, which is exact, keeps every factor in range.
-        return math.sqrt(2.0 * k / (z * 2.0 ** 1000 * p)) * 2.0 ** 500
-    return math.exp(math.log((2.0 - z) * k / (z * p)) / (2.0 - z))
+    try:
+        if z < 2.0 ** -53:
+            # 2 - z rounds to 2, so the bound is sqrt(2k/(zp)).  Here zp can
+            # underflow and 2k/(zp) overflow although the bound itself lies
+            # well inside double range (about 6.4e161 at z = 5e-324, k = p = 1);
+            # scaling z by 2**1000, which is exact, keeps the factors in range
+            # unless p is far from 1 as well.
+            bound = math.sqrt(2.0 * k / (z * 2.0 ** 1000 * p)) * 2.0 ** 500
+        else:
+            bound = math.exp(math.log((2.0 - z) * k / (z * p)) / (2.0 - z))
+        if 0.0 < bound < math.inf:
+            return bound
+    except (ZeroDivisionError, ValueError):
+        pass
+    # zp underflowed, or b = (2-z)k/(zp) left double range (to 0, where log
+    # raises, or to inf), although the bound b**(1/(2-z)) may lie inside it.
+    # With b = m * 2**e and m in (0.5, 8), e/(2-z) is split exactly into an
+    # integer q and a fraction: rounded as a float, it would move the bound
+    # by up to 1e-13 of itself.
+    (mk, ek), (mz, ez), (mp, ep) = math.frexp(k), math.frexp(z), math.frexp(p)
+    n, d = z.as_integer_ratio()
+    q, r = divmod((ek - ez - ep) * d, 2 * d - n)
+    m = (2.0 - z) * mk / (mz * mp)
+    try:
+        return math.ldexp(2.0 ** (r / (2 * d - n)) * m ** (1.0 / (2.0 - z)), q)
+    except OverflowError:
+        return math.inf
 
 
 def arb_target_x(k, p, z):

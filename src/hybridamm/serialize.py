@@ -8,48 +8,56 @@ CSV and text and ``null`` in JSON.  Strings pass through (quoted in JSON).
 
 from __future__ import annotations
 
-import csv
-import math
+import itertools
+import re
 from typing import Sequence
 
 __all__ = ["FORMATS", "write_csv", "write_json", "write_table", "write_rows"]
 
 FORMATS = ("csv", "json", "table")
 
+# nan, inf or -inf after a key; a quote in a string cell always follows a `\`
+_JSON_NON_FINITE = re.compile(r': (?<=[^\\]": )(?:nan|-?inf)')
 
-def _cell(value, spec: str = "%.17g") -> str:
-    return value if isinstance(value, str) else spec % value
+
+def _row_lines(rows, row_format, quote):
+    """Each row through one format, ``row_format`` of the first row's specs, which
+    every row shares: ``%.17g`` per number, ``%s`` per string, put through ``quote``."""
+    rows = iter(rows)
+    for first in rows:
+        specs = ["%s" if isinstance(v, str) else "%.17g" for v in first]
+        line, rows = row_format(specs), itertools.chain((first,), rows)
+        if "%s" in specs:
+            rows = ([quote(v) if isinstance(v, str) else v for v in row] for row in rows)
+        return (line % tuple(row) for row in rows)
+    return ()
 
 
-def _json_cell(value) -> str:
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return "%.17g" % value if math.isfinite(value) else "null"
+def _csv_quote(value: str) -> str:
+    return value if set(',"\n').isdisjoint(value) else '"' + value.replace('"', '""') + '"'
 
 
 def write_csv(handle, header: Sequence[str], rows) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    # a lone empty cell is quoted, or its row would read as a blank line
+    quote = _csv_quote if len(header) != 1 else lambda v: _csv_quote(v) or '""'
+    handle.write(",".join(map(quote, header)) + "\n")
+    handle.writelines(_row_lines(rows, lambda specs: ",".join(specs) + "\n", quote))
 
 
 def write_json(handle, header: Sequence[str], rows) -> None:
     """Array of objects keyed by the header, floats at full precision."""
-    handle.write("[\n")
-    first = True
-    for row in rows:
-        if not first:
-            handle.write(",\n")
-        first = False
-        pairs = ", ".join(f'"{name}": {_json_cell(value)}' for name, value in zip(header, row))
-        handle.write("  {" + pairs + "}")
+    keys = ['"%s": ' % name.replace("%", "%%") for name in header]
+    lines = _row_lines(rows, lambda specs: ",\n  {%s}" % ", ".join(map(str.__add__, keys, specs)),
+                       lambda v: '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    lines = (_JSON_NON_FINITE.sub(": null", line) for line in lines)
+    handle.write("[" + next(lines, ",\n")[1:])  # the first row takes no comma
+    handle.writelines(lines)
     handle.write("\n]\n")
 
 
 def write_table(handle, header: Sequence[str], rows) -> None:
     """Aligned human-readable table; shorter 10-digit floats for scanning."""
-    text_rows = [[_cell(v, "%.10g") for v in row] for row in rows]
+    text_rows = [[v if isinstance(v, str) else "%.10g" % v for v in row] for row in rows]
     widths = [len(h) for h in header]
     for row in text_rows:
         for i, cell in enumerate(row):

@@ -112,6 +112,26 @@ def test_solvency_bound_at_subnormal_z(z, p):
         assert ulps(max_x_bound(1.0, p, z), ref) <= 2.0
 
 
+@pytest.mark.parametrize("k, p, z", [
+    # z*p underflows to 0 at a subnormal p
+    (1.0, 5e-324, 0.4), (2.5, 5e-324, 3 * 2.0 ** -53), (1.0, 1e-323, 0.24),
+    (1e-300, 5e-324, 0.4999), (1e150, 2e-323, 0.1), (7.0, 5e-324, 1e-10),
+    # z*p > 0, but (2-z)k/(zp) overflows, or underflows to 0
+    (1.0, 1e-310, 0.4), (1e10, 1e-300, 0.3), (1e200, 1e-200, 0.2), (1e-180, 1e300, 0.4),
+    # z < 2**-53, where z*2**1000*p underflows, or 2k/(z*2**1000*p) does
+    (1e-100, 1e-305, 5e-324), (1e-300, 1e300, 5e-324)])
+def test_solvency_bound_where_zp_leaves_double_range(k, p, z):
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        ref = ((2 - zm) * k / (zm * p)) ** (1 / (2 - zm))
+        assert abs(max_x_bound(k, p, z) - ref) <= 1e-14 * ref
+
+
+def test_solvency_bound_past_double_range_is_inf():
+    # z*p underflows as above, and the bound, about 2**1311, overflows
+    assert max_x_bound(1e308, 5e-324, 0.4) == math.inf
+
+
 @pytest.mark.parametrize("z", REF_Z)
 @pytest.mark.parametrize("dx", [1e-12, 0.25, 3.0, -1e-12, -0.25, -1.5, -1.69])
 def test_delta_y_matches_mpmath(z, dx):

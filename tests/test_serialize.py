@@ -1,0 +1,136 @@
+"""Writer bytes: CSV, JSON and aligned tables, pinned cell by cell."""
+
+import csv
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hybridamm.serialize import write_csv, write_json, write_rows, write_table
+
+HEADER = ("step", "value", "label")
+# int steps as dump_price_csv passes them, a float per edge of the double
+# range, and labels that CSV must quote and JSON must escape
+ROWS = [
+    (0, math.nan, "sell_x"),
+    (1, math.inf, "a,b"),
+    (2, -math.inf, 'say "hi"'),
+    (3, -0.0, "back\\slash"),
+    (4, 5e-324, "two\nlines"),
+    (5, 1.7976931348623157e308, ""),
+    (6, 3.0, '": nan'),
+    (7, 1e16, "plain"),
+    (8, 0.1, "x"),
+]
+
+CSV = (
+    'step,value,label\n'
+    '0,nan,sell_x\n'
+    '1,inf,"a,b"\n'
+    '2,-inf,"say ""hi"""\n'
+    '3,-0,back\\slash\n'
+    '4,4.9406564584124654e-324,"two\nlines"\n'
+    '5,1.7976931348623157e+308,\n'
+    '6,3,""": nan"\n'
+    '7,10000000000000000,plain\n'
+    '8,0.10000000000000001,x\n'
+)
+
+JSON = (
+    '[\n'
+    '  {"step": 0, "value": null, "label": "sell_x"},\n'
+    '  {"step": 1, "value": null, "label": "a,b"},\n'
+    '  {"step": 2, "value": null, "label": "say \\"hi\\""},\n'
+    '  {"step": 3, "value": -0, "label": "back\\\\slash"},\n'
+    '  {"step": 4, "value": 4.9406564584124654e-324, "label": "two\nlines"},\n'
+    '  {"step": 5, "value": 1.7976931348623157e+308, "label": ""},\n'
+    '  {"step": 6, "value": 3, "label": "\\": nan"},\n'
+    '  {"step": 7, "value": 10000000000000000, "label": "plain"},\n'
+    '  {"step": 8, "value": 0.10000000000000001, "label": "x"}\n'
+    ']\n'
+)
+
+TABLE = (
+    'step  value             label\n'
+    '----  ----------------  ----------\n'
+    '   0               nan      sell_x\n'
+    '   1               inf         a,b\n'
+    '   2              -inf    say "hi"\n'
+    '   3                -0  back\\slash\n'
+    '   4  4.940656458e-324   two\nlines\n'
+    '   5  1.797693135e+308\n'
+    '   6                 3      ": nan\n'
+    '   7             1e+16       plain\n'
+    '   8               0.1           x\n'
+)
+
+
+def written(writer, header, rows):
+    handle = io.StringIO()
+    writer(handle, header, rows)
+    return handle.getvalue()
+
+
+@pytest.mark.parametrize("writer, expected", [(write_csv, CSV), (write_json, JSON),
+                                              (write_table, TABLE)])
+def test_writer_bytes(writer, expected):
+    assert written(writer, HEADER, ROWS) == expected
+    # rows may be any iterable, as enumerate() is for dump_price_csv
+    assert written(writer, HEADER, iter(ROWS)) == expected
+
+
+@pytest.mark.parametrize("writer, expected", [
+    (write_csv, "step,value,label\n"),
+    (write_json, "[\n\n]\n"),
+    (write_table, "step  value  label\n----  -----  -----\n"),
+])
+def test_writer_bytes_without_rows(writer, expected):
+    assert written(writer, HEADER, []) == expected
+
+
+def test_csv_quotes_an_empty_lone_cell():
+    # unquoted, the row would be a blank line, which csv.reader reads as no cells
+    assert written(write_csv, ("name",), [("",), ("a",), ("b,c",)]) == 'name\n""\na\n"b,c"\n'
+    assert written(write_csv, ("",), [("",)]) == '""\n""\n'
+
+
+def test_json_nulls_in_an_all_number_table():
+    rows = [(0, 1.0, math.nan), (1, 0.1, math.inf), (2, -2.5, -math.inf)]
+    assert written(write_json, ("step", "price", "il"), rows) == (
+        '[\n'
+        '  {"step": 0, "price": 1, "il": null},\n'
+        '  {"step": 1, "price": 0.10000000000000001, "il": null},\n'
+        '  {"step": 2, "price": -2.5, "il": null}\n'
+        ']\n'
+    )
+
+
+def test_write_rows_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        write_rows(io.StringIO(), "xml", HEADER, ROWS)
+
+
+FLOAT_ROWS = st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.lists(st.floats(), min_size=width, max_size=width), max_size=8)
+    .map(lambda rows: (tuple(f"c{i}" for i in range(width)), rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_ROWS)
+def test_float_rows_round_trip(table):
+    header, rows = table
+    csv_rows = list(csv.reader(io.StringIO(written(write_csv, header, rows))))
+    assert csv_rows[0] == list(header)
+    json_rows = json.loads(written(write_json, header, rows), parse_int=float)
+    assert [list(row) for row in json_rows] == [list(header)] * len(rows)
+    for row, csv_row, json_row in zip(rows, csv_rows[1:], json_rows, strict=True):
+        for value, text, name in zip(row, csv_row, header, strict=True):
+            if math.isfinite(value):
+                assert float(text).hex() == value.hex()
+                assert json_row[name].hex() == value.hex()
+            else:
+                assert text == repr(value)
+                assert json_row[name] is None

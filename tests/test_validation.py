@@ -193,3 +193,11 @@ def checked(monkeypatch):
 def test_each_quote_input_is_checked_once(checked, call, names):
     call()
     assert checked == names
+
+
+def test_swap_on_a_pool_with_subnormal_price():
+    # z*p underflows to 0, so the solvency bound cannot divide by it
+    state = ha.PoolState.anchored(2.0, 3.0, 5e-324, 0.4)
+    result = ha.swap_exact_in(state, SX, 0.1)
+    # z*p is below every reserve's resolution, so the curve is y = k*x**(z-1)
+    assert math.isclose(result.amount_out, 3.0 * (1.0 - 1.05 ** -0.6), rel_tol=1e-14)
