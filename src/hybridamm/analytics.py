@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .core import (PoolState, _anchored, _check_finite_positive, _check_mix, _check_solvent,
                    _on_curve, d2y_dx2, reserve_y)
-from .errors import DomainError, UnsupportedConfigurationError
+from .errors import UnsupportedConfigurationError
 from .swap import SwapResult, TradeDirection, swap_exact_in
 
 __all__ = [
@@ -132,11 +132,6 @@ class SlippageEstimate:
     trade_size: float
     taylor_second_derivative_form: float
     exact: float | None = None
-
-    def __post_init__(self):
-        a = self.taylor_second_derivative_form
-        if a < 0.0 or (self.exact is not None and self.exact < 0.0):
-            raise DomainError(f"slippage must be a nonnegative trader cost: {a}, {self.exact}")
 
 
 def _taylor(state: PoolState, dx: float) -> float:

@@ -60,6 +60,7 @@ class PoolState:
     The constructor checks all five fields and that (x, y) sits on the curve;
     :meth:`anchored` checks x, y, p, z, the k it derives and the residual once
     each; swaps, rebalancing and oracle updates skip the fields they keep.
+    Rebalancing reads y from the curve at its new x, so it skips the residual.
     """
 
     x: float
@@ -96,15 +97,16 @@ class PoolState:
 
 
 def _on_curve(x: float, y: float, p: float, z: float, k: float) -> PoolState:
-    """PoolState of fields the caller has checked; only the residual is checked here."""
+    """PoolState of fields the caller has checked; nothing is checked here."""
     state = object.__new__(PoolState)
     state.__dict__.update(x=x, y=y, p=p, z=z, k=k)
-    return state._check_on_curve()
+    return state
 
 
 def _anchored(x: float, y: float, p: float, z: float) -> PoolState:
     """State through checked reserves (x, y) at a checked p and z."""
-    return _on_curve(x, y, p, z, _check_finite_positive(_anchor(x, y, p, z), "k"))
+    # a subnormal k is too coarse to put (x, y) on its curve
+    return _on_curve(x, y, p, z, _check_finite_positive(_anchor(x, y, p, z), "k"))._check_on_curve()
 
 
 def anchor_k(x: float, y: float, p: float, z: float) -> float:

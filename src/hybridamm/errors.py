@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["HybridAmmError", "DomainError", "InsolvencyError", "InfeasibleTradeError",
+           "UnsupportedConfigurationError", "ConvergenceError", "ConfigError"]
+
 
 class HybridAmmError(Exception):
     """Base class for all errors raised by this package."""

@@ -3,13 +3,14 @@
 Cells are strings or numbers.  Numbers are always written with 17
 significant digits (``%.17g``), enough to round-trip any IEEE double exactly,
 and with 10 in aligned tables; non-finite values become ``nan``/``inf`` in
-CSV and text and ``null`` in JSON.  Strings pass through (quoted in JSON).
+CSV and text and ``null`` in JSON.  Strings pass through (escaped as ``json`` does in JSON).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from json.encoder import encode_basestring
 from typing import Sequence
 
 __all__ = ["FORMATS", "write_csv", "write_json", "write_table", "write_rows"]
@@ -34,7 +35,7 @@ def _row_lines(rows, row_format, quote):
 
 
 def _csv_quote(value: str) -> str:
-    return value if set(',"\n').isdisjoint(value) else '"' + value.replace('"', '""') + '"'
+    return value if set(',"\n\r').isdisjoint(value) else '"' + value.replace('"', '""') + '"'
 
 
 def write_csv(handle, header: Sequence[str], rows) -> None:
@@ -46,9 +47,11 @@ def write_csv(handle, header: Sequence[str], rows) -> None:
 
 def write_json(handle, header: Sequence[str], rows) -> None:
     """Array of objects keyed by the header, floats at full precision."""
-    keys = ['"%s": ' % name.replace("%", "%%") for name in header]
+    # `\` in a key is \u005c: a key's closing quote never follows a `\`, a string's always does
+    keys = ["%s: " % encode_basestring(name).replace("\\\\", "\\u005c").replace("%", "%%")
+            for name in header]
     lines = _row_lines(rows, lambda specs: ",\n  {%s}" % ", ".join(map(str.__add__, keys, specs)),
-                       lambda v: '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"')
+                       encode_basestring)
     lines = (_JSON_NON_FINITE.sub(": null", line) for line in lines)
     handle.write("[" + next(lines, ",\n")[1:])  # the first row takes no comma
     handle.writelines(lines)

@@ -160,6 +160,7 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
         spot_before=_kernels.blend_spot(x, y, p, z),
         spot_after=_kernels.blend_spot(x_new, y_new, p, z),
         slippage_cost=slippage,
+        # where k or the spot price is subnormal, the trade and the curve round apart
         new_state=_on_curve(_check_finite_positive(x_new, "x"), _check_finite_positive(y_new, "y"),
-                            p, z, k),
+                            p, z, k)._check_on_curve(),
     )

@@ -165,3 +165,16 @@ def test_pool_state_is_immutable():
     state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5)
     with pytest.raises(AttributeError):
         state.x = 2.0
+
+
+def test_package_lists_each_module_name_once():
+    from hybridamm import analytics, core, errors, oracle, simulator, swap
+
+    expected = ["__version__"]
+    for module in (errors, core, swap, analytics, oracle, simulator):
+        expected += module.__all__
+        for name in module.__all__:
+            assert getattr(ha, name) is getattr(module, name)
+    assert ha.__all__ == expected
+    assert len(set(ha.__all__)) == len(ha.__all__) == 43
+    assert ha.__version__ == "0.1.0"

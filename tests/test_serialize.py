@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridamm.serialize import write_csv, write_json, write_rows, write_table
@@ -45,7 +45,7 @@ JSON = (
     '  {"step": 1, "value": null, "label": "a,b"},\n'
     '  {"step": 2, "value": null, "label": "say \\"hi\\""},\n'
     '  {"step": 3, "value": -0, "label": "back\\\\slash"},\n'
-    '  {"step": 4, "value": 4.9406564584124654e-324, "label": "two\nlines"},\n'
+    '  {"step": 4, "value": 4.9406564584124654e-324, "label": "two\\nlines"},\n'
     '  {"step": 5, "value": 1.7976931348623157e+308, "label": ""},\n'
     '  {"step": 6, "value": 3, "label": "\\": nan"},\n'
     '  {"step": 7, "value": 10000000000000000, "label": "plain"},\n'
@@ -113,22 +113,29 @@ def test_write_rows_rejects_unknown_format():
         write_rows(io.StringIO(), "xml", HEADER, ROWS)
 
 
+# names and labels with what CSV must quote and JSON must escape: control
+# characters, a `\\` before a closing quote, and `%` in a format string
+TEXT = st.text(st.sampled_from('a,"\\% \n\r\t\x01'), max_size=6)
 FLOAT_ROWS = st.integers(1, 6).flatmap(
-    lambda width: st.lists(st.lists(st.floats(), min_size=width, max_size=width), max_size=8)
-    .map(lambda rows: (tuple(f"c{i}" for i in range(width)), rows)))
+    lambda width: st.tuples(
+        st.lists(TEXT, min_size=width + 1, max_size=width + 1, unique=True).map(tuple),
+        st.lists(st.tuples(*[st.floats()] * width, TEXT), max_size=8)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(FLOAT_ROWS)
+@example((("a\\", "%\n"), [(math.nan, "\t\r\x01\\")]))
 def test_float_rows_round_trip(table):
     header, rows = table
-    csv_rows = list(csv.reader(io.StringIO(written(write_csv, header, rows))))
+    csv_rows = list(csv.reader(io.StringIO(written(write_csv, header, rows), newline="")))
     assert csv_rows[0] == list(header)
     json_rows = json.loads(written(write_json, header, rows), parse_int=float)
     assert [list(row) for row in json_rows] == [list(header)] * len(rows)
     for row, csv_row, json_row in zip(rows, csv_rows[1:], json_rows, strict=True):
         for value, text, name in zip(row, csv_row, header, strict=True):
-            if math.isfinite(value):
+            if isinstance(value, str):
+                assert text == json_row[name] == value
+            elif math.isfinite(value):
                 assert float(text).hex() == value.hex()
                 assert json_row[name].hex() == value.hex()
             else:

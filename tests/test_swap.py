@@ -263,11 +263,20 @@ def test_dust_trades_rejected(monkeypatch):
                 swap(pool, direction, amount)
             if exact_out:
                 continue
-            frac = amount / (pool.y if sell_y else pool.x)
-            result = _kernels.run_steps(pool.x, pool.y, pool.z, np.full(1, pool.p), False,
-                                        np.full(1, frac),
-                                        np.full(1, int(sell_y), dtype=np.int8), 1, 10.0)
-            assert (result[1][0], result[2][0], result[8], result[9]) == (pool.x, pool.y, 0, 1)
+            run_steps_skips(pool, amount / (pool.y if sell_y else pool.x), sell_y)
+    # run_steps skips a fraction that is not finite and > 0, and a trade into a
+    # pool without headroom, before it calls trade: this pool's bound k/p is x
+    no_headroom = ha.PoolState.anchored(1.0, 1e-17, 1.0, 1.0)
+    for pool, frac, sell_y in [(state, math.inf, False), (state, 0.0, True),
+                               (state, math.nan, False), (no_headroom, 0.5, False)]:
+        run_steps_skips(pool, frac, sell_y)
+
+
+def run_steps_skips(pool, frac, sell_y):
+    """One noise trade of ``frac`` in run_steps is skipped and leaves the reserves."""
+    result = _kernels.run_steps(pool.x, pool.y, pool.z, np.full(1, pool.p), False,
+                                np.full(1, frac), np.full(1, int(sell_y), dtype=np.int8), 1, 10.0)
+    assert (result[1][0], result[2][0], result[8], result[9]) == (pool.x, pool.y, 0, 1)
 
 
 def test_direction_accepts_wire_names():

@@ -59,6 +59,10 @@ CASES = {
                        positive("k", INF)),
     "anchored-pow-range": (lambda: ha.PoolState.anchored(1e-310, 1.0, 1.0, 0.0), DomainError,
                            "x**(z-1) is past double range at x=1e-310, z=0.0"),
+    # a subnormal k is too coarse for the curve to pass through (x, y)
+    "anchored-k-subnormal": (lambda: ha.PoolState.anchored(1e-160, 1e-160, 1.0, 0.0), DomainError,
+                             "reserves (1e-160, 1e-160) do not lie on the (k=1e-320, p=1.0, z=0.0) "
+                             "curve: residual -1.113e-165"),
     "anchored-x-first": (lambda: ha.PoolState.anchored(NAN, NAN, NAN, NAN), DomainError,
                          positive("x", NAN)),
     "anchored-y-before-p": (lambda: ha.PoolState.anchored(2.0, -0.0, 0.0, 2.0), DomainError,
@@ -82,10 +86,26 @@ CASES = {
     "in-inf": (lambda: ha.swap_exact_in(S, SY, INF), DomainError, positive("amount_in", INF)),
     "in-new-y-rounds-below-0": (lambda: ha.swap_exact_in(Y_GAP, SX, 3008.977159479185), DomainError,
                                 positive("y", -1.4210854715202004e-14)),
+    # the trade executes, but a price of the result is past double range
+    "in-exec-price-inf": (lambda: ha.swap_exact_in(ha.PoolState.anchored(1e-300, 1e10, 1.0, 0.0),
+                                                   SX, 1e-302), DomainError,
+                          "swap produced non-finite or non-positive exec_price: inf"),
+    "in-spot-after-inf": (lambda: ha.swap_exact_in(ha.PoolState.anchored(1e-10, 1e298, 1.0, 0.0),
+                                                   SY, 5e297), DomainError,
+                          "swap produced non-finite or negative spot_after: inf"),
+    # the spot price is subnormal, and the trade and the curve round apart
+    "in-new-state-off-curve": (lambda: ha.swap_exact_in(ha.PoolState.anchored(5.6e253, 2e-65, 1.5e-11,
+                                                                              2.2e-308), SX, 1e250),
+                               DomainError, "reserves (5.601e+253, 1.999312954039508e-65) do not lie "
+                               "on the (k=1.637441986384372e+189, p=1.5e-11, z=2.2e-308) curve: "
+                               "residual -4.940e-74"),
     "out-nan": (lambda: ha.swap_exact_out(S, SY, NAN), DomainError, positive("amount_out", NAN)),
     "out-neginf": (lambda: ha.swap_exact_out(S, SX, -INF), DomainError,
                    positive("amount_out", -INF)),
     "out-zero": (lambda: ha.swap_exact_out(S, SX, 0.0), DomainError, positive("amount_out", 0.0)),
+    # at z = 0 the X paid in is x*dy/(y - dy), past double range here
+    "out-new-x-inf": (lambda: ha.swap_exact_out(ha.PoolState.anchored(1e307, 1.0, 1.0, 0.0), SX, 0.99),
+                      DomainError, positive("x", INF)),
     # slippage
     "taylor-dx-zero": (lambda: ha.slippage_taylor(S, 0.0), DomainError, positive("dx", 0.0)),
     "taylor-dx-nan": (lambda: ha.slippage_taylor(S, NAN), DomainError, positive("dx", NAN)),
