@@ -124,11 +124,15 @@ def solvency_bound(k, p, z):
 def arb_target_x(k, p, z):
     """x on the (k, p, z) curve where the marginal price equals p.
 
-    Undefined at z = 1 (price is p everywhere); returns nan.
+    Undefined at z = 1 (price is p everywhere); returns nan there, and where
+    (2-z)*k/(2p) underflows to 0.
     """
     if z == 1.0:
         return math.nan
-    return math.exp(math.log((2.0 - z) * k / (2.0 * p)) / (2.0 - z))
+    ratio = (2.0 - z) * k / (2.0 * p)
+    if ratio == 0.0:   # log would raise
+        return math.nan
+    return math.exp(math.log(ratio) / (2.0 - z))
 
 
 def invert_curve(k, p, z, y_target, lo, hi):
@@ -221,7 +225,8 @@ def solve_delta_x(x, y, p, z, dy):
     (dy < 0) and convex when X is paid out (dy > 0).  The start lies on the
     side from which Newton's iterates approach the root monotonically, below
     it for X paid in and above it for X paid out, so no bracket is needed.
-    Returns nan when 100 steps do not converge.
+    Returns nan when 100 steps do not converge, or when the spot price
+    underflows to 0.
     """
     if z == 1.0:
         return -dy / p
@@ -232,6 +237,8 @@ def solve_delta_x(x, y, p, z, dy):
     c = z * p / (2.0 - z)
     a = y + c * x
     spot = (1.0 - z) * (y / x) + z * p
+    if spot == 0.0:   # underflowed: no start for Newton, so trade inverts the curve
+        return math.nan
     # The power term alone, and the linear term c*u alone, move Y by t at
     # sizes beyond the root; the tangent at u = 0 reaches t below the root
     # for X paid in and beyond it for X paid out.
@@ -343,7 +350,9 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
     clamped to ``max_fraction`` of the input-side reserve and to 99.9% of
     ``headroom``.  Every trade, the arbitrage included, is executed by
     ``trade`` as ``swap_exact_in`` and ``swap_exact_out`` execute it; a trade
-    whose reason is not ``EXECUTED`` is skipped.
+    whose reason is not ``EXECUTED`` is skipped.  The arbitrage is skipped
+    inside a dead band around its target, and where ``arb_target_x`` returns
+    nan because (2-z)*k/(2p) underflows to 0.
 
     The loop records x, y, the last trade's slippage and the cumulative X
     volume per step; spot, pool value, hold value and il_relative are then

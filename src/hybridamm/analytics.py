@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .core import (PoolState, _anchored, _check_finite_positive, _check_mix, _check_solvent,
-                   _on_curve, d2y_dx2, reserve_y)
-from .errors import UnsupportedConfigurationError
+                   _unchecked, d2y_dx2, reserve_y)
+from .errors import DomainError, UnsupportedConfigurationError
 from .swap import SwapResult, TradeDirection, swap_exact_in
 
 __all__ = [
@@ -68,8 +68,8 @@ def il_closed_form(z: float, rho: float) -> ILReport:
     v_pool = 2.0 * _rho_power(rho, z)
     v_hold = 1.0 + rho
     il = v_hold - v_pool
-    return ILReport(z=z, rho=rho, v_pool=v_pool, v_hold=v_hold,
-                    il_paper=il, il_relative=il / v_hold)
+    return _unchecked(ILReport, {"z": z, "rho": rho, "v_pool": v_pool, "v_hold": v_hold,
+                                 "il_paper": il, "il_relative": il / v_hold})
 
 
 def il_standard_amm(r: float) -> float:
@@ -95,9 +95,13 @@ def _rebalance(state: PoolState, p_new: float) -> PoolState:
             "price at every point"
         )
     x_star = _kernels.arb_target_x(state.k, p_new, state.z)
+    if math.isnan(x_star):
+        raise DomainError(f"cannot rebalance the (k={state.k}, z={state.z}) curve to p={p_new}: "
+                          f"(2-z)*k/(2*p) underflows to 0")
     y_star = _kernels.curve_y(state.k, x_star, p_new, state.z)
-    return _on_curve(_check_finite_positive(x_star, "x"), _check_finite_positive(y_star, "y"),
-                     p_new, state.z, state.k)
+    return _unchecked(PoolState, {"x": _check_finite_positive(x_star, "x"),
+                                  "y": _check_finite_positive(y_star, "y"),
+                                  "p": p_new, "z": state.z, "k": state.k})
 
 
 def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
@@ -116,8 +120,8 @@ def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
     v_pool = (end.x + end.y / p1) / x0
     v_hold = (x0 + y0 / p1) / x0
     il = v_hold - v_pool
-    return ILReport(z=z, rho=p0 / p1, v_pool=v_pool, v_hold=v_hold,
-                    il_paper=il, il_relative=il / v_hold)
+    return _unchecked(ILReport, {"z": z, "rho": p0 / p1, "v_pool": v_pool, "v_hold": v_hold,
+                                 "il_paper": il, "il_relative": il / v_hold})
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,9 @@ def slippage_taylor(state: PoolState, dx: float) -> SlippageEstimate:
     """Second-order Taylor prediction of trader slippage for buying with dx of X."""
     dx = _check_finite_positive(dx, "dx")
     reserve_y(state.k, state.x + dx, state.p, state.z)   # insolvency check of x + dx >= x
-    return SlippageEstimate(trade_size=dx, taylor_second_derivative_form=_taylor(state, dx))
+    return _unchecked(SlippageEstimate, {"trade_size": dx,
+                                         "taylor_second_derivative_form": _taylor(state, dx),
+                                         "exact": None})
 
 
 def slippage_exact(state: PoolState, direction: TradeDirection,
@@ -160,8 +166,9 @@ def slippage_exact(state: PoolState, direction: TradeDirection,
     if result.direction is TradeDirection.SELL_Y:   # a SELL_X swap has checked x + dx < bound
         _check_solvent(state.k, state.x, state.p, state.z)
     dx = amount_in if result.direction is TradeDirection.SELL_X else result.amount_out
-    return SlippageEstimate(trade_size=dx, taylor_second_derivative_form=_taylor(state, dx),
-                            exact=result.slippage_cost)
+    return _unchecked(SlippageEstimate, {"trade_size": dx,
+                                         "taylor_second_derivative_form": _taylor(state, dx),
+                                         "exact": result.slippage_cost})
 
 
 def normalized_taylor_coefficient(z: float) -> float:

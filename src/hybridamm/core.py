@@ -13,6 +13,7 @@ All operations are pure; states are immutable value objects.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _kernels
@@ -57,10 +58,13 @@ def _check_int(value: int, name: str, minimum: int) -> int:
 class PoolState:
     """Immutable pool snapshot: reserves, oracle price, mix parameter, curve constant.
 
-    The constructor checks all five fields and that (x, y) sits on the curve;
-    :meth:`anchored` checks x, y, p, z, the k it derives and the residual once
-    each; swaps, rebalancing and oracle updates skip the fields they keep.
-    Rebalancing reads y from the curve at its new x, so it skips the residual.
+    Who checks what: the constructor checks all five fields, then the
+    residual, since its caller may pass any k.  :meth:`anchored` checks x,
+    y, p, z, the k it derives and the residual once each.  Swaps and oracle
+    updates check what they change (the new reserves, or p and the
+    re-derived k) and the residual.  Rebalancing reads y from the curve at
+    its new x, so it checks the new reserves only.  All but the constructor
+    build the state with ``_unchecked``.
     """
 
     x: float
@@ -75,19 +79,8 @@ class PoolState:
         object.__setattr__(self, "p", _check_finite_positive(self.p, "p"))
         object.__setattr__(self, "z", _check_mix(self.z))
         object.__setattr__(self, "k", _check_finite_positive(self.k, "k"))
-        self._check_on_curve()
-
-    def _check_on_curve(self) -> "PoolState":
-        residual = _kernels.curve_y(self.k, self.x, self.p, self.z) - self.y
-        # scale by the curve terms, not y itself: near the solvency bound y
-        # is a cancellation of two much larger quantities
-        scale = self.y + self.z * self.p * self.x / (2.0 - self.z)
-        if abs(residual) > _ON_CURVE_RTOL * scale:
-            raise DomainError(
-                f"reserves ({self.x}, {self.y}) do not lie on the (k={self.k}, p={self.p}, "
-                f"z={self.z}) curve: residual {residual:.3e}"
-            )
-        return self
+        _check_residual(self.x, self.y, self.p, self.z, self.k, _kernels.pow_zm1(self.x, self.z),
+                        self.z * self.p * self.x / (2.0 - self.z))
 
     @classmethod
     def anchored(cls, x: float, y: float, p: float, z: float) -> "PoolState":
@@ -96,17 +89,35 @@ class PoolState:
                          _check_finite_positive(p, "p"), _check_mix(z))
 
 
-def _on_curve(x: float, y: float, p: float, z: float, k: float) -> PoolState:
-    """PoolState of fields the caller has checked; nothing is checked here."""
-    state = object.__new__(PoolState)
-    state.__dict__.update(x=x, y=y, p=p, z=z, k=k)
-    return state
+def _unchecked(cls, fields: dict):
+    """Instance of the frozen dataclass ``cls`` whose __dict__ is the new dict ``fields``."""
+    # no check, and no __init__: it would set each field through object.__setattr__
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
+def _check_residual(x: float, y: float, p: float, z: float, k: float,
+                    power: float, linear: float) -> None:
+    """Raise unless (x, y) lies on the (k, p, z) curve, given x**(z-1) and z*p*x/(2-z)."""
+    residual = k * power - linear - y
+    # scale by the curve terms, not y itself: near the solvency bound y
+    # is a cancellation of two much larger quantities
+    if abs(residual) > _ON_CURVE_RTOL * (y + linear):
+        message = (f"reserves ({x}, {y}) do not lie on the (k={k}, p={p}, z={z}) curve: "
+                   f"residual {residual:.3e}")
+        # a subnormal k or spot price has too few bits to resolve the curve
+        for label, value in (("k=", k), ("the spot price ", _kernels.blend_spot(x, y, p, z))):
+            if 0.0 < value < sys.float_info.min:
+                message += f"; {label}{value!r} is subnormal"
+        raise DomainError(message)
 
 
 def _anchored(x: float, y: float, p: float, z: float) -> PoolState:
     """State through checked reserves (x, y) at a checked p and z."""
-    # a subnormal k is too coarse to put (x, y) on its curve
-    return _on_curve(x, y, p, z, _check_finite_positive(_anchor(x, y, p, z), "k"))._check_on_curve()
+    k, power, linear = _anchor(x, y, p, z)
+    _check_residual(x, y, p, z, _check_finite_positive(k, "k"), power, linear)
+    return _unchecked(PoolState, {"x": x, "y": y, "p": p, "z": z, "k": k})
 
 
 def anchor_k(x: float, y: float, p: float, z: float) -> float:
@@ -116,15 +127,18 @@ def anchor_k(x: float, y: float, p: float, z: float) -> float:
     y + p*x at z = 1.
     """
     return _anchor(_check_finite_positive(x, "x"), _check_finite_positive(y, "y"),
-                   _check_finite_positive(p, "p"), _check_mix(z))
+                   _check_finite_positive(p, "p"), _check_mix(z))[0]
 
 
-def _anchor(x: float, y: float, p: float, z: float) -> float:
-    k = _kernels.curve_anchor(x, y, p, z)
-    # curve_anchor divides by x**(z-1), which is inf at tiny x with small z
-    if k == 0.0 and _kernels.pow_zm1(x, z) == math.inf:
+def _anchor(x: float, y: float, p: float, z: float) -> tuple[float, float, float]:
+    """k, and the curve terms x**(z-1) and z*p*x/(2-z) it is built from."""
+    power = _kernels.pow_zm1(x, z)
+    linear = z * p * x / (2.0 - z)
+    k = (y + linear) / power   # as _kernels.curve_anchor
+    # x**(z-1) is inf at tiny x with small z, where k comes out 0
+    if k == 0.0 and power == math.inf:
         raise DomainError(f"x**(z-1) is past double range at x={x!r}, z={z!r}")
-    return k
+    return k, power, linear
 
 
 def max_x_bound(k: float, p: float, z: float) -> float:

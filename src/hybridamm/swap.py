@@ -9,6 +9,12 @@ and X by ``_kernels.solve_delta_x``, so both keep their accuracy relative to
 the trade.  A trade that takes more than half of the reserve it is paid from
 reads the new state from the curve instead.
 
+Who checks what: ``_swap`` checks the amount, the new reserves and that
+they lie on the curve, then builds the result with ``core._unchecked`` and
+runs ``SwapResult._check`` on it, the field check that the public
+``SwapResult(...)`` runs from ``__post_init__``.  The pool's own fields were
+checked when it was built and are not checked again.
+
 The reason codes of ``trade`` become exceptions: ``DUST`` and ``NO_MOVE`` a
 ``DomainError``, ``PAST_BOUND`` an ``InfeasibleTradeError`` and ``NO_ROOT`` a
 ``ConvergenceError``.  Exact-in also raises ``InsolvencyError`` at or past
@@ -25,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .core import PoolState, _check_finite_positive, _on_curve
+from .core import PoolState, _check_finite_positive, _check_residual, _unchecked
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -65,7 +71,7 @@ class SwapResult:
     slippage_cost: float
     new_state: PoolState
 
-    def __post_init__(self):
+    def _check(self):
         # spot_after may round to 0 near the solvency bound at subnormal z
         if not (0.0 < self.amount_in < math.inf and 0.0 < self.amount_out < math.inf
                 and 0.0 < self.exec_price < math.inf and 0.0 < self.spot_before < math.inf
@@ -77,6 +83,9 @@ class SwapResult:
             if not 0.0 <= self.spot_after < math.inf:
                 raise DomainError(f"swap produced non-finite or negative spot_after: {self.spot_after!r}")
             raise DomainError(f"swap produced invalid slippage_cost: {self.slippage_cost!r}")
+        return self
+
+    __post_init__ = _check
 
 
 def swap_exact_in(state: PoolState, direction: TradeDirection, amount_in: float) -> SwapResult:
@@ -101,24 +110,24 @@ def swap_exact_out(state: PoolState, direction: TradeDirection, amount_out: floa
 
 
 def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out: bool) -> SwapResult:
-    direction = TradeDirection(direction)
-    name = "amount_out" if exact_out else "amount_in"
-    amount = _check_finite_positive(amount, name)
+    if direction.__class__ is not TradeDirection:   # a wire name such as "sell-x"
+        direction = TradeDirection(direction)
+    amount = _check_finite_positive(amount, "amount_out" if exact_out else "amount_in")
     x, y, k, p, z = state.x, state.y, state.k, state.p, state.z
     sell_y = direction is TradeDirection.SELL_Y
-    sold, bought = ("Y", "X") if sell_y else ("X", "Y")
     if exact_out:
         reserve = x if sell_y else y
         if amount >= reserve * _EXACT_OUT_MARGIN:
             raise InfeasibleTradeError(
-                f"cannot pay out {amount} {bought} from a reserve of {reserve}",
+                f"cannot pay out {amount} {'X' if sell_y else 'Y'} from a reserve of {reserve}",
                 max_amount_out=reserve * _EXACT_OUT_MARGIN,
             )
     x_new, y_new, amount_in, amount_out, slippage, reason = _kernels.trade(
         x, y, p, z, k, sell_y, amount, exact_out)
     # dust is reported before insolvency; an insolvent trade's result is discarded
     if reason == _kernels.DUST:
-        raise DomainError(f"amount_in={amount} is dust below 1e-15 of the {sold} reserve")
+        raise DomainError(f"amount_in={amount} is dust below 1e-15 of the "
+                          f"{'Y' if sell_y else 'X'} reserve")
     if not exact_out:
         if sell_y:
             bound = None
@@ -129,6 +138,7 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
             max_in = bound - x
             insolvent = x + amount >= bound
         if insolvent:
+            sold, bought = ("Y", "X") if sell_y else ("X", "Y")
             raise InsolvencyError(
                 f"selling {amount} {sold} would exhaust the {bought} reserve "
                 f"(max feasible amount_in {max_in})",
@@ -136,7 +146,8 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
                 max_amount_in=max_in,
             )
     if reason == _kernels.NO_MOVE:
-        raise DomainError(f"{name}={amount} is too small to move the curve")
+        raise DomainError(f"{'amount_out' if exact_out else 'amount_in'}={amount} "
+                          f"is too small to move the curve")
     if reason != _kernels.EXECUTED:
         # only the Y-fixed trades invert the curve: SELL_Y in, SELL_X out
         lo, hi = ((_kernels.X_FLOOR_REL * x, x) if sell_y
@@ -152,15 +163,17 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
             f"(k={k}, p={p}, z={z}) over [{lo}, {hi}]"
         )
 
-    return SwapResult(
-        direction=direction,
-        amount_in=amount_in,
-        amount_out=amount_out,
-        exec_price=amount_in / amount_out if sell_y else amount_out / amount_in,
-        spot_before=_kernels.blend_spot(x, y, p, z),
-        spot_after=_kernels.blend_spot(x_new, y_new, p, z),
-        slippage_cost=slippage,
-        # where k or the spot price is subnormal, the trade and the curve round apart
-        new_state=_on_curve(_check_finite_positive(x_new, "x"), _check_finite_positive(y_new, "y"),
-                            p, z, k)._check_on_curve(),
-    )
+    x_new, y_new = _check_finite_positive(x_new, "x"), _check_finite_positive(y_new, "y")
+    # where k or the spot price is subnormal, the trade and the curve round apart
+    _check_residual(x_new, y_new, p, z, k, _kernels.pow_zm1(x_new, z), z * p * x_new / (2.0 - z))
+    # built without __init__, then checked as the public constructor checks it
+    return _unchecked(SwapResult, {
+        "direction": direction,
+        "amount_in": amount_in,
+        "amount_out": amount_out,
+        "exec_price": amount_in / amount_out if sell_y else amount_out / amount_in,
+        "spot_before": _kernels.blend_spot(x, y, p, z),
+        "spot_after": _kernels.blend_spot(x_new, y_new, p, z),
+        "slippage_cost": slippage,
+        "new_state": _unchecked(PoolState, {"x": x_new, "y": y_new, "p": p, "z": z, "k": k}),
+    })._check()

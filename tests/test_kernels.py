@@ -76,6 +76,20 @@ def test_sentinels():
     assert _kernels.solvency_bound(2.0, 1.0, 1.0) == 2.0
 
 
+def test_underflows_give_nan_not_raw_errors():
+    # the spot price underflows to 0, so Newton has no start; trade inverts the curve
+    x, y, p, z = 1e200, 1e-200, 0.5, 5e-324
+    assert _kernels.blend_spot(x, y, p, z) == 0.0
+    assert math.isnan(_kernels.solve_delta_x(x, y, p, z, 1e-201))
+    # (2-z)*k/(2p) underflows to 0, where its log would raise
+    assert math.isnan(_kernels.arb_target_x(1e-226, 1e100, 0.5))
+    # run_steps skips such an arbitrage, as it skips one inside the dead band
+    prices = np.full(2, 1e100)
+    result = _kernels.run_steps(1e-217, 1e-200, 0.5, prices, True, np.zeros(0), np.zeros(0),
+                                0, 1.0)
+    assert result[1].tolist() == [1e-217] * 2 and result[2].tolist() == [1e-200] * 2
+
+
 def test_invert_returns_nan_for_infinite_bracket():
     # the stopping test b - a <= 1e-13*mid holds at mid = inf, which once
     # "converged" to x = inf

@@ -282,3 +282,10 @@ def run_steps_skips(pool, frac, sell_y):
 def test_direction_accepts_wire_names():
     result = ha.swap_exact_in(unit_pool(0.0), "sell-x", 1.0)
     assert result.direction is SELL_X
+    result = ha.swap_exact_out(unit_pool(0.5), "sell-y", 0.1)
+    assert result.direction is SELL_Y
+    assert result == ha.swap_exact_out(unit_pool(0.5), SELL_Y, 0.1)
+    estimate = ha.slippage_exact(unit_pool(0.5), "sell-x", 0.1)
+    assert estimate == ha.slippage_exact(unit_pool(0.5), SELL_X, 0.1)
+    with pytest.raises(ValueError, match="'buy-x' is not a valid TradeDirection"):
+        ha.swap_exact_in(unit_pool(0.5), "buy-x", 0.1)

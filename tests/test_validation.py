@@ -1,5 +1,6 @@
 """Input validation: exact error messages, and what checks cost when they pass."""
 
+import dataclasses
 import importlib
 import math
 
@@ -62,7 +63,7 @@ CASES = {
     # a subnormal k is too coarse for the curve to pass through (x, y)
     "anchored-k-subnormal": (lambda: ha.PoolState.anchored(1e-160, 1e-160, 1.0, 0.0), DomainError,
                              "reserves (1e-160, 1e-160) do not lie on the (k=1e-320, p=1.0, z=0.0) "
-                             "curve: residual -1.113e-165"),
+                             "curve: residual -1.113e-165; k=1e-320 is subnormal"),
     "anchored-x-first": (lambda: ha.PoolState.anchored(NAN, NAN, NAN, NAN), DomainError,
                          positive("x", NAN)),
     "anchored-y-before-p": (lambda: ha.PoolState.anchored(2.0, -0.0, 0.0, 2.0), DomainError,
@@ -98,7 +99,18 @@ CASES = {
                                                                               2.2e-308), SX, 1e250),
                                DomainError, "reserves (5.601e+253, 1.999312954039508e-65) do not lie "
                                "on the (k=1.637441986384372e+189, p=1.5e-11, z=2.2e-308) curve: "
-                               "residual -4.940e-74"),
+                               "residual -4.940e-74; the spot price 6.8696e-319 is subnormal"),
+    # the spot price underflows to 0, so curve inversion has no start for Newton
+    "in-spot-zero": (lambda: ha.swap_exact_in(ha.PoolState.anchored(1e200, 1e-200, 0.5, 5e-324),
+                                              SY, 1e-201), DomainError,
+                     "swap produced non-finite or non-positive exec_price: 0.0"),
+    # the public constructor checks the same fields, with the same messages
+    "result-amount_in-nan": (lambda: ha.SwapResult(SX, NAN, 1.0, 1.0, 1.0, 1.0, 0.0, S), DomainError,
+                             "swap produced non-finite or non-positive amount_in: nan"),
+    "result-spot_after-neg": (lambda: ha.SwapResult(SY, 1.0, 1.0, 1.0, 1.0, -1.0, 0.0, S),
+                              DomainError, "swap produced non-finite or negative spot_after: -1.0"),
+    "result-slippage-nan": (lambda: ha.SwapResult(SX, 1.0, 1.0, 1.0, 1.0, 1.0, NAN, S), DomainError,
+                            "swap produced invalid slippage_cost: nan"),
     "out-nan": (lambda: ha.swap_exact_out(S, SY, NAN), DomainError, positive("amount_out", NAN)),
     "out-neginf": (lambda: ha.swap_exact_out(S, SX, -INF), DomainError,
                    positive("amount_out", -INF)),
@@ -140,6 +152,10 @@ CASES = {
     "rebalance-zero": (lambda: ha.rebalance_to_oracle(S, 0.0), DomainError, positive("p_new", 0.0)),
     "rebalance-new-x-inf": (lambda: ha.rebalance_to_oracle(S, 1e-320), DomainError,
                             positive("x", INF)),
+    "rebalance-target-underflow": (lambda: ha.rebalance_to_oracle(
+        ha.PoolState.anchored(1e-200, 1e-200, 1e100, 0.5), 1e300), DomainError,
+        "cannot rebalance the (k=3.3333333333332965e-201, z=0.5) curve to p=1e+300: "
+        "(2-z)*k/(2*p) underflows to 0"),
     # oracle updates check p_new, then the k re-derived through the kept reserves
     "oracle-neg": (lambda: ha.apply_oracle_update(S, -1.0), DomainError, positive("p_new", -1.0)),
     "oracle-inf": (lambda: ha.apply_oracle_update(S, INF), DomainError, positive("p_new", INF)),
@@ -213,6 +229,73 @@ def checked(monkeypatch):
 def test_each_quote_input_is_checked_once(checked, call, names):
     call()
     assert checked == names
+
+
+@pytest.fixture
+def residuals(monkeypatch):
+    """Points whose on-curve residual is checked, in order, through every module's import."""
+    seen = []
+    check_residual = core._check_residual
+
+    def record(x, y, p, z, k, power, linear):
+        seen.append((x, y))
+        return check_residual(x, y, p, z, k, power, linear)
+
+    for module in ("core", "swap", "analytics", "oracle"):
+        module = importlib.import_module(f"hybridamm.{module}")
+        if hasattr(module, "_check_residual"):
+            monkeypatch.setattr(module, "_check_residual", record)
+    return seen
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda: ha.PoolState.anchored(2.0, 3.0, 1.5, 0.4), 1),
+    (lambda: ha.PoolState(S.x, S.y, S.p, S.z, S.k), 1),
+    (lambda: ha.swap_exact_in(S, SX, 0.1), 1),
+    (lambda: ha.swap_exact_in(S, SY, 0.1), 1),
+    (lambda: ha.swap_exact_out(S, SX, 0.1), 1),
+    (lambda: ha.swap_exact_out(S, SY, 0.1), 1),
+    (lambda: ha.slippage_exact(S, SX, 0.1), 1),
+    (lambda: ha.slippage_taylor(S, 0.1), 0),
+    (lambda: ha.apply_oracle_update(S, 2.0), 1),
+    (lambda: ha.rebalance_to_oracle(S, 2.0), 0),
+    # the anchored pool, and not the rebalanced one
+    (lambda: ha.il_simulated(2.0, 1.5, 2.0, 0.4), 1),
+], ids=["anchored", "constructor", "in-sell-x", "in-sell-y", "out-sell-x", "out-sell-y",
+        "slippage_exact", "slippage_taylor", "oracle_update", "rebalance", "il_simulated"])
+def test_each_state_residual_is_checked_once(residuals, call, count):
+    result = call()
+    assert len(residuals) == count
+    # the swaps check the state they return
+    state = getattr(result, "new_state", result)
+    if count and isinstance(state, ha.PoolState):
+        assert residuals == [(state.x, state.y)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ha.swap_exact_in(S, SX, 0.1),
+    lambda: ha.swap_exact_in(S, SY, 0.1),
+    lambda: ha.swap_exact_out(S, SX, 0.1),
+    lambda: ha.swap_exact_out(S, SY, 0.1),
+    lambda: ha.slippage_exact(S, SX, 0.1),
+    lambda: ha.slippage_exact(S, SY, 0.1),
+    lambda: ha.slippage_taylor(S, 0.1),
+    lambda: ha.il_closed_form(0.4, 0.5),
+    lambda: ha.il_simulated(2.0, 1.5, 2.0, 0.4),
+    lambda: ha.rebalance_to_oracle(S, 2.0),
+    lambda: ha.apply_oracle_update(S, 2.0),
+], ids=["in-sell-x", "in-sell-y", "out-sell-x", "out-sell-y", "slippage_exact-sell-x",
+        "slippage_exact-sell-y", "slippage_taylor", "il_closed_form", "il_simulated",
+        "rebalance", "oracle_update"])
+def test_results_equal_their_public_construction(call):
+    """A result built without __init__ is the object its public constructor builds, checks passed."""
+    result = call()
+    rebuilt = type(result)(**vars(result))
+    assert rebuilt == result
+    assert vars(rebuilt) == vars(result)
+    assert list(vars(result)) == [field.name for field in dataclasses.fields(result)]
+    if isinstance(result, ha.SwapResult):
+        assert ha.PoolState(**vars(result.new_state)) == result.new_state
 
 
 def test_swap_on_a_pool_with_subnormal_price():
