@@ -92,22 +92,21 @@ def solvency_bound(k, p, z):
         return math.inf
     if z == 1.0:
         return k / p
-    try:
-        if z < 2.0 ** -53:
-            # 2 - z rounds to 2, so the bound is sqrt(2k/(zp)).  Here zp can
-            # underflow and 2k/(zp) overflow although the bound itself lies
-            # well inside double range (about 6.4e161 at z = 5e-324, k = p = 1);
-            # scaling z by 2**1000, which is exact, keeps the factors in range
-            # unless p is far from 1 as well.
-            bound = math.sqrt(2.0 * k / (z * 2.0 ** 1000 * p)) * 2.0 ** 500
-        else:
-            bound = math.exp(math.log((2.0 - z) * k / (z * p)) / (2.0 - z))
-        if 0.0 < bound < math.inf:
-            return bound
-    except (ZeroDivisionError, ValueError):
-        pass
-    # zp underflowed, or b = (2-z)k/(zp) left double range (to 0, where log
-    # raises, or to inf), although the bound b**(1/(2-z)) may lie inside it.
+    # Below z = 2**-53, 2 - z rounds to 2, so the bound is sqrt(2k/(zp)).  Here
+    # zp can underflow and 2k/(zp) overflow although the bound itself lies
+    # well inside double range (about 6.4e161 at z = 5e-324, k = p = 1);
+    # scaling z by 2**1000, which is exact, keeps the factors in range unless
+    # p is far from 1 as well.
+    small = z < 2.0 ** -53
+    den = z * 2.0 ** 1000 * p if small else z * p
+    # a subnormal k, denominator or quotient keeps only a few bits, so the
+    # fast path takes only normal ones
+    if k >= 2.0 ** -1022 and den >= 2.0 ** -1022:
+        b = (2.0 - z) * k / den
+        if 2.0 ** -1022 <= b < math.inf:
+            return math.sqrt(b) * 2.0 ** 500 if small else math.exp(math.log(b) / (2.0 - z))
+    # zp or b = (2-z)k/(zp) is subnormal or left double range (to 0 or to
+    # inf), although the bound b**(1/(2-z)) may lie inside it.
     # With b = m * 2**e and m in (0.5, 8), e/(2-z) is split exactly into an
     # integer q and a fraction: rounded as a float, it would move the bound
     # by up to 1e-13 of itself.

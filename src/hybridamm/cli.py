@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytics import il_closed_form, il_simulated, slippage_exact
 from .core import PoolState
-from .errors import DomainError, HybridAmmError, InsolvencyError
+from .errors import DomainError, HybridAmmError
 from .oracle import dump_price_csv
 from .serialize import FORMATS, write_rows
 from .simulator import METRICS_HEADER, load_scenario, run_scenario, sweep_reserve_curve
@@ -46,11 +46,14 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"{text!r} must be comma-separated numbers") from None
 
 
-def _triple(text: str) -> tuple[float, float, float]:
-    values = _float_list(text)
-    if len(values) != 3:
-        raise argparse.ArgumentTypeError(f"{text!r} must be exactly x,y,p")
-    return values[0], values[1], values[2]
+def _exactly(*names: str):
+    """Argument type for a fixed list such as X,Y,P: one number per name."""
+    def parse(text: str) -> tuple[float, ...]:
+        values = _float_list(text)
+        if len(values) != len(names):
+            raise argparse.ArgumentTypeError(f"{text!r} must be exactly {','.join(names)}")
+        return tuple(values)
+    return parse
 
 
 def _emit(args, header, rows) -> None:
@@ -68,18 +71,17 @@ def _add_output_flags(sub) -> None:
 
 def cmd_curve(args) -> int:
     if args.anchor is not None:
-        x, y, p = args.anchor
         # the sweep re-anchors per z; at z = 0, 1/x overflows for subnormal x
-        state = PoolState.anchored(x, y, p, args.z[0])
+        state = PoolState.anchored(*args.anchor, args.z[0])
         rows = sweep_reserve_curve(state, args.z, args.x_grid)
     else:
-        rows = sweep_reserve_curve(args.k, args.z, args.x_grid, p=args.p)
+        rows = sweep_reserve_curve(args.k, args.z, args.x_grid)
     _emit(args, ("z", "x", "y"), rows)
     return 0
 
 
 def cmd_swap(args) -> int:
-    state = PoolState.anchored(args.x, args.y, args.p, args.z)
+    state = PoolState.anchored(*args.anchor, args.z)
     direction = TradeDirection(args.direction)
     if args.amount_in is not None:
         result = swap_exact_in(state, direction, args.amount_in)
@@ -95,45 +97,31 @@ def cmd_swap(args) -> int:
 
 
 def cmd_il(args) -> int:
-    if args.rho_grid is not None:
-        if args.p1 is not None:
-            args.parser.error("--p1 only applies with --p0")
-        pairs = [(float(rho), None) for rho in args.rho_grid]
+    if args.prices is not None:
+        p0, p1 = args.prices
+        if not (math.isfinite(p0) and p0 > 0.0 and math.isfinite(p1) and p1 > 0.0):
+            raise DomainError(f"prices must be finite and > 0, got p0={p0}, p1={p1}")
+        moves = [(p0, p1)]
     else:
-        if args.p1 is None:
-            args.parser.error("--p0 requires --p1")
-        if not (math.isfinite(args.p0) and args.p0 > 0.0
-                and math.isfinite(args.p1) and args.p1 > 0.0):
-            raise DomainError(f"prices must be finite and > 0, got p0={args.p0}, p1={args.p1}")
-        pairs = [(args.p0 / args.p1, (args.p0, args.p1))]
+        moves = [(float(rho), 1.0) for rho in args.rho_grid]
     rows = []
-    for z in args.z_list:
-        for rho, prices in pairs:
-            if args.simulate:
-                p0, p1 = prices if prices is not None else (rho, 1.0)
-                report = il_simulated(1.0, p0, p1, z)
-            else:
-                report = il_closed_form(z, rho)
+    for z in args.z:
+        for p0, p1 in moves:
+            report = il_simulated(1.0, p0, p1, z) if args.simulate else il_closed_form(z, p0 / p1)
             rows.append((z, report.rho, report.il_paper, report.il_relative))
     _emit(args, ("z", "rho", "il_paper", "il_relative"), rows)
     return 0
 
 
 def cmd_slippage(args) -> int:
-    if args.normalized:
-        pool = (1.0, 1.0, 1.0)
-    elif args.x is None or args.y is None or args.p is None:
-        args.parser.error("--x, --y and --p are required without --normalized")
-    else:
-        pool = (args.x, args.y, args.p)
     rows = []
-    for z in args.z_list:
-        state = PoolState.anchored(pool[0], pool[1], pool[2], z)
+    for z in args.z:
+        state = PoolState.anchored(*args.anchor, z)
         for dx in args.dx_grid:
             try:
                 estimate = slippage_exact(state, TradeDirection.SELL_X, float(dx))
                 taylor, exact = estimate.taylor_second_derivative_form, estimate.exact
-            except (InsolvencyError, DomainError):
+            except DomainError:   # InsolvencyError included
                 taylor = exact = math.nan  # beyond solvency: row kept, marked infeasible
             rows.append((z, float(dx), taylor, exact))
     _emit(args, ("z", "dx", "taylor", "exact"), rows)
@@ -174,24 +162,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
+    z_list = dict(type=_float_list, required=True,
+                  help="comma-separated mix parameters, e.g. 0,0.5,1")
+    anchor = dict(type=_exactly("x", "y", "p"), metavar="X,Y,P",
+                  help="pool reserves (x, y) at oracle price p; the unit pool is 1,1,1")
+
     curve = subs.add_parser("curve", help="tabulate reserve curves over an x grid")
-    curve.add_argument("--z", type=_float_list, required=True,
-                       help="comma-separated mix parameters, e.g. 0,0.5,1")
+    curve.add_argument("--z", **z_list)
     source = curve.add_mutually_exclusive_group(required=True)
-    source.add_argument("--k", type=float, help="explicit curve constant")
-    source.add_argument("--anchor", type=_triple, metavar="X,Y,P",
-                        help="anchor every curve through reserves (x, y) at price p")
-    curve.add_argument("--p", type=float, default=1.0,
-                       help="oracle price used with --k (default 1)")
+    source.add_argument("--k", type=float, help="explicit curve constant, at oracle price 1")
+    source.add_argument("--anchor", **anchor)
     curve.add_argument("--x-grid", type=_grid, required=True, metavar="START:STOP:COUNT")
     _add_output_flags(curve)
     curve.set_defaults(func=cmd_curve)
 
     swap = subs.add_parser("swap", help="quote one swap against an anchored pool")
     swap.add_argument("--z", type=float, required=True)
-    swap.add_argument("--x", type=float, required=True)
-    swap.add_argument("--y", type=float, required=True)
-    swap.add_argument("--p", type=float, required=True)
+    swap.add_argument("--anchor", required=True, **anchor)
     swap.add_argument("--direction", choices=[d.value for d in TradeDirection], required=True)
     amount = swap.add_mutually_exclusive_group(required=True)
     amount.add_argument("--amount-in", type=float)
@@ -200,25 +187,21 @@ def _build_parser() -> argparse.ArgumentParser:
     swap.set_defaults(func=cmd_swap)
 
     il = subs.add_parser("il", help="impermanent-loss tables over z and rho")
-    il.add_argument("--z-list", type=_float_list, required=True)
-    ratio = il.add_mutually_exclusive_group(required=True)
-    ratio.add_argument("--rho-grid", type=_grid, metavar="START:STOP:COUNT",
-                       help="grid of price ratios p0/p1")
-    ratio.add_argument("--p0", type=float, help="old oracle price (with --p1)")
-    il.add_argument("--p1", type=float, help="new oracle price (with --p0)")
+    il.add_argument("--z", **z_list)
+    move = il.add_mutually_exclusive_group(required=True)
+    move.add_argument("--rho-grid", type=_grid, metavar="START:STOP:COUNT",
+                      help="grid of price ratios p0/p1, each a move from p0 = rho to p1 = 1")
+    move.add_argument("--prices", type=_exactly("p0", "p1"), metavar="P0,P1",
+                      help="one move of the oracle price from p0 to p1")
     il.add_argument("--simulate", action="store_true",
                     help="measure by rebalancing a pool instead of the closed form")
     _add_output_flags(il)
     il.set_defaults(func=cmd_il)
 
     slippage = subs.add_parser("slippage", help="Taylor vs exact slippage over trade sizes")
-    slippage.add_argument("--z-list", type=_float_list, required=True)
+    slippage.add_argument("--z", **z_list)
     slippage.add_argument("--dx-grid", type=_grid, required=True, metavar="START:STOP:COUNT")
-    slippage.add_argument("--normalized", action="store_true",
-                          help="use the unit pool x=y=p=1")
-    slippage.add_argument("--x", type=float)
-    slippage.add_argument("--y", type=float)
-    slippage.add_argument("--p", type=float)
+    slippage.add_argument("--anchor", required=True, **anchor)
     _add_output_flags(slippage)
     slippage.set_defaults(func=cmd_slippage)
 
@@ -228,9 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--format", choices=FORMATS, default="csv",
                           help="metric file format (default csv)")
     simulate.set_defaults(func=cmd_simulate)
-
-    for sub in (curve, swap, il, slippage, simulate):
-        sub.set_defaults(parser=sub)
     return parser
 
 

@@ -18,7 +18,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "PricePath",
     "GbmParams",
     "constant_path",
-    "schedule_path",
     "gbm_path",
     "apply_oracle_update",
     "load_price_csv",
@@ -82,11 +81,6 @@ class GbmParams:
 def constant_path(price: float, steps: int) -> PricePath:
     """Path holding one price for the given number of steps."""
     return PricePath(np.full(_check_int(steps, "steps", 1), float(price)))
-
-
-def schedule_path(prices: Sequence[float]) -> PricePath:
-    """Path from an explicit per-step price sequence."""
-    return PricePath(prices)
 
 
 def gbm_path(params: GbmParams) -> PricePath:

@@ -132,23 +132,22 @@ def _path_from_spec(spec: dict, where: str, *, p0: float, steps: int,
     """The price path a config's ``path`` object describes.
 
     ``constant`` and ``gbm`` paths have the scenario's steps and start at its
-    p0 unless the object overrides it; a relative replay file resolves against
-    ``base_dir``.  ``spec`` is the copy ``_take`` made, so popping its
-    ``kind`` leaves the caller's mapping alone.
+    p0; a relative replay file resolves against ``base_dir``.  ``spec`` is the
+    copy ``_take`` made, so popping its ``kind`` leaves the caller's mapping
+    alone.
     """
     kind = spec.pop("kind", None)
     # builders are looked up on the oracle module, so a wrapper put there
     # (perfbench traces oracle.gbm_path) sees every call
     if kind == "constant":
-        fields = _take(spec, where, {}, {"price": (float, p0)})
-        return oracle.constant_path(fields["price"], steps)
+        _take(spec, where, {}, {})   # no fields: it holds the top-level p0
+        return oracle.constant_path(p0, steps)
     if kind == "schedule":
         fields = _take(spec, where, {"prices": list}, {})
-        return oracle.schedule_path([_cast(p, float, f"{where}.prices") for p in fields["prices"]])
+        return PricePath([_cast(p, float, f"{where}.prices") for p in fields["prices"]])
     if kind == "gbm":
-        fields = _take(spec, where, {"mu": float, "sigma": float, "seed": int},
-                       {"p0": (float, p0)})
-        return oracle.gbm_path(GbmParams(steps=steps, **fields))
+        fields = _take(spec, where, {"mu": float, "sigma": float, "seed": int}, {})
+        return oracle.gbm_path(GbmParams(p0=p0, steps=steps, **fields))
     if kind == "replay":
         fields = _take(spec, where, {"file": str}, {})
         return oracle.load_price_csv(os.path.join(base_dir, fields["file"]))

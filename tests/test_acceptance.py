@@ -174,7 +174,7 @@ def test_cli_regenerates_figure_data(report, tmp_path):
             assert abs(float(row["y"]) - 1.0) <= 1e-12
 
         slippage = tmp_path / "slippage.csv"
-        assert cli_main(["slippage", "--z-list", "0,0.25,0.5,0.75,1", "--normalized",
+        assert cli_main(["slippage", "--z", "0,0.25,0.5,0.75,1", "--anchor", "1,1,1",
                          "--dx-grid", "0.005:0.02:4", "--out", str(slippage)]) == 0
         by_dx = {}
         for row in read_csv(slippage):
@@ -185,7 +185,7 @@ def test_cli_regenerates_figure_data(report, tmp_path):
             assert all(a > b for a, b in zip(values, values[1:]))
 
         il = tmp_path / "il.csv"
-        assert cli_main(["il", "--z-list", "0,0.3,0.6,0.9", "--p0", "4", "--p1", "1",
+        assert cli_main(["il", "--z", "0,0.3,0.6,0.9", "--prices", "4,1",
                          "--out", str(il)]) == 0
         losses = [float(row["il_paper"]) for row in read_csv(il)]
         assert all(a > b for a, b in zip(losses, losses[1:]))

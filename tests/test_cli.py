@@ -88,7 +88,7 @@ def swap_row(capsys, *extra):
 
 
 def test_swap_constant_product(capsys):
-    row = swap_row(capsys, "--z", "0", "--x", "1", "--y", "1", "--p", "1",
+    row = swap_row(capsys, "--z", "0", "--anchor", "1,1,1",
                    "--direction", "sell-x", "--amount-in", "1")
     assert row["direction"] == "sell-x"
     assert row["amount_out"] == pytest.approx(0.5, rel=1e-15)
@@ -96,36 +96,36 @@ def test_swap_constant_product(capsys):
 
 
 def test_swap_full_mix_zero_slippage(capsys):
-    row = swap_row(capsys, "--z", "1", "--x", "1", "--y", "1", "--p", "1",
+    row = swap_row(capsys, "--z", "1", "--anchor", "1,1,1",
                    "--direction", "sell-x", "--amount-in", "0.5")
     assert row["slippage_cost"] == 0.0
     assert row["exec_price"] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_swap_half_mix_reference(capsys):
-    row = swap_row(capsys, "--z", "0.5", "--x", "1", "--y", "1", "--p", "1",
+    row = swap_row(capsys, "--z", "0.5", "--anchor", "1,1,1",
                    "--direction", "sell-x", "--amount-in", "0.1")
     assert row["amount_out"] == pytest.approx(OUT_REF, rel=1e-12)
 
 
 def test_swap_exact_out(capsys):
-    row = swap_row(capsys, "--z", "0", "--x", "1", "--y", "1", "--p", "1",
+    row = swap_row(capsys, "--z", "0", "--anchor", "1,1,1",
                    "--direction", "sell-x", "--amount-out", "0.5")
     assert row["amount_in"] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_swap_insolvency_reports_max_feasible(capsys):
-    code, _, err = run_cli(capsys, "swap", "--z", "0.5", "--x", "1", "--y", "1",
-                           "--p", "1", "--direction", "sell-x", "--amount-in", "10")
+    code, _, err = run_cli(capsys, "swap", "--z", "0.5", "--anchor", "1,1,1",
+                           "--direction", "sell-x", "--amount-in", "10")
     assert code == 1
     assert err.startswith("error:")
     assert "max feasible amount_in 1.519842099789746" in err
 
 
 def test_swap_usage_errors(capsys):
-    assert run_cli(capsys, "swap", "--z", "0", "--x", "1", "--y", "1", "--p", "1",
+    assert run_cli(capsys, "swap", "--z", "0", "--anchor", "1,1,1",
                    "--direction", "sell-x")[0] == 2
-    assert run_cli(capsys, "swap", "--z", "0", "--x", "1", "--y", "1", "--p", "1",
+    assert run_cli(capsys, "swap", "--z", "0", "--anchor", "1,1,1",
                    "--direction", "both", "--amount-in", "1")[0] == 2
 
 
@@ -133,7 +133,7 @@ def test_swap_usage_errors(capsys):
 
 
 def test_il_zero_at_unit_ratio(capsys):
-    code, out, _ = run_cli(capsys, "il", "--z-list", "0,0.5,1", "--rho-grid", "1:1:1")
+    code, out, _ = run_cli(capsys, "il", "--z", "0,0.5,1", "--rho-grid", "1:1:1")
     assert code == 0
     for row in csv_rows(out):
         assert row["il_paper"] == 0.0
@@ -141,7 +141,7 @@ def test_il_zero_at_unit_ratio(capsys):
 
 
 def test_il_forced_arithmetic(capsys):
-    code, out, _ = run_cli(capsys, "il", "--z-list", "0", "--p0", "4", "--p1", "1")
+    code, out, _ = run_cli(capsys, "il", "--z", "0", "--prices", "4,1")
     assert code == 0
     (row,) = csv_rows(out)
     assert row["rho"] == 4.0
@@ -149,7 +149,7 @@ def test_il_forced_arithmetic(capsys):
 
 
 def test_il_monotone_in_z(capsys):
-    code, out, _ = run_cli(capsys, "il", "--z-list", "0,0.3,0.6,0.9",
+    code, out, _ = run_cli(capsys, "il", "--z", "0,0.3,0.6,0.9",
                            "--rho-grid", "4:4:1")
     assert code == 0
     values = [row["il_paper"] for row in csv_rows(out)]
@@ -157,19 +157,18 @@ def test_il_monotone_in_z(capsys):
 
 
 def test_il_simulate_matches_closed_form(capsys):
-    code, out, _ = run_cli(capsys, "il", "--z-list", "0.6", "--p0", "3",
-                           "--p1", "1.5", "--simulate")
+    code, out, _ = run_cli(capsys, "il", "--z", "0.6", "--prices", "3,1.5", "--simulate")
     assert code == 0
     (row,) = csv_rows(out)
     assert row["il_paper"] == pytest.approx(-0.28134142403055172, rel=1e-9)
-    code, out, _ = run_cli(capsys, "il", "--z-list", "0.6", "--rho-grid", "2:2:1",
+    code, out, _ = run_cli(capsys, "il", "--z", "0.6", "--rho-grid", "2:2:1",
                            "--simulate")
     (grid_row,) = csv_rows(out)
     assert grid_row["il_paper"] == pytest.approx(row["il_paper"], rel=1e-12)
 
 
 def test_il_simulate_rejects_full_mix(capsys):
-    code, _, err = run_cli(capsys, "il", "--z-list", "1", "--rho-grid", "2:2:1",
+    code, _, err = run_cli(capsys, "il", "--z", "1", "--rho-grid", "2:2:1",
                            "--simulate")
     assert code == 1
     assert err.startswith("error:")
@@ -177,20 +176,20 @@ def test_il_simulate_rejects_full_mix(capsys):
 
 
 def test_il_price_flag_coupling(capsys):
-    assert run_cli(capsys, "il", "--z-list", "0", "--p0", "2")[0] == 2
-    assert run_cli(capsys, "il", "--z-list", "0", "--rho-grid", "1:1:1",
-                   "--p1", "2")[0] == 2
-    code, _, err = run_cli(capsys, "il", "--z-list", "0", "--p0", "0", "--p1", "1")
+    assert run_cli(capsys, "il", "--z", "0", "--prices", "4")[0] == 2
+    assert run_cli(capsys, "il", "--z", "0", "--rho-grid", "1:1:1",
+                   "--prices", "4,1")[0] == 2
+    code, _, err = run_cli(capsys, "il", "--z", "0", "--prices", "0,1")
     assert code == 1
-    assert err.startswith("error:")
+    assert err == "error: prices must be finite and > 0, got p0=0.0, p1=1.0\n"
 
 
 # ------------------------------------------------------------------- slippage
 
 
 def test_slippage_worked_example_coefficients(capsys):
-    code, out, _ = run_cli(capsys, "slippage", "--z-list", "0.1,0.9",
-                           "--dx-grid", "0.01:0.01:1", "--normalized")
+    code, out, _ = run_cli(capsys, "slippage", "--z", "0.1,0.9",
+                           "--dx-grid", "0.01:0.01:1", "--anchor", "1,1,1")
     assert code == 0
     rows = csv_rows(out)
     assert rows[0]["taylor"] / rows[0]["dx"] == pytest.approx(0.9, rel=1e-12)
@@ -199,8 +198,8 @@ def test_slippage_worked_example_coefficients(capsys):
 
 
 def test_slippage_full_mix_is_zero(capsys):
-    code, out, _ = run_cli(capsys, "slippage", "--z-list", "1",
-                           "--dx-grid", "0.5:0.5:1", "--normalized")
+    code, out, _ = run_cli(capsys, "slippage", "--z", "1",
+                           "--dx-grid", "0.5:0.5:1", "--anchor", "1,1,1")
     assert code == 0
     (row,) = csv_rows(out)
     assert row["taylor"] == 0.0
@@ -208,8 +207,8 @@ def test_slippage_full_mix_is_zero(capsys):
 
 
 def test_slippage_marks_infeasible_rows(capsys):
-    code, out, _ = run_cli(capsys, "slippage", "--z-list", "0.5",
-                           "--dx-grid", "5:5:1", "--normalized")
+    code, out, _ = run_cli(capsys, "slippage", "--z", "0.5",
+                           "--dx-grid", "5:5:1", "--anchor", "1,1,1")
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["taylor"] == "nan"
@@ -217,17 +216,32 @@ def test_slippage_marks_infeasible_rows(capsys):
 
 
 def test_slippage_explicit_pool(capsys):
-    code, out, _ = run_cli(capsys, "slippage", "--z-list", "0", "--dx-grid",
-                           "0.02:0.02:1", "--x", "2", "--y", "2", "--p", "1")
+    code, out, _ = run_cli(capsys, "slippage", "--z", "0", "--dx-grid",
+                           "0.02:0.02:1", "--anchor", "2,2,1")
     assert code == 0
     (row,) = csv_rows(out)
     # k = x*y = 4, y'' = 2k/x^3 = 1, so the prediction is dx/2
     assert row["taylor"] == pytest.approx(0.01, rel=1e-12)
 
 
-def test_slippage_requires_pool_or_normalized(capsys):
-    assert run_cli(capsys, "slippage", "--z-list", "0",
+def test_slippage_requires_anchor(capsys):
+    assert run_cli(capsys, "slippage", "--z", "0",
                    "--dx-grid", "0.1:0.1:1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("slippage", "--z", "0", "--dx-grid", "0.1:0.1:1", "--normalized"),
+    ("slippage", "--z", "0", "--dx-grid", "0.1:0.1:1", "--x", "1", "--y", "1", "--p", "1"),
+    ("swap", "--z", "0", "--x", "1", "--y", "1", "--p", "1", "--direction", "sell-x",
+     "--amount-in", "0.1"),
+    ("il", "--z-list", "0", "--rho-grid", "1:1:1"),
+    ("slippage", "--z-list", "0", "--dx-grid", "0.1:0.1:1", "--anchor", "1,1,1"),
+    ("il", "--z", "0", "--p0", "4", "--p1", "1"),
+    ("curve", "--z", "0", "--k", "1", "--p", "2", "--x-grid", "1:2:2"),
+])
+def test_one_spelling_per_input(capsys, argv):
+    # a pool is --anchor X,Y,P, a z list is --z and a price move is --prices P0,P1
+    assert run_cli(capsys, *argv)[0] == 2
 
 
 # ------------------------------------------------------------------- simulate
@@ -399,7 +413,7 @@ def test_unwritable_output_is_an_error_not_a_traceback(capsys, tmp_path):
     assert code == 1
     assert err == f"error: {taken}: File exists\n"
     target = tmp_path / "nodir" / "x.csv"
-    code, _, err = run_cli(capsys, "swap", "--z", "0.5", "--x", "1", "--y", "1", "--p", "1",
+    code, _, err = run_cli(capsys, "swap", "--z", "0.5", "--anchor", "1,1,1",
                            "--direction", "sell-x", "--amount-in", "0.1", "--out", str(target))
     assert code == 1
     assert err == f"error: {target}: No such file or directory\n"
@@ -424,16 +438,16 @@ def test_subnormal_reserves_are_not_tracebacks(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: x**(z-1) is past double range") and "z=0.0" in err
     # x**(z-3) overflows at x = 1e-200, but 0.5*k*(z-1)*(z-2)*x**(z-3)*dx does not
-    code, out, _ = run_cli(capsys, "slippage", "--z-list", "0.99", "--x", "1e-200", "--y", "1",
-                           "--p", "1", "--dx-grid", "1e-201:1e-201:1")
+    code, out, _ = run_cli(capsys, "slippage", "--z", "0.99", "--anchor", "1e-200,1,1",
+                           "--dx-grid", "1e-201:1e-201:1")
     assert code == 0
     with mpmath.workdps(50):
         x, z, dx = mpmath.mpf(1e-200), mpmath.mpf(0.99), mpmath.mpf(1e-201)
         k = (1 + z * x / (2 - z)) * x ** (1 - z)
         taylor = float(k * (z - 1) * (z - 2) * x ** (z - 3) * dx / 2)
     assert csv_rows(out)[0]["taylor"] == pytest.approx(taylor, rel=1e-12)
-    code, out, err = run_cli(capsys, "swap", "--x", "1e-310", "--z", "1e-300", "--y", "1",
-                             "--p", "1", "--direction", "sell-x", "--amount-in", "0.1")
+    code, out, err = run_cli(capsys, "swap", "--anchor", "1e-310,1,1", "--z", "1e-300",
+                             "--direction", "sell-x", "--amount-in", "0.1")
     assert code == 1
     assert out == ""
     assert err.startswith("error: x**(z-1) is past double range")
@@ -443,7 +457,7 @@ def test_subnormal_reserves_are_not_tracebacks(capsys):
 
 
 def test_json_format(capsys):
-    code, out, _ = run_cli(capsys, "il", "--z-list", "0", "--rho-grid", "4:4:1",
+    code, out, _ = run_cli(capsys, "il", "--z", "0", "--rho-grid", "4:4:1",
                            "--format", "json")
     assert code == 0
     data = json.loads(out)
@@ -452,8 +466,8 @@ def test_json_format(capsys):
 
 
 def test_json_renders_nonfinite_as_null(capsys):
-    code, out, _ = run_cli(capsys, "slippage", "--z-list", "0.5",
-                           "--dx-grid", "5:5:1", "--normalized", "--format", "json")
+    code, out, _ = run_cli(capsys, "slippage", "--z", "0.5",
+                           "--dx-grid", "5:5:1", "--anchor", "1,1,1", "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data[0]["taylor"] is None
@@ -492,7 +506,7 @@ def test_entry_point_is_installed():
     exe = shutil.which("hybridamm")
     if exe is None:
         pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "il", "--z-list", "0", "--rho-grid", "4:4:1"],
+    proc = subprocess.run([exe, "il", "--z", "0", "--rho-grid", "4:4:1"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "1," in proc.stdout or "1\n" in proc.stdout

@@ -11,10 +11,13 @@ and to a skipped trade is checked in ``test_swap.py::test_dust_trades_rejected``
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hybridamm import (
     PoolState,
@@ -144,6 +147,21 @@ def test_solvency_bound_where_zp_leaves_double_range(k, p, z):
 def test_solvency_bound_past_double_range_is_inf():
     # z*p underflows as above, and the bound, about 2**1311, overflows
     assert max_x_bound(1e308, 5e-324, 0.4) == math.inf
+
+
+@settings(max_examples=500, deadline=None)
+@given(k=st.floats(5e-324, sys.float_info.max), p=st.floats(5e-324, sys.float_info.max),
+       z=st.floats(5e-324, 1.0))
+# the quotient (2-z)k/(zp) is subnormal, and on the z < 2**-53 path so is
+# 2k/(z*2**1000*p); each once read 34% and 3.9% high
+@example(k=4.2263703131397034e-153, p=7.992081751075584e+174, z=0.00038335633511092827)
+@example(k=1.9225009346584343e-88, p=102424.39986408065, z=7.659241325484843e-71)
+def test_solvency_bound_matches_mpmath_across_double_range(k, p, z):
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        ref = ((2 - zm) * k / (zm * p)) ** (1 / (2 - zm))
+        assume(2.0 ** -1022 <= ref <= sys.float_info.max)
+        assert abs(max_x_bound(k, p, z) - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("z", REF_Z)

@@ -40,8 +40,14 @@ def test_constant_path():
 
 
 def test_schedule_path():
-    path = ha.schedule_path([1.0, 4.0, 2.0])
+    # a config's schedule path is the PricePath of its list, integers read as floats
+    path = PricePath([1, 4.0, 2])
     assert path.prices.tolist() == [1.0, 4.0, 2.0]
+    assert path.prices.dtype == np.float64
+    config = ha.ScenarioConfig.from_dict({"x0": 1.0, "y0": 1.0, "p0": 1.0, "z_values": [0.5],
+                                          "steps": 3,
+                                          "path": {"kind": "schedule", "prices": [1, 4.0, 2]}})
+    assert np.array_equal(config.path.prices, path.prices)
 
 
 def test_degenerate_gbm_is_constant():
@@ -106,11 +112,18 @@ def test_generate_path_rejects_bad_mappings():
     with pytest.raises(ha.ConfigError):
         config({"kind": "teleport"})
     with pytest.raises(ha.ConfigError):
-        config({"kind": "constant", "price": 1.0, "bogus": 1})
-    with pytest.raises(ha.ConfigError):
-        config({"kind": "gbm", "p0": 1.0, "mu": 0.0, "sigma": 0.1})
-    with pytest.raises(ha.ConfigError):
-        config({"kind": "constant", "price": "cheap"})
+        config({"kind": "constant", "bogus": 1})
+    with pytest.raises(ha.ConfigError, match="missing required field 'seed'"):
+        config({"kind": "gbm", "mu": 0.0, "sigma": 0.1})
+    with pytest.raises(ha.ConfigError, match=r"path\.mu: expected float, got 'cheap'"):
+        config({"kind": "gbm", "mu": "cheap", "sigma": 0.1, "seed": 1})
+    # the start price is the top-level p0 alone
+    for path in ({"kind": "constant", "price": 2.0}, {"kind": "constant", "p0": 2.0},
+                 {"kind": "gbm", "p0": 2.0, "mu": 0.0, "sigma": 0.1, "seed": 1},
+                 {"kind": "gbm", "price": 2.0, "mu": 0.0, "sigma": 0.1, "seed": 1}):
+        field = "price" if "price" in path else "p0"
+        with pytest.raises(ha.ConfigError, match=f"config.path: unknown field.s.: {field}$"):
+            config(path)
     # steps is stated once, at the top level
     for kind in ({"kind": "constant"}, {"kind": "gbm", "mu": 0.0, "sigma": 0.1, "seed": 1}):
         with pytest.raises(ha.ConfigError, match="unknown field"):
@@ -168,7 +181,7 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 def test_csv_format_shape():
     buffer = io.StringIO()
-    ha.dump_price_csv(ha.schedule_path([1 / 3, 2.0]), buffer)
+    ha.dump_price_csv(PricePath([1 / 3, 2.0]), buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "step,price"
     assert lines[1] == "0,0.33333333333333331"

@@ -30,7 +30,7 @@ def same_run(a, b) -> bool:
 
 
 def balanced_jump_config(p0: float, p1: float, z_values) -> ScenarioConfig:
-    path = ha.schedule_path([p0, p1])
+    path = ha.PricePath([p0, p1])
     return ScenarioConfig(x0=1.0, y0=p0, z_values=tuple(z_values),
                           path=path, arbitrageur=True, noise=None)
 
@@ -99,7 +99,7 @@ def test_full_mix_pool_quotes_oracle_even_without_arbitrage():
 
 
 def test_arbitrage_moves_stay_on_the_reanchored_curve():
-    path = ha.schedule_path([1.0, 1.3, 0.8, 2.2, 1.0])
+    path = ha.PricePath([1.0, 1.3, 0.8, 2.2, 1.0])
     config = ScenarioConfig(x0=1.0, y0=1.0, z_values=(0.4,),
                             path=path, arbitrageur=True, noise=None)
     run = ha.run_scenario(config)[0]
@@ -284,7 +284,7 @@ def test_from_dict_rejects_unknown_and_missing_fields():
 
 def test_load_scenario_round_trip(tmp_path):
     prices = tmp_path / "prices.csv"
-    ha.dump_price_csv(ha.schedule_path([1.0, 2.0, 1.5]), prices)
+    ha.dump_price_csv(ha.PricePath([1.0, 2.0, 1.5]), prices)
     config_file = tmp_path / "scenario.json"
     config_file.write_text(json.dumps(scenario_dict(path={"kind": "replay",
                                                           "file": "prices.csv"})),

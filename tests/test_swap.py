@@ -207,6 +207,18 @@ def test_exact_out_infeasible_requests():
         ha.swap_exact_out(state, SELL_Y, 1.5)
 
 
+@pytest.mark.xfail(strict=True, raises=ha.ConvergenceError,
+                   reason="no Newton start at spot 0, and no finite bracket past the bound")
+def test_exact_out_sell_x_at_zero_spot_with_bound_past_double_range():
+    # the spot price underflows to 0 and the solvency bound lies past double
+    # range; at z ~ 0 the new X is about k/(y - amount_out), 6.77e297
+    state = ha.PoolState.anchored(6.682657679610221e297, 4.5808224041753917e-153,
+                                  1.017025970803945e-294, 2.2e-308)
+    amount_out = 6.007286758215366e-155
+    result = ha.swap_exact_out(state, SELL_X, amount_out)
+    assert result.new_state.x == pytest.approx(state.k / (state.y - amount_out), rel=1e-12)
+
+
 def test_dust_trades_rejected(monkeypatch):
     state = unit_pool(0.5)
     for direction in (SELL_X, SELL_Y):
