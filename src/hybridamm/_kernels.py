@@ -46,15 +46,17 @@ EXECUTED, DUST, NO_MOVE, NO_ROOT, PAST_BOUND = 0, 1, 2, 3, 4
 
 
 def pow_zm1(x, z):
-    """x**(z-1) with the curve-limit cases exact."""
-    if z == 0.0:
-        return 1.0 / x
-    if z == 1.0:
-        return 1.0
+    """x**(z-1) with the curve-limit cases exact; +inf at x = 0 for z < 1."""
     try:
+        if z == 0.0:
+            return 1.0 / x
+        if z == 1.0:
+            return 1.0
         return math.exp((z - 1.0) * math.log(x))
     except OverflowError:   # tiny x with small z: past double range
         return math.inf
+    except (ZeroDivisionError, ValueError):   # 1/0 and log(0); log(x < 0) has no real value
+        return math.inf if x == 0.0 else math.nan
 
 
 def curve_anchor(x, y, p, z):

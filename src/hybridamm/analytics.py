@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .core import (PoolState, _anchored, _check_finite_positive, _check_mix, _check_solvent,
-                   _unchecked, d2y_dx2, reserve_y)
+from .core import (PoolState, _anchor, _check_finite_positive, _check_mix, _check_residual,
+                   _check_solvent, _unchecked, d2y_dx2, reserve_y)
 from .errors import DomainError, UnsupportedConfigurationError
 from .swap import SwapResult, TradeDirection, swap_exact_in
 
@@ -85,23 +85,24 @@ def rebalance_to_oracle(state: PoolState, p_new: float) -> PoolState:
     changes.  Undefined at z = 1, where the quoted price is p everywhere on
     the line and no finite rebalancing point exists.
     """
-    return _rebalance(state, _check_finite_positive(p_new, "p_new"))
+    p_new = _check_finite_positive(p_new, "p_new")
+    x, y = _rebalance(state.k, p_new, state.z)
+    return _unchecked(PoolState, {"x": x, "y": y, "p": p_new, "z": state.z, "k": state.k})
 
 
-def _rebalance(state: PoolState, p_new: float) -> PoolState:
-    if state.z == 1.0:
+def _rebalance(k: float, p_new: float, z: float) -> tuple[float, float]:
+    """Checked reserves on the (k, z) curve where the spot price is p_new."""
+    if z == 1.0:
         raise UnsupportedConfigurationError(
             "rebalance_to_oracle is undefined at z = 1: the curve quotes the oracle "
             "price at every point"
         )
-    x_star = _kernels.arb_target_x(state.k, p_new, state.z)
+    x_star = _kernels.arb_target_x(k, p_new, z)
     if math.isnan(x_star):
-        raise DomainError(f"cannot rebalance the (k={state.k}, z={state.z}) curve to p={p_new}: "
+        raise DomainError(f"cannot rebalance the (k={k}, z={z}) curve to p={p_new}: "
                           f"(2-z)*k/(2*p) underflows to 0")
-    y_star = _kernels.curve_y(state.k, x_star, p_new, state.z)
-    return _unchecked(PoolState, {"x": _check_finite_positive(x_star, "x"),
-                                  "y": _check_finite_positive(y_star, "y"),
-                                  "p": p_new, "z": state.z, "k": state.k})
+    y_star = _kernels.curve_y(k, x_star, p_new, z)
+    return _check_finite_positive(x_star, "x"), _check_finite_positive(y_star, "y")
 
 
 def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
@@ -116,8 +117,10 @@ def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
     p1 = _check_finite_positive(p1, "p1")
     z = _check_mix(z)
     y0 = _check_finite_positive(p0 * x0, "y")
-    end = _rebalance(_anchored(x0, y0, p0, z), p1)
-    v_pool = (end.x + end.y / p1) / x0
+    k, power, linear = _anchor(x0, y0, p0, z)   # as PoolState.anchored, with no state built
+    _check_residual(x0, y0, p0, z, _check_finite_positive(k, "k"), power, linear)
+    x1, y1 = _rebalance(k, p1, z)
+    v_pool = (x1 + y1 / p1) / x0
     v_hold = (x0 + y0 / p1) / x0
     il = v_hold - v_pool
     return _unchecked(ILReport, {"z": z, "rho": p0 / p1, "v_pool": v_pool, "v_hold": v_hold,

@@ -1,13 +1,15 @@
 """Command-line interface: curve tables, swap quotes, IL/slippage analytics, simulation.
 
 Exit codes are a stable scripting contract: 0 success, 1 domain or runtime
-error (reported as ``error: ...`` on stderr), 2 usage error (argparse text).
+error (reported as ``error: ...`` on stderr), 2 usage error (argparse text),
+a prefix of a flag's name included.
 All tabular output honors --format csv|json|table and --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -156,18 +158,20 @@ def cmd_simulate(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hybridamm",
+        prog="hybridamm", allow_abbrev=False,
         description="Hybrid AMM curve inspection, swap quoting, IL/slippage analytics, "
                     "and deterministic market simulation.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # every parser takes a flag under its full name only, never a prefix of it
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
     z_list = dict(type=_float_list, required=True,
                   help="comma-separated mix parameters, e.g. 0,0.5,1")
     anchor = dict(type=_exactly("x", "y", "p"), metavar="X,Y,P",
                   help="pool reserves (x, y) at oracle price p; the unit pool is 1,1,1")
 
-    curve = subs.add_parser("curve", help="tabulate reserve curves over an x grid")
+    curve = add_parser("curve", help="tabulate reserve curves over an x grid")
     curve.add_argument("--z", **z_list)
     source = curve.add_mutually_exclusive_group(required=True)
     source.add_argument("--k", type=float, help="explicit curve constant, at oracle price 1")
@@ -176,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(curve)
     curve.set_defaults(func=cmd_curve)
 
-    swap = subs.add_parser("swap", help="quote one swap against an anchored pool")
+    swap = add_parser("swap", help="quote one swap against an anchored pool")
     swap.add_argument("--z", type=float, required=True)
     swap.add_argument("--anchor", required=True, **anchor)
     swap.add_argument("--direction", choices=[d.value for d in TradeDirection], required=True)
@@ -186,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(swap)
     swap.set_defaults(func=cmd_swap)
 
-    il = subs.add_parser("il", help="impermanent-loss tables over z and rho")
+    il = add_parser("il", help="impermanent-loss tables over z and rho")
     il.add_argument("--z", **z_list)
     move = il.add_mutually_exclusive_group(required=True)
     move.add_argument("--rho-grid", type=_grid, metavar="START:STOP:COUNT",
@@ -198,14 +202,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(il)
     il.set_defaults(func=cmd_il)
 
-    slippage = subs.add_parser("slippage", help="Taylor vs exact slippage over trade sizes")
+    slippage = add_parser("slippage", help="Taylor vs exact slippage over trade sizes")
     slippage.add_argument("--z", **z_list)
     slippage.add_argument("--dx-grid", type=_grid, required=True, metavar="START:STOP:COUNT")
     slippage.add_argument("--anchor", required=True, **anchor)
     _add_output_flags(slippage)
     slippage.set_defaults(func=cmd_slippage)
 
-    simulate = subs.add_parser("simulate", help="run a scenario config, one metrics file per z")
+    simulate = add_parser("simulate", help="run a scenario config, one metrics file per z")
     simulate.add_argument("--config", required=True, help="scenario JSON file")
     simulate.add_argument("--out", required=True, help="output directory for metric files")
     simulate.add_argument("--format", choices=FORMATS, default="csv",

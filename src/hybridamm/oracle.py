@@ -28,8 +28,6 @@ from .serialize import write_csv
 
 __all__ = [
     "PricePath",
-    "GbmParams",
-    "constant_path",
     "gbm_path",
     "apply_oracle_update",
     "load_price_csv",
@@ -58,41 +56,24 @@ class PricePath:
         return self.prices.size
 
 
-@dataclass(frozen=True)
-class GbmParams:
-    """Geometric Brownian motion parameters: per-step drift, per-sqrt-step volatility."""
-
-    p0: float
-    mu: float
-    sigma: float
-    steps: int
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p0", _check_finite_positive(self.p0, "p0"))
-        if not math.isfinite(self.mu):
-            raise DomainError(f"mu must be finite, got {self.mu!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise DomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        _check_int(self.steps, "steps", 1)
-        _check_int(self.seed, "seed", 0)
-
-
-def constant_path(price: float, steps: int) -> PricePath:
-    """Path holding one price for the given number of steps."""
-    return PricePath(np.full(_check_int(steps, "steps", 1), float(price)))
-
-
-def gbm_path(params: GbmParams) -> PricePath:
+def gbm_path(p0: float, mu: float, sigma: float, steps: int, seed: int) -> PricePath:
     """Seeded GBM path: p[0] = p0, p[t+1] = p[t] * exp(mu - sigma^2/2 + sigma*N(0,1)).
 
+    ``mu`` is the per-step drift and ``sigma`` the per-sqrt-step volatility.
     Draws come from numpy Generator(PCG64(seed)).standard_normal, one per
     transition, taken in a single vectorized call.
     """
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    draws = rng.standard_normal(params.steps - 1)
-    log_steps = (params.mu - 0.5 * params.sigma * params.sigma) + params.sigma * draws
-    return PricePath(params.p0 * np.exp(np.concatenate(([0.0], np.cumsum(log_steps)))))
+    p0 = _check_finite_positive(p0, "p0")
+    if not math.isfinite(mu):
+        raise DomainError(f"mu must be finite, got {mu!r}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise DomainError(f"sigma must be finite and >= 0, got {sigma!r}")
+    _check_int(steps, "steps", 1)
+    _check_int(seed, "seed", 0)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = rng.standard_normal(steps - 1)
+    log_steps = (mu - 0.5 * sigma * sigma) + sigma * draws
+    return PricePath(p0 * np.exp(np.concatenate(([0.0], np.cumsum(log_steps)))))
 
 
 def apply_oracle_update(state: PoolState, p_new: float) -> PoolState:

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels, oracle
 from .core import PoolState, _check_finite_positive, _check_int, _check_mix, anchor_k
 from .errors import ConfigError, DomainError, HybridAmmError
-from .oracle import GbmParams, PricePath
+from .oracle import PricePath
 
 __all__ = [
     "NoiseParams",
@@ -114,6 +114,9 @@ class ScenarioConfig:
         if len(path) != steps:   # the runner applies exactly one oracle update per step
             raise DomainError(f"path must carry one price per step 0..{steps - 1}, "
                               f"got {len(path)} entries")
+        if path.prices[0] != top["p0"]:   # a schedule or replay path states p0 a second time
+            raise DomainError(f"path must start at p0={top['p0']!r}, "
+                              f"got {float(path.prices[0])!r}")
         noise = None
         if top["noise"] is not None:
             noise_fields = _take(
@@ -132,22 +135,22 @@ def _path_from_spec(spec: dict, where: str, *, p0: float, steps: int,
     """The price path a config's ``path`` object describes.
 
     ``constant`` and ``gbm`` paths have the scenario's steps and start at its
-    p0; a relative replay file resolves against ``base_dir``.  ``spec`` is the
-    copy ``_take`` made, so popping its ``kind`` leaves the caller's mapping
-    alone.
+    p0; the caller checks both for the other kinds.  A relative replay file
+    resolves against ``base_dir``.  ``spec`` is the copy ``_take`` made, so
+    popping its ``kind`` leaves the caller's mapping alone.
     """
     kind = spec.pop("kind", None)
     # builders are looked up on the oracle module, so a wrapper put there
     # (perfbench traces oracle.gbm_path) sees every call
     if kind == "constant":
         _take(spec, where, {}, {})   # no fields: it holds the top-level p0
-        return oracle.constant_path(p0, steps)
+        return PricePath(np.full(steps, p0))
     if kind == "schedule":
         fields = _take(spec, where, {"prices": list}, {})
         return PricePath([_cast(p, float, f"{where}.prices") for p in fields["prices"]])
     if kind == "gbm":
         fields = _take(spec, where, {"mu": float, "sigma": float, "seed": int}, {})
-        return oracle.gbm_path(GbmParams(p0=p0, steps=steps, **fields))
+        return oracle.gbm_path(p0=p0, steps=steps, **fields)
     if kind == "replay":
         fields = _take(spec, where, {"file": str}, {})
         return oracle.load_price_csv(os.path.join(base_dir, fields["file"]))
@@ -263,14 +266,13 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
 
 
 def sweep_reserve_curve(anchor: Union[PoolState, float], z_values: Sequence[float],
-                        x_grid: Sequence[float], *, p: Optional[float] = None,
-                        ) -> list[tuple[float, float, float]]:
+                        x_grid: Sequence[float]) -> list[tuple[float, float, float]]:
     """Tabulate (z, x, y) curve samples for plotting.
 
     ``anchor`` is either a PoolState, re-anchored through its reserves for
     each z so all curves share that point, or an explicit curve constant k
-    (oracle price ``p`` defaults to 1).  Grid points outside a curve's domain
-    yield y = nan rather than failing.
+    at oracle price 1.  Grid points outside a curve's domain yield y = nan
+    rather than failing.
     """
     zs = [_check_mix(z) for z in z_values]
     if not zs:
@@ -282,13 +284,10 @@ def sweep_reserve_curve(anchor: Union[PoolState, float], z_values: Sequence[floa
         raise DomainError("x_grid values must be finite")
 
     if isinstance(anchor, PoolState):
-        if p is not None:
-            raise DomainError("p is implied by an anchored state; pass it only with a raw k")
         curves = [(z, anchor_k(anchor.x, anchor.y, anchor.p, z), anchor.p) for z in zs]
     else:
         k = _check_finite_positive(anchor, "k")
-        p_eff = 1.0 if p is None else _check_finite_positive(p, "p")
-        curves = [(z, k, p_eff) for z in zs]
+        curves = [(z, k, 1.0) for z in zs]
     rows: list[tuple[float, float, float]] = []
     for z, k, p_z in curves:
         bound = _kernels.solvency_bound(k, p_z, z)

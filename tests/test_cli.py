@@ -1,17 +1,25 @@
 """End-to-end CLI behavior: commands, formats, files, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import math
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
 import hybridamm as ha
+from hybridamm import cli
 from hybridamm.cli import main
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT_REF = 0.095383214339210246071
 
 
@@ -238,10 +246,59 @@ def test_slippage_requires_anchor(capsys):
     ("slippage", "--z-list", "0", "--dx-grid", "0.1:0.1:1", "--anchor", "1,1,1"),
     ("il", "--z", "0", "--p0", "4", "--p1", "1"),
     ("curve", "--z", "0", "--k", "1", "--p", "2", "--x-grid", "1:2:2"),
+    ("il", "--z", "0", "--pr", "4,1"),
+    ("swap", "--z", "0.6", "--anch", "1,1,1", "--dir", "sell-x", "--amount-i", "0.1"),
 ])
 def test_one_spelling_per_input(capsys, argv):
-    # a pool is --anchor X,Y,P, a z list is --z and a price move is --prices P0,P1
+    # a pool is --anchor X,Y,P, a z list is --z and a price move is --prices
+    # P0,P1, each under its full name only
     assert run_cli(capsys, *argv)[0] == 2
+
+
+def _long_flags():
+    """(subcommand, flag) for every long flag of every parser; () is the top level."""
+    parser = cli._build_parser()
+    (subs,) = (action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    parsers = [((), parser)] + [((name,), sub) for name, sub in subs.choices.items()]
+    return [(command, flag) for command, sub in parsers for action in sub._actions
+            for flag in action.option_strings if flag.startswith("--")]
+
+
+# commands that exit 0, spelled in full; together they use every long flag
+FULL_NAMES = [
+    ("--help",),
+    ("curve", "--help"),
+    ("curve", "--z", "0", "--k", "1", "--x-grid", "1:2:2", "--format", "json",
+     "--out", "{tmp}/curve.json"),
+    ("curve", "--z", "0", "--anchor", "1,1,1", "--x-grid", "1:2:2"),
+    ("swap", "--help"),
+    ("swap", "--z", "0.6", "--anchor", "1,1,1", "--direction", "sell-x", "--amount-in", "0.1",
+     "--format", "table", "--out", "{tmp}/swap.txt"),
+    ("swap", "--z", "0.6", "--anchor", "1,1,1", "--direction", "sell-x", "--amount-out", "0.01"),
+    ("il", "--help"),
+    ("il", "--z", "0", "--prices", "4,1", "--simulate", "--format", "csv", "--out", "{tmp}/il.csv"),
+    ("il", "--z", "0", "--rho-grid", "4:4:1"),
+    ("slippage", "--help"),
+    ("slippage", "--z", "0.5", "--dx-grid", "0.01:0.02:2", "--anchor", "1,1,1",
+     "--format", "json", "--out", "{tmp}/slippage.json"),
+    ("simulate", "--help"),
+    ("simulate", "--config", "{tmp}/scenario.json", "--out", "{tmp}/out", "--format", "table"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _long_flags(),
+                         ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+def test_flag_prefixes_are_usage_errors(capsys, tmp_path, command, flag):
+    # a flag is accepted under its full name only: one character short exits 2
+    write_scenario(tmp_path)
+    argv = next([arg.format(tmp=tmp_path) for arg in argv] for argv in FULL_NAMES
+                if argv[:len(command)] == command and flag in argv[len(command):])
+    assert run_cli(capsys, *argv)[0] == 0
+    argv[argv.index(flag, len(command))] = flag[:-1]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: hybridamm")
 
 
 # ------------------------------------------------------------------- simulate
@@ -328,6 +385,24 @@ def test_simulate_golden_digest(capsys, tmp_path, output_format):
     for path in sorted(out_dir.iterdir()):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == SIMULATE_DIGESTS[output_format]
+
+
+@pytest.mark.parametrize("z", [0.999, 0.9999, 1.0 - 1e-8])
+def test_no_arbitrage_scenario_runs_to_subnormal_x(capsys, tmp_path, z):
+    # without arbitrage, noise trades drive x subnormal; there the SELL_Y
+    # floor X_FLOOR_REL * x underflows to 0, where x**(z-1) must be inf, not log(0)'s error
+    config = write_scenario(
+        tmp_path, z_values=[z], steps=1000, arbitrageur=False,
+        path={"kind": "gbm", "mu": 0.0, "sigma": 0.01, "seed": 42},
+        noise={"size_mu": -3.5, "size_sigma": 0.8, "seed": 7, "trades_per_step": 2,
+               "max_fraction": 0.25})
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"z={z:.12g} ")
+    (name,) = [path.name for path in out_dir.iterdir() if path.name.startswith("metrics_z")]
+    final = csv_rows((out_dir / name).read_text(encoding="utf-8"))[-1]
+    assert 0.0 < final["reserve_x"] < sys.float_info.min
 
 
 def test_simulate_json_format(capsys, tmp_path):
@@ -500,13 +575,19 @@ def test_main_exit_codes(capsys):
 
 
 def test_entry_point_is_installed():
-    import shutil
-    import subprocess
-
     exe = shutil.which("hybridamm")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "il", "--z", "0", "--rho-grid", "4:4:1"],
-                          capture_output=True, text=True)
+    if exe is not None:
+        command, env = [exe], None
+    else:
+        # not installed: the declared script must name cli.main, and the
+        # module it names runs from the source tree
+        tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"hybridamm": "hybridamm.cli:main"}
+        command = [sys.executable, "-m", "hybridamm.cli"]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([*command, "il", "--z", "0", "--rho-grid", "4:4:1"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "1," in proc.stdout or "1\n" in proc.stdout

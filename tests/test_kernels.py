@@ -93,6 +93,24 @@ def test_underflows_give_nan_not_raw_errors():
     assert result[1].tolist() == [1e-217] * 2 and result[2].tolist() == [1e-200] * 2
 
 
+@pytest.mark.parametrize("z", [0.0, 5e-324, 0.5, 0.999, 1.0 - 2.0 ** -52])
+def test_pow_zm1_at_zero_is_inf(z):
+    # x**(z-1) at x = 0, where 1/x and log(x) would raise
+    assert _kernels.pow_zm1(0.0, z) == math.inf
+    assert _kernels.pow_zm1(-0.0, z) == math.inf
+    assert _kernels.pow_zm1(0.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("z", [0.5, 0.9999, 1.0 - 1e-8])
+def test_headroom_at_subnormal_x(z):
+    # the SELL_Y floor X_FLOOR_REL * x underflows to 0, where the curve's y is inf
+    x, y, p = 5e-324, 2.0, 1.0
+    k = _kernels.curve_anchor(x, y, p, z)
+    assert _kernels.X_FLOOR_REL * x == 0.0
+    assert _kernels.headroom(x, y, p, z, k, True) == math.inf
+    assert _kernels.headroom(x, y, p, z, k, False) == _kernels.solvency_bound(k, p, z) - x
+
+
 def test_invert_returns_nan_for_infinite_bracket():
     # the stopping test b - a <= 1e-13*mid holds at mid = inf, which once
     # "converged" to x = inf

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hybridamm as ha
-from hybridamm.oracle import GbmParams, PricePath
+from hybridamm.oracle import PricePath
 
 # sha256 of the seed-42 GBM path (numpy PCG64), %.17g comma-joined; frozen on
 # first generation and guarded here against generator or formula drift
@@ -30,13 +30,12 @@ def _digest(path: PricePath) -> str:
 
 
 def test_constant_path():
-    path = ha.constant_path(2.0, 5)
-    assert path.prices.tolist() == [2.0, 2.0, 2.0, 2.0, 2.0]
-    assert path.prices.dtype == np.float64
-    assert len(path) == 5
-    for steps in (0, 1.5, True):
-        with pytest.raises(ha.DomainError):
-            ha.constant_path(2.0, steps)
+    # a config's constant path holds the top-level p0 for every step
+    config = ha.ScenarioConfig.from_dict({"x0": 1.0, "y0": 1.0, "p0": 2, "z_values": [0.5],
+                                          "steps": 5, "path": {"kind": "constant"}})
+    assert config.path.prices.tolist() == [2.0, 2.0, 2.0, 2.0, 2.0]
+    assert config.path.prices.dtype == np.float64
+    assert len(config.path) == 5
 
 
 def test_schedule_path():
@@ -51,45 +50,54 @@ def test_schedule_path():
 
 
 def test_degenerate_gbm_is_constant():
-    path = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.0, steps=3, seed=7))
+    path = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.0, steps=3, seed=7)
     assert path.prices.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_gbm_drift_without_noise():
-    path = ha.gbm_path(GbmParams(p0=1.0, mu=0.1, sigma=0.0, steps=3, seed=7))
+    path = ha.gbm_path(p0=1.0, mu=0.1, sigma=0.0, steps=3, seed=7)
     assert path.prices[1] == pytest.approx(math.exp(0.1), rel=1e-15)
     assert path.prices[2] == pytest.approx(math.exp(0.2), rel=1e-15)
 
 
 def test_gbm_drift_correction_is_half_sigma_squared():
     # mu = sigma^2/2 cancels the Ito correction: same seed, pure-noise steps
-    corrected = ha.gbm_path(GbmParams(p0=1.0, mu=0.02, sigma=0.2, steps=10, seed=3))
-    plain = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.2, steps=10, seed=3))
+    corrected = ha.gbm_path(p0=1.0, mu=0.02, sigma=0.2, steps=10, seed=3)
+    plain = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.2, steps=10, seed=3)
     for t, (a, b) in enumerate(zip(corrected.prices.tolist(), plain.prices.tolist())):
         assert a == pytest.approx(b * math.exp(0.02 * t), rel=1e-12)
 
 
 def test_gbm_golden_digest():
-    path = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.1, steps=100, seed=42))
+    path = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.1, steps=100, seed=42)
     assert len(path) == 100
     assert path.prices[0] == 1.0
     assert _digest(path) == GBM_DIGEST
 
 
 def test_gbm_is_deterministic_per_seed():
-    params = GbmParams(p0=2.0, mu=0.01, sigma=0.3, steps=50, seed=123)
-    assert np.array_equal(ha.gbm_path(params).prices, ha.gbm_path(params).prices)
-    other = ha.gbm_path(GbmParams(p0=2.0, mu=0.01, sigma=0.3, steps=50, seed=124))
-    assert not np.array_equal(other.prices, ha.gbm_path(params).prices)
+    params = dict(p0=2.0, mu=0.01, sigma=0.3, steps=50)
+    assert np.array_equal(ha.gbm_path(**params, seed=123).prices,
+                          ha.gbm_path(**params, seed=123).prices)
+    other = ha.gbm_path(**params, seed=124)
+    assert not np.array_equal(other.prices, ha.gbm_path(**params, seed=123).prices)
 
 
 def test_gbm_params_validation():
     good = dict(p0=1.0, mu=0.0, sigma=0.1, steps=10, seed=1)
-    for bad in (dict(p0=0.0), dict(p0=math.nan), dict(mu=math.inf), dict(sigma=-0.1),
-                dict(steps=0), dict(steps=1.5), dict(steps=True), dict(seed=1.5),
-                dict(seed=-1), dict(seed=True)):
-        with pytest.raises(ha.DomainError):
-            GbmParams(**{**good, **bad})
+    for bad, message in ((dict(p0=0.0), "p0 must be finite and > 0, got 0.0"),
+                         (dict(p0=math.nan), "p0 must be finite and > 0, got nan"),
+                         (dict(mu=math.inf), "mu must be finite, got inf"),
+                         (dict(sigma=-0.1), "sigma must be finite and >= 0, got -0.1"),
+                         (dict(steps=0), "steps must be an integer >= 1, got 0"),
+                         (dict(steps=1.5), "steps must be an integer >= 1, got 1.5"),
+                         (dict(steps=True), "steps must be an integer >= 1, got True"),
+                         (dict(seed=1.5), "seed must be an integer >= 0, got 1.5"),
+                         (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+                         (dict(seed=True), "seed must be an integer >= 0, got True")):
+        with pytest.raises(ha.DomainError) as exc_info:
+            ha.gbm_path(**{**good, **bad})
+        assert str(exc_info.value) == message
 
 
 def test_path_validation():
@@ -172,7 +180,7 @@ def test_update_reserve_continuity_and_spot_jump(x, y, p0, p1, z):
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    path = ha.gbm_path(GbmParams(p0=1 / 3, mu=0.0, sigma=0.4, steps=20, seed=5))
+    path = ha.gbm_path(p0=1 / 3, mu=0.0, sigma=0.4, steps=20, seed=5)
     target = tmp_path / "path.csv"
     ha.dump_price_csv(path, target)
     replayed = ha.load_price_csv(target)

@@ -8,13 +8,12 @@ import pytest
 
 import hybridamm as ha
 from hybridamm import _kernels
-from hybridamm.oracle import GbmParams
 from hybridamm.simulator import METRICS_HEADER, NoiseParams, ScenarioConfig
 
 
 def make_config(**overrides) -> ScenarioConfig:
     base = dict(x0=1.0, y0=1.0, z_values=(0.0, 0.5, 1.0),
-                path=ha.constant_path(1.0, 4), arbitrageur=True, noise=None)
+                path=ha.PricePath([1.0] * 4), arbitrageur=True, noise=None)
     base.update(overrides)
     return ScenarioConfig(**base)
 
@@ -49,7 +48,7 @@ def test_constant_balanced_scenario_is_flat():
 
 
 def test_constant_unbalanced_scenario_without_arbitrage_is_flat():
-    config = make_config(x0=3.0, y0=0.7, path=ha.constant_path(2.0, 4),
+    config = make_config(x0=3.0, y0=0.7, path=ha.PricePath([2.0] * 4),
                          arbitrageur=False)
     for run in ha.run_scenario(config):
         for m in steps(run):
@@ -80,7 +79,7 @@ def test_final_il_decreases_in_z_when_price_falls():
 
 
 def test_arbitrage_tracks_oracle_for_partial_mixes():
-    path = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.3, steps=50, seed=11))
+    path = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.3, steps=50, seed=11)
     config = ScenarioConfig(x0=1.0, y0=1.0, z_values=(0.0, 0.25, 0.5, 0.75, 0.99),
                             path=path, arbitrageur=True, noise=None)
     for run in ha.run_scenario(config):
@@ -89,7 +88,7 @@ def test_arbitrage_tracks_oracle_for_partial_mixes():
 
 
 def test_full_mix_pool_quotes_oracle_even_without_arbitrage():
-    path = ha.gbm_path(GbmParams(p0=2.0, mu=0.0, sigma=0.2, steps=30, seed=4))
+    path = ha.gbm_path(p0=2.0, mu=0.0, sigma=0.2, steps=30, seed=4)
     config = ScenarioConfig(x0=1.0, y0=2.0, z_values=(1.0,),
                             path=path, arbitrageur=True, noise=None)
     run = ha.run_scenario(config)[0]
@@ -124,13 +123,13 @@ def test_noise_trading_at_full_mix_never_loses_value():
 def test_identical_scenarios_share_noise_draws():
     # a pool run second in a sweep sees the same draws as the same pool alone
     noise = NoiseParams(size_mu=-2.0, size_sigma=0.7, seed=5)
-    swept = make_config(z_values=(0.6, 0.5), path=ha.constant_path(1.0, 6), noise=noise)
-    alone = make_config(z_values=(0.5,), path=ha.constant_path(1.0, 6), noise=noise)
+    swept = make_config(z_values=(0.6, 0.5), path=ha.PricePath([1.0] * 6), noise=noise)
+    alone = make_config(z_values=(0.5,), path=ha.PricePath([1.0] * 6), noise=noise)
     assert same_run(ha.run_scenario(swept)[1], ha.run_scenario(alone)[0])
 
 
 def test_run_scenario_is_deterministic():
-    path = ha.gbm_path(GbmParams(p0=1.0, mu=0.0, sigma=0.2, steps=25, seed=13))
+    path = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.2, steps=25, seed=13)
     noise = NoiseParams(size_mu=-2.0, size_sigma=0.9, seed=31, trades_per_step=2)
     config = ScenarioConfig(x0=2.0, y0=3.0, z_values=(0.0, 0.5, 0.9),
                             path=path, arbitrageur=True, noise=noise)
@@ -154,7 +153,7 @@ def test_noise_trades_respect_solvency():
     noise = NoiseParams(size_mu=0.0, size_sigma=0.0, seed=2,
                         max_fraction=0.9, trades_per_step=5)
     config = make_config(x0=1.0, y0=0.05, z_values=(0.8,),
-                         path=ha.constant_path(1.0, 10), arbitrageur=False, noise=noise)
+                         path=ha.PricePath([1.0] * 10), arbitrageur=False, noise=noise)
     run = ha.run_scenario(config)[0]
     for m in steps(run):
         assert m["reserve_y"] > 0.0
@@ -245,8 +244,8 @@ def test_from_dict_inherits_scenario_price_and_steps():
     assert config.path.prices.tolist() == [2.5, 2.5, 2.5]
     config = ScenarioConfig.from_dict(
         scenario_dict(path={"kind": "gbm", "mu": 0.0, "sigma": 0.1, "seed": 7}))
-    assert np.array_equal(config.path.prices, ha.gbm_path(
-        GbmParams(p0=1.0, mu=0.0, sigma=0.1, steps=3, seed=7)).prices)
+    assert np.array_equal(config.path.prices,
+                          ha.gbm_path(p0=1.0, mu=0.0, sigma=0.1, steps=3, seed=7).prices)
 
 
 def test_from_dict_builds_noise():
@@ -293,6 +292,21 @@ def test_load_scenario_round_trip(tmp_path):
     assert config.path.prices.tolist() == [1.0, 2.0, 1.5]
 
 
+def test_path_must_start_at_p0(tmp_path):
+    # the start price is stated once: a schedule or replay path that starts
+    # elsewhere is an error naming both values, as a wrong length is
+    with pytest.raises(ha.DomainError, match=r"^path must start at p0=5\.0, got 1\.0$"):
+        ScenarioConfig.from_dict(scenario_dict(p0=5, steps=2,
+                                               path={"kind": "schedule", "prices": [1, 2]}))
+    ha.dump_price_csv(ha.PricePath([1.5, 2.0, 1.0]), tmp_path / "prices.csv")
+    config_file = tmp_path / "scenario.json"
+    config_file.write_text(json.dumps(scenario_dict(path={"kind": "replay",
+                                                          "file": "prices.csv"})),
+                           encoding="utf-8")
+    with pytest.raises(ha.DomainError, match=r"^path must start at p0=1\.0, got 1\.5$"):
+        ha.load_scenario(config_file)
+
+
 def test_load_scenario_reports_json_errors(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"x0": 1.0,\n  "y0": }\n', encoding="utf-8")
@@ -316,9 +330,13 @@ def test_sweep_constant_product_rows():
 
 
 def test_sweep_full_mix_rows_are_collinear():
-    rows = ha.sweep_reserve_curve(3.0, [1.0], [0.5, 1.0, 1.4], p=2.0)
+    # at z = 1 the curve through (0.5, 2) at p = 2 is y = 3 - 2x; a raw k is at p = 1
+    rows = ha.sweep_reserve_curve(ha.PoolState.anchored(0.5, 2.0, 2.0, 1.0), [1.0],
+                                  [0.5, 1.0, 1.4])
     for _, x, y in rows:
         assert y == pytest.approx(3.0 - 2.0 * x, rel=1e-12)
+    for _, x, y in ha.sweep_reserve_curve(3.0, [1.0], [0.5, 1.0, 2.5]):
+        assert y == pytest.approx(3.0 - x, rel=1e-12)
 
 
 def test_sweep_anchored_curves_share_the_anchor_point():
@@ -340,13 +358,13 @@ def test_sweep_marks_out_of_domain_points():
 
 @pytest.mark.parametrize("z", [0.0, 1e-300, 0.5, 1.0])
 def test_sweep_nan_markers_at_domain_edges(z):
-    k, p = 4.0 / 3.0, 1.0
+    k, p = 4.0 / 3.0, 1.0   # a raw k is at oracle price 1
     bound = ha.max_x_bound(k, p, z)
     # subnormal x overflows x**(z-1) for small z, which gives inf, not an error
     xs = [-1.0, -5e-324, 0.0, 5e-324, 1e-310, 1e-200, 0.1, 1.0, 1.5]
     if math.isfinite(bound):
         xs += [math.nextafter(bound, 0.0), bound, bound * 1.2]
-    rows = ha.sweep_reserve_curve(k, [z], xs, p=p)
+    rows = ha.sweep_reserve_curve(k, [z], xs)
     assert [x for _, x, _ in rows] == xs
     for _, x, y in rows:
         if x <= 0.0 or x >= bound:
@@ -356,9 +374,8 @@ def test_sweep_nan_markers_at_domain_edges(z):
 
 
 def test_sweep_validation():
-    state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5)
-    with pytest.raises(ha.DomainError):
-        ha.sweep_reserve_curve(state, [0.5], [1.0], p=2.0)   # p only with raw k
+    with pytest.raises(TypeError):
+        ha.sweep_reserve_curve(2.0, [0.5], [1.0], p=2.0)   # the oracle price is 1, or the anchor's
     with pytest.raises(ha.DomainError):
         ha.sweep_reserve_curve(2.0, [], [1.0])
     with pytest.raises(ha.DomainError):
