@@ -72,13 +72,7 @@ def _add_output_flags(sub) -> None:
 
 
 def cmd_curve(args) -> int:
-    if args.anchor is not None:
-        # the sweep re-anchors per z; at z = 0, 1/x overflows for subnormal x
-        state = PoolState.anchored(*args.anchor, args.z[0])
-        rows = sweep_reserve_curve(state, args.z, args.x_grid)
-    else:
-        rows = sweep_reserve_curve(args.k, args.z, args.x_grid)
-    _emit(args, ("z", "x", "y"), rows)
+    _emit(args, ("z", "x", "y"), sweep_reserve_curve(args.anchor, args.z, args.x_grid))
     return 0
 
 
@@ -174,7 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
     curve = add_parser("curve", help="tabulate reserve curves over an x grid")
     curve.add_argument("--z", **z_list)
     source = curve.add_mutually_exclusive_group(required=True)
-    source.add_argument("--k", type=float, help="explicit curve constant, at oracle price 1")
+    # both spell the anchor that sweep_reserve_curve takes: a point, or a raw k
+    source.add_argument("--k", type=float, dest="anchor", metavar="K",
+                        help="explicit curve constant, at oracle price 1")
     source.add_argument("--anchor", **anchor)
     curve.add_argument("--x-grid", type=_grid, required=True, metavar="START:STOP:COUNT")
     _add_output_flags(curve)

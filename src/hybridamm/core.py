@@ -21,7 +21,6 @@ from .errors import DomainError, InsolvencyError
 
 __all__ = [
     "PoolState",
-    "anchor_k",
     "reserve_y",
     "dy_dx",
     "d2y_dx2",
@@ -118,16 +117,6 @@ def _anchored(x: float, y: float, p: float, z: float) -> PoolState:
     k, power, linear = _anchor(x, y, p, z)
     _check_residual(x, y, p, z, _check_finite_positive(k, "k"), power, linear)
     return _unchecked(PoolState, {"x": x, "y": y, "p": p, "z": z, "k": k})
-
-
-def anchor_k(x: float, y: float, p: float, z: float) -> float:
-    """Curve constant through reserves (x, y) at oracle price p.
-
-    k = (y + z*p*x/(2-z)) * x**(1-z); reduces to x*y at z = 0 and to
-    y + p*x at z = 1.
-    """
-    return _anchor(_check_finite_positive(x, "x"), _check_finite_positive(y, "y"),
-                   _check_finite_positive(p, "p"), _check_mix(z))[0]
 
 
 def _anchor(x: float, y: float, p: float, z: float) -> tuple[float, float, float]:

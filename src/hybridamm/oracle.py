@@ -14,7 +14,6 @@ moves only through the z*p blend term.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -85,45 +84,40 @@ def apply_oracle_update(state: PoolState, p_new: float) -> PoolState:
     return _anchored(state.x, state.y, _check_finite_positive(p_new, "p_new"), state.z)
 
 
-def load_price_csv(source: Union[str, os.PathLike, io.TextIOBase]) -> PricePath:
-    """Parse a replay CSV (header ``step,price``); errors carry 1-based line numbers."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", newline="", encoding="utf-8") as handle:
-            return load_price_csv(handle)
-    name = getattr(source, "name", "<stream>")
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{name}:1: empty file; expected header 'step,price'") from None
-    if [cell.strip() for cell in header] != ["step", "price"]:
-        raise ConfigError(f"{name}:1: bad header {header!r}; expected 'step,price'")
-    prices: list[float] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ConfigError(f"{name}:{lineno}: expected 2 columns, got {len(row)}")
+def load_price_csv(source: Union[str, os.PathLike]) -> PricePath:
+    """Parse a replay CSV file (header ``step,price``); errors carry 1-based line numbers."""
+    with open(source, "r", newline="", encoding="utf-8") as handle:
+        name, reader = handle.name, csv.reader(handle)
         try:
-            step = int(row[0])
-            price = float(row[1])
-        except ValueError:
-            raise ConfigError(f"{name}:{lineno}: could not parse {row!r}") from None
-        # the runner applies one oracle update per step, so steps run 0..n-1
-        if step != len(prices):
-            raise ConfigError(f"{name}:{lineno}: expected step {len(prices)}, got {step}; "
-                              "steps must run 0, 1, 2, ... without gaps")
-        if not (math.isfinite(price) and price > 0.0):
-            raise ConfigError(f"{name}:{lineno}: price must be finite and > 0, got {row[1]!r}")
-        prices.append(price)
-    if not prices:
-        raise ConfigError(f"{name}:2: no data rows")
-    return PricePath(prices)
+            header = next(reader)
+        except StopIteration:
+            raise ConfigError(f"{name}:1: empty file; expected header 'step,price'") from None
+        if [cell.strip() for cell in header] != ["step", "price"]:
+            raise ConfigError(f"{name}:1: bad header {header!r}; expected 'step,price'")
+        prices: list[float] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ConfigError(f"{name}:{lineno}: expected 2 columns, got {len(row)}")
+            try:
+                step = int(row[0])
+                price = float(row[1])
+            except ValueError:
+                raise ConfigError(f"{name}:{lineno}: could not parse {row!r}") from None
+            # the runner applies one oracle update per step, so steps run 0..n-1
+            if step != len(prices):
+                raise ConfigError(f"{name}:{lineno}: expected step {len(prices)}, got {step}; "
+                                  "steps must run 0, 1, 2, ... without gaps")
+            if not (math.isfinite(price) and price > 0.0):
+                raise ConfigError(f"{name}:{lineno}: price must be finite and > 0, got {row[1]!r}")
+            prices.append(price)
+        if not prices:
+            raise ConfigError(f"{name}:2: no data rows")
+        return PricePath(prices)
 
 
-def dump_price_csv(path: PricePath, target: Union[str, os.PathLike, io.TextIOBase]) -> None:
+def dump_price_csv(path: PricePath, target: Union[str, os.PathLike]) -> None:
     """Write a path in replay format; floats use 17 significant digits (exact round trip)."""
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            return dump_price_csv(path, handle)
-    write_csv(target, ("step", "price"), enumerate(path.prices.tolist()))
+    with open(target, "w", newline="", encoding="utf-8") as handle:
+        write_csv(handle, ("step", "price"), enumerate(path.prices.tolist()))

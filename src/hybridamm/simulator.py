@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels, oracle
-from .core import PoolState, _check_finite_positive, _check_int, _check_mix, anchor_k
+from .core import PoolState, _check_finite_positive, _check_int, _check_mix
 from .errors import ConfigError, DomainError, HybridAmmError
 from .oracle import PricePath
 
@@ -265,14 +265,16 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     return runs
 
 
-def sweep_reserve_curve(anchor: Union[PoolState, float], z_values: Sequence[float],
+def sweep_reserve_curve(anchor: Union[tuple[float, float, float], float],
+                        z_values: Sequence[float],
                         x_grid: Sequence[float]) -> list[tuple[float, float, float]]:
     """Tabulate (z, x, y) curve samples for plotting.
 
-    ``anchor`` is either a PoolState, re-anchored through its reserves for
-    each z so all curves share that point, or an explicit curve constant k
-    at oracle price 1.  Grid points outside a curve's domain yield y = nan
-    rather than failing.
+    ``anchor`` is either the reserves and oracle price (x, y, p), through
+    which :meth:`PoolState.anchored` anchors and checks each z's curve, so
+    all curves share that point, or an explicit curve constant k at oracle
+    price 1.  Grid points outside a curve's domain yield y = nan rather
+    than failing.
     """
     zs = [_check_mix(z) for z in z_values]
     if not zs:
@@ -283,8 +285,9 @@ def sweep_reserve_curve(anchor: Union[PoolState, float], z_values: Sequence[floa
     if not np.all(np.isfinite(xs)):
         raise DomainError("x_grid values must be finite")
 
-    if isinstance(anchor, PoolState):
-        curves = [(z, anchor_k(anchor.x, anchor.y, anchor.p, z), anchor.p) for z in zs]
+    if isinstance(anchor, tuple):
+        states = [PoolState.anchored(*anchor, z) for z in zs]
+        curves = [(state.z, state.k, state.p) for state in states]
     else:
         k = _check_finite_positive(anchor, "k")
         curves = [(z, k, 1.0) for z in zs]

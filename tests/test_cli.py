@@ -85,6 +85,22 @@ def test_curve_flag_validation(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("z_list", ["0,0.5", "0.5,0"])
+@pytest.mark.parametrize("anchor, x_grid, message", [
+    # k = 1e400 at z = 0
+    pytest.param("1e200,1e200,1", "1:2:2", "k must be finite and > 0, got inf", id="k-inf"),
+    # k = 1e-320 at z = 0 is too coarse for the curve to pass through its anchor
+    pytest.param("1e-160,1e-160,1", "1e-160:1e-160:1",
+                 "reserves (1e-160, 1e-160) do not lie on the (k=1e-320, p=1.0, z=0.0) curve: "
+                 "residual -1.113e-165; k=1e-320 is subnormal", id="k-subnormal"),
+])
+def test_curve_checks_the_anchor_at_every_z(capsys, z_list, anchor, x_grid, message):
+    # the curve of every z is anchored and checked, whatever the order of --z
+    code, out, err = run_cli(capsys, "curve", "--z", z_list, "--anchor", anchor,
+                             "--x-grid", x_grid)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # ----------------------------------------------------------------------- swap
 
 
@@ -255,6 +271,22 @@ def test_one_spelling_per_input(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--x-grid", "1:2", "grid '1:2' must be start:stop:count"),
+    ("--x-grid", "1:2:x", "grid '1:2:x' must be start:stop:count"),
+    ("--x-grid", "nan:1:2", "grid 'nan:1:2' needs finite endpoints and count >= 1"),
+    ("--x-grid", "1:2:0", "grid '1:2:0' needs finite endpoints and count >= 1"),
+    ("--z", "0,a", "'0,a' must be comma-separated numbers"),
+    ("--anchor", "1,1", "'1,1' must be exactly x,y,p"),
+])
+def test_malformed_values_are_usage_errors(capsys, flag, value, message):
+    argv = {"--z": "0", "--anchor": "1,1,1", "--x-grid": "1:2:2", flag: value}
+    code, out, err = run_cli(capsys, "curve", *(item for pair in argv.items() for item in pair))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: hybridamm curve")
+    assert err.endswith(f"error: argument {flag}: {message}\n")
+
+
 def _long_flags():
     """(subcommand, flag) for every long flag of every parser; () is the top level."""
     parser = cli._build_parser()
@@ -387,15 +419,20 @@ def test_simulate_golden_digest(capsys, tmp_path, output_format):
     assert digest.hexdigest() == SIMULATE_DIGESTS[output_format]
 
 
-@pytest.mark.parametrize("z", [0.999, 0.9999, 1.0 - 1e-8])
-def test_no_arbitrage_scenario_runs_to_subnormal_x(capsys, tmp_path, z):
-    # without arbitrage, noise trades drive x subnormal; there the SELL_Y
-    # floor X_FLOOR_REL * x underflows to 0, where x**(z-1) must be inf, not log(0)'s error
-    config = write_scenario(
+def write_no_arbitrage_scenario(tmp_path, z):
+    """1,000 GBM steps with noise trades and no arbitrageur: x falls subnormal."""
+    return write_scenario(
         tmp_path, z_values=[z], steps=1000, arbitrageur=False,
         path={"kind": "gbm", "mu": 0.0, "sigma": 0.01, "seed": 42},
         noise={"size_mu": -3.5, "size_sigma": 0.8, "seed": 7, "trades_per_step": 2,
                "max_fraction": 0.25})
+
+
+@pytest.mark.parametrize("z", [0.999, 0.9999, 1.0 - 1e-8])
+def test_no_arbitrage_scenario_runs_to_subnormal_x(capsys, tmp_path, z):
+    # without arbitrage, noise trades drive x subnormal; there the SELL_Y
+    # floor X_FLOOR_REL * x underflows to 0, where x**(z-1) must be inf, not log(0)'s error
+    config = write_no_arbitrage_scenario(tmp_path, z)
     out_dir = tmp_path / "out"
     code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
     assert (code, err) == (0, "")
@@ -403,6 +440,18 @@ def test_no_arbitrage_scenario_runs_to_subnormal_x(capsys, tmp_path, z):
     (name,) = [path.name for path in out_dir.iterdir() if path.name.startswith("metrics_z")]
     final = csv_rows((out_dir / name).read_text(encoding="utf-8"))[-1]
     assert 0.0 < final["reserve_x"] < sys.float_info.min
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="(1-z)*y/x overflows once x is tiny, so spot_price and slippage_cost "
+                          "are written as inf; ROADMAP items 5 and 12")
+def test_no_arbitrage_scenario_writes_finite_numbers(capsys, tmp_path):
+    config = write_no_arbitrage_scenario(tmp_path, 0.999)
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))[0] == 0
+    rows = csv_rows((out_dir / "metrics_z0.999.csv").read_text(encoding="utf-8"))
+    assert len(rows) == 1000
+    assert [row for row in rows if not all(map(math.isfinite, row.values()))] == []
 
 
 def test_simulate_json_format(capsys, tmp_path):
@@ -568,10 +617,19 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert len(rows) == 2
 
 
-def test_main_exit_codes(capsys):
+class ClosedPipe(io.StringIO):
+    """Standard output whose reader has gone, as under ``hybridamm ... | head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_main_exit_codes(capsys, monkeypatch):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "teleport")[0] == 2
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run_cli(capsys, "curve", "--z", "0", "--k", "1", "--x-grid", "1:2:2") == (1, "", "")
 
 
 def test_entry_point_is_installed():

@@ -22,28 +22,28 @@ mixes = st.floats(min_value=0.0, max_value=1.0)
 
 def test_anchor_k_unit_pool_matches_blend_weight():
     # k = 1 + z/(2-z) on the unit pool
-    assert ha.anchor_k(1.0, 1.0, 1.0, 0.1) == pytest.approx(20.0 / 19.0, rel=1e-13)
-    assert ha.anchor_k(1.0, 1.0, 1.0, 0.9) == pytest.approx(20.0 / 11.0, rel=1e-13)
+    assert ha.PoolState.anchored(1.0, 1.0, 1.0, 0.1).k == pytest.approx(20.0 / 19.0, rel=1e-13)
+    assert ha.PoolState.anchored(1.0, 1.0, 1.0, 0.9).k == pytest.approx(20.0 / 11.0, rel=1e-13)
 
 
 def test_anchor_k_limits_recover_classic_constants():
-    assert ha.anchor_k(2.0, 3.0, 5.0, 0.0) == 6.0          # constant product x*y
-    assert ha.anchor_k(2.0, 3.0, 5.0, 1.0) == 13.0         # linear intercept y + p*x
-    assert ha.anchor_k(1.0, 1.0, 1.0, 1.0) == 2.0
+    assert ha.PoolState.anchored(2.0, 3.0, 5.0, 0.0).k == 6.0          # constant product x*y
+    assert ha.PoolState.anchored(2.0, 3.0, 5.0, 1.0).k == 13.0         # linear intercept y + p*x
+    assert ha.PoolState.anchored(1.0, 1.0, 1.0, 1.0).k == 2.0
 
 
 def test_anchor_k_rejects_bad_inputs():
     for args in [(0.0, 1, 1, 0.5), (1, -1, 1, 0.5), (1, 1, math.nan, 0.5),
                  (1, 1, 1, 1.5), (1, 1, 1, -0.1), (math.inf, 1, 1, 0.5)]:
         with pytest.raises(ha.DomainError):
-            ha.anchor_k(*args)
+            ha.PoolState.anchored(*args)
     with pytest.raises(ha.DomainError, match=r"x\*\*\(z-1\) is past double range"):
-        ha.anchor_k(1e-310, 1, 1, 1e-300)
+        ha.PoolState.anchored(1e-310, 1, 1, 1e-300)
 
 
 @given(x=reserves, y=reserves, p=prices, z=mixes)
 def test_anchoring_round_trip(x, y, p, z):
-    k = ha.anchor_k(x, y, p, z)
+    k = ha.PoolState.anchored(x, y, p, z).k
     assert ha.reserve_y(k, x, p, z) == pytest.approx(y, rel=1e-12)
 
 
@@ -58,7 +58,7 @@ def test_reserve_y_half_mix_reference():
 
 @given(z=st.floats(min_value=0.0, max_value=1.0), p=prices)
 def test_reserve_y_strictly_decreasing(z, p):
-    k = ha.anchor_k(1.0, 1.0, p, z)
+    k = ha.PoolState.anchored(1.0, 1.0, p, z).k
     bound = min(ha.max_x_bound(k, p, z), 8.0)
     xs = [bound * f for f in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95)]
     ys = [ha.reserve_y(k, x, p, z) for x in xs]
@@ -105,7 +105,7 @@ def test_dy_dx_rejects_insolvent_point():
 
 @given(x=reserves, y=reserves, p=prices, z=mixes)
 def test_dy_dx_sign(x, y, p, z):
-    k = ha.anchor_k(x, y, p, z)
+    k = ha.PoolState.anchored(x, y, p, z).k
     slope = ha.dy_dx(k, x, p, z)
     if z == 1.0:
         assert slope == -p
@@ -122,7 +122,7 @@ def test_d2y_dx2_values():
 
 @given(x=reserves, y=reserves, p=prices, z=mixes)
 def test_d2y_dx2_convexity(x, y, p, z):
-    k = ha.anchor_k(x, y, p, z)
+    k = ha.PoolState.anchored(x, y, p, z).k
     assert ha.d2y_dx2(k, x, p, z) >= 0.0
 
 
@@ -176,5 +176,5 @@ def test_package_lists_each_module_name_once():
         for name in module.__all__:
             assert getattr(ha, name) is getattr(module, name)
     assert ha.__all__ == expected
-    assert len(set(ha.__all__)) == len(ha.__all__) == 40
+    assert len(set(ha.__all__)) == len(ha.__all__) == 39
     assert ha.__version__ == "0.1.0"

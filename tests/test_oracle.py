@@ -1,7 +1,6 @@
 """Price paths, GBM determinism, oracle re-anchoring, and CSV replay."""
 
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -187,16 +186,17 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(replayed.prices, path.prices)
 
 
-def test_csv_format_shape():
-    buffer = io.StringIO()
-    ha.dump_price_csv(PricePath([1 / 3, 2.0]), buffer)
-    lines = buffer.getvalue().splitlines()
+def test_csv_format_shape(tmp_path):
+    target = tmp_path / "path.csv"
+    ha.dump_price_csv(PricePath([1 / 3, 2.0]), target)
+    lines = target.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,price"
     assert lines[1] == "0,0.33333333333333331"
     assert lines[2] == "1,2"
 
 
-def test_csv_parse_errors_carry_line_numbers():
+def test_csv_parse_errors_carry_line_numbers(tmp_path):
+    source = tmp_path / "prices.csv"
     cases = [
         ("", ":1:"),
         ("time,price\n0,1\n", ":1:"),
@@ -208,8 +208,11 @@ def test_csv_parse_errors_carry_line_numbers():
         ("step,price\n0,1\n2,2\n", ":3:"),
         ("step,price\n0,1\n1,-2\n", ":3:"),
         ("step,price\n0,1\n1,inf\n", ":3:"),
+        # a blank row is skipped, but still counts as a line
+        ("step,price\n0,1\n\n2,2\n", ":4:"),
     ]
     for text, marker in cases:
+        source.write_text(text, encoding="utf-8")
         with pytest.raises(ha.ConfigError) as exc_info:
-            ha.load_price_csv(io.StringIO(text))
-        assert marker in str(exc_info.value)
+            ha.load_price_csv(source)
+        assert str(exc_info.value).startswith(f"{source}{marker}")

@@ -104,7 +104,7 @@ def test_arbitrage_moves_stay_on_the_reanchored_curve():
     run = ha.run_scenario(config)[0]
     x_prev, y_prev = 1.0, 1.0
     for m in steps(run):
-        k = ha.anchor_k(x_prev, y_prev, m["oracle_price"], 0.4)
+        k = ha.PoolState.anchored(x_prev, y_prev, m["oracle_price"], 0.4).k
         assert m["reserve_y"] == pytest.approx(
             _kernels.curve_y(k, m["reserve_x"], m["oracle_price"], 0.4), rel=1e-12)
         x_prev, y_prev = m["reserve_x"], m["reserve_y"]
@@ -331,8 +331,7 @@ def test_sweep_constant_product_rows():
 
 def test_sweep_full_mix_rows_are_collinear():
     # at z = 1 the curve through (0.5, 2) at p = 2 is y = 3 - 2x; a raw k is at p = 1
-    rows = ha.sweep_reserve_curve(ha.PoolState.anchored(0.5, 2.0, 2.0, 1.0), [1.0],
-                                  [0.5, 1.0, 1.4])
+    rows = ha.sweep_reserve_curve((0.5, 2.0, 2.0), [1.0], [0.5, 1.0, 1.4])
     for _, x, y in rows:
         assert y == pytest.approx(3.0 - 2.0 * x, rel=1e-12)
     for _, x, y in ha.sweep_reserve_curve(3.0, [1.0], [0.5, 1.0, 2.5]):
@@ -340,8 +339,7 @@ def test_sweep_full_mix_rows_are_collinear():
 
 
 def test_sweep_anchored_curves_share_the_anchor_point():
-    state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.0)
-    rows = ha.sweep_reserve_curve(state, [0.0, 0.3, 0.6, 1.0], [0.5, 1.0, 2.0])
+    rows = ha.sweep_reserve_curve((1.0, 1.0, 1.0), [0.0, 0.3, 0.6, 1.0], [0.5, 1.0, 2.0])
     at_anchor = [y for _, x, y in rows if x == 1.0]
     assert len(at_anchor) == 4
     for y in at_anchor:
@@ -351,7 +349,7 @@ def test_sweep_anchored_curves_share_the_anchor_point():
 def test_sweep_marks_out_of_domain_points():
     state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5)
     bound = ha.max_x_bound(state.k, 1.0, 0.5)
-    rows = ha.sweep_reserve_curve(state, [0.5], [1.0, bound * 1.5])
+    rows = ha.sweep_reserve_curve((1.0, 1.0, 1.0), [0.5], [1.0, bound * 1.5])
     assert rows[0][2] == pytest.approx(1.0, rel=1e-12)
     assert math.isnan(rows[1][2])
 
@@ -386,3 +384,9 @@ def test_sweep_validation():
         ha.sweep_reserve_curve(2.0, [0.5], [math.inf])
     with pytest.raises(ha.DomainError):
         ha.sweep_reserve_curve(-1.0, [0.5], [1.0])
+    with pytest.raises(TypeError):
+        ha.sweep_reserve_curve(ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5), [0.5], [1.0])
+    # each z's curve is checked, whatever the order of z: k = 1e400 at z = 0
+    for zs in ([0.0, 0.5], [0.5, 0.0]):
+        with pytest.raises(ha.DomainError, match=r"^k must be finite and > 0, got inf$"):
+            ha.sweep_reserve_curve((1e200, 1e200, 1.0), zs, [1.0])

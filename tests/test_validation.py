@@ -47,7 +47,7 @@ CASES = {
     "state-off-curve": (lambda: ha.PoolState(2.0, 3.0, 1.5, 0.4, 5.0), DomainError,
                         "reserves (2.0, 3.0) do not lie on the (k=5.0, p=1.5, z=0.4) curve: "
                         "residual -4.512e-01"),
-    # anchored and anchor_k check x, y, p, z; anchored then checks the k it derives
+    # anchored checks x, y, p, z in that order, then the k it derives
     "anchored-x-neginf": (lambda: ha.PoolState.anchored(-INF, 3.0, 1.5, 0.4), DomainError,
                           positive("x", -INF)),
     "anchored-y-zero": (lambda: ha.PoolState.anchored(2.0, 0.0, 1.5, 0.4), DomainError,
@@ -68,9 +68,8 @@ CASES = {
                          positive("x", NAN)),
     "anchored-y-before-p": (lambda: ha.PoolState.anchored(2.0, -0.0, 0.0, 2.0), DomainError,
                             positive("y", -0.0)),
-    "anchor_k-x-zero": (lambda: ha.anchor_k(0.0, 3.0, 1.5, 0.4), DomainError, positive("x", 0.0)),
-    "anchor_k-z-inf": (lambda: ha.anchor_k(2.0, 3.0, 1.5, INF), DomainError, mix(INF)),
-    "anchor_k-p-first": (lambda: ha.anchor_k(2.0, 3.0, NAN, NAN), DomainError, positive("p", NAN)),
+    "anchored-p-before-z": (lambda: ha.PoolState.anchored(2.0, 3.0, NAN, NAN), DomainError,
+                            positive("p", NAN)),
     # curve functions check k, x, p, z, then the solvency bound
     "reserve_y-k-nan": (lambda: ha.reserve_y(NAN, 2.0, 1.5, 0.4), DomainError, positive("k", NAN)),
     "reserve_y-x-neg": (lambda: ha.reserve_y(K, -2.0, 1.5, 0.4), DomainError, positive("x", -2.0)),
