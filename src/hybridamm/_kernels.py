@@ -107,6 +107,8 @@ def solvency_bound(k, p, z):
         b = (2.0 - z) * k / den
         if 2.0 ** -1022 <= b < math.inf:
             return math.sqrt(b) * 2.0 ** 500 if small else math.exp(math.log(b) / (2.0 - z))
+    if not k > 0.0:   # a trade that emptied Y re-anchors k to 0 or below: no curve
+        return math.nan
     # zp or b = (2-z)k/(zp) is subnormal or left double range (to 0 or to
     # inf), although the bound b**(1/(2-z)) may lie inside it.
     # With b = m * 2**e and m in (0.5, 8), e/(2-z) is split exactly into an

@@ -141,15 +141,19 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     # the resolved oracle path is written in replay format for reproduction
     dump_price_csv(config.path, os.path.join(args.out, "path.csv"))
+    # every pool sees the same steps and prices, and hold = x0 + y0/price, so
+    # these columns are equal bit for bit in every file: they are formatted once
+    shared = dict.fromkeys(("step", "oracle_price", "hold_value"))
     for name, run in zip(names, runs):
         with open(os.path.join(args.out, name), "w", newline="", encoding="utf-8") as handle:
-            write_rows(handle, args.format, METRICS_HEADER, run.rows())
+            write_rows(handle, args.format, METRICS_HEADER, run.rows(), shared)
         final_il = run.table[-1, METRICS_HEADER.index("il_relative")]
         print(f"z={run.z:.12g} final_il_relative={final_il:.10g} "
               f"clamped_trades={run.clamped_trades} skipped_trades={run.skipped_trades}")
     return 0
 
 
+@functools.cache   # parsing leaves no state in the parser, so every command shares one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridamm", allow_abbrev=False,

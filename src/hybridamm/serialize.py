@@ -8,10 +8,10 @@ CSV and text and ``null`` in JSON.  Strings pass through (escaped as ``json`` do
 
 from __future__ import annotations
 
-import itertools
 import re
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
-from typing import Sequence
+from typing import Optional, Sequence
 
 __all__ = ["FORMATS", "write_csv", "write_json", "write_table", "write_rows"]
 
@@ -21,62 +21,85 @@ FORMATS = ("csv", "json", "table")
 _JSON_NON_FINITE = re.compile(r': (?<=[^\\]": )(?:nan|-?inf)')
 
 
-def _row_lines(rows, row_format, quote):
-    """Each row through one format, ``row_format`` of the first row's specs, which
-    every row shares: ``%.17g`` per number, ``%s`` per string, put through ``quote``."""
-    rows = iter(rows)
-    for first in rows:
-        specs = ["%s" if isinstance(v, str) else "%.17g" for v in first]
-        line, rows = row_format(specs), itertools.chain((first,), rows)
-        if "%s" in specs:
-            rows = ([quote(v) if isinstance(v, str) else v for v in row] for row in rows)
-        return (line % tuple(row) for row in rows)
-    return ()
+def _rows_text(header, rows, row_format, quote, shared):
+    """All rows through one ``%``-format, ``row_format`` of the first row's specs
+    repeated, which every row shares: ``%.17g`` per number, ``%s`` per string,
+    put through ``quote``.  With ``shared`` (see write_rows), the first call
+    writes the cells of the columns it names into that format and keeps it,
+    so each call formats only the other cells."""
+    rows = list(rows)
+    if not rows:
+        return ""
+    specs = ["%s" if isinstance(v, str) else "%.17g" for v in rows[0]]
+    if "%s" in specs:
+        rows = [[quote(v) if isinstance(v, str) else v for v in row] for row in rows]
+    if shared is None:
+        return row_format(specs) * len(rows) % tuple(chain.from_iterable(rows))
+    own = [name not in shared for name in header]
+    if None not in shared:
+        # a shared cell's text goes into the format, its `%` doubled
+        shared[None] = "".join(
+            row_format([spec if mine else (spec % v).replace("%", "%%")
+                        for spec, mine, v in zip(specs, own, row)])
+            for row in rows)
+    return shared[None] % tuple(chain.from_iterable(map(compress, rows, repeat(own))))
 
 
 def _csv_quote(value: str) -> str:
     return value if set(',"\n\r').isdisjoint(value) else '"' + value.replace('"', '""') + '"'
 
 
-def write_csv(handle, header: Sequence[str], rows) -> None:
+def write_csv(handle, header: Sequence[str], rows, shared: Optional[dict] = None) -> None:
     # a lone empty cell is quoted, or its row would read as a blank line
     quote = _csv_quote if len(header) != 1 else lambda v: _csv_quote(v) or '""'
     handle.write(",".join(map(quote, header)) + "\n")
-    handle.writelines(_row_lines(rows, lambda specs: ",".join(specs) + "\n", quote))
+    handle.write(_rows_text(header, rows, lambda specs: ",".join(specs) + "\n", quote, shared))
 
 
-def write_json(handle, header: Sequence[str], rows) -> None:
+def write_json(handle, header: Sequence[str], rows, shared: Optional[dict] = None) -> None:
     """Array of objects keyed by the header, floats at full precision."""
     # `\` in a key is \u005c: a key's closing quote never follows a `\`, a string's always does
     keys = ["%s: " % encode_basestring(name).replace("\\\\", "\\u005c").replace("%", "%%")
             for name in header]
-    lines = _row_lines(rows, lambda specs: ",\n  {%s}" % ", ".join(map(str.__add__, keys, specs)),
-                       encode_basestring)
-    lines = (_JSON_NON_FINITE.sub(": null", line) for line in lines)
-    handle.write("[" + next(lines, ",\n")[1:])  # the first row takes no comma
-    handle.writelines(lines)
-    handle.write("\n]\n")
+    text = _rows_text(header, rows,
+                      lambda specs: ",\n  {%s}" % ", ".join(map(str.__add__, keys, specs)),
+                      encode_basestring, shared)
+    # the first row takes no comma
+    handle.write("[" + _JSON_NON_FINITE.sub(": null", text or ",\n")[1:] + "\n]\n")
 
 
-def write_table(handle, header: Sequence[str], rows) -> None:
+def write_table(handle, header: Sequence[str], rows, shared: Optional[dict] = None) -> None:
     """Aligned human-readable table; shorter 10-digit floats for scanning."""
-    text_rows = [[v if isinstance(v, str) else "%.10g" % v for v in row] for row in rows]
-    widths = [len(h) for h in header]
-    for row in text_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    handle.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip() + "\n")
+    rows = list(rows)
+    kept = shared.get(None) if shared is not None else None
+    columns = [kept[j] if kept and j in kept
+               else [v if isinstance(v, str) else "%.10g" % v for v in (row[j] for row in rows)]
+               for j in range(len(header))]
+    if shared is not None and kept is None:
+        shared[None] = {j: columns[j] for j, name in enumerate(header) if name in shared}
+    widths = [max([len(name), *map(len, column)]) for name, column in zip(header, columns)]
+    handle.write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n")
     handle.write("  ".join("-" * w for w in widths) + "\n")
-    for row in text_rows:
-        handle.write("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip() + "\n")
+    for cells in zip(*columns):
+        handle.write("  ".join(map(str.rjust, cells, widths)).rstrip() + "\n")
 
 
-def write_rows(handle, output_format: str, header: Sequence[str], rows) -> None:
+def write_rows(handle, output_format: str, header: Sequence[str], rows,
+               shared: Optional[dict] = None) -> None:
+    """Write ``rows`` under ``header`` in ``output_format``, one of FORMATS.
+
+    ``shared`` is for a caller that writes several tables of one format,
+    header and length whose cells in some columns are equal, bit for bit, in
+    every table: a dict that maps those columns' names to None, passed to
+    each call.  The first call keeps in it, under the key None, the text it
+    wrote for those columns, and later calls write that text again instead
+    of formatting those columns.
+    """
     if output_format == "csv":
-        write_csv(handle, header, rows)
+        write_csv(handle, header, rows, shared)
     elif output_format == "json":
-        write_json(handle, header, rows)
+        write_json(handle, header, rows, shared)
     elif output_format == "table":
-        write_table(handle, header, rows)
+        write_table(handle, header, rows, shared)
     else:
         raise ValueError(f"unknown output format {output_format!r}; expected one of {FORMATS}")

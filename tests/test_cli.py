@@ -454,6 +454,21 @@ def test_no_arbitrage_scenario_writes_finite_numbers(capsys, tmp_path):
     assert [row for row in rows if not all(map(math.isfinite, row.values()))] == []
 
 
+def test_a_trade_that_empties_y_is_not_a_traceback(capsys, tmp_path):
+    # a SELL_X trade leaves y = -2.7e-12, so k re-anchors to -6.2e-12, and the
+    # solvency bound of that curve once took a root of a negative number
+    config = write_scenario(
+        tmp_path, x0=919.5901717135855, y0=0.07821897313333037, p0=12.772475197631874,
+        z_values=[0.5124919555126976], steps=293, arbitrageur=False,
+        path={"kind": "gbm", "mu": 0.0, "sigma": 0.4968958368576199, "seed": 36},
+        noise={"size_mu": -1.4514595909840216, "size_sigma": 1.9067374694029193, "seed": 52,
+               "max_fraction": 0.606138894260195, "trades_per_step": 3})
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                             "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    assert out.startswith("z=0.512491955513 ")
+
+
 def test_simulate_json_format(capsys, tmp_path):
     config = write_scenario(tmp_path, z_values=[0.5])
     out_dir = tmp_path / "out"
@@ -630,6 +645,21 @@ def test_main_exit_codes(capsys, monkeypatch):
     assert run_cli(capsys, "teleport")[0] == 2
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert run_cli(capsys, "curve", "--z", "0", "--k", "1", "--x-grid", "1:2:2") == (1, "", "")
+
+
+def test_the_shared_parser_keeps_no_state(capsys, monkeypatch):
+    # main builds its parser once per process; each command must run as it
+    # would on a parser built for it alone
+    commands = [("curve", "--z", "0"),                                   # usage error
+                ("--help",),
+                ("curve", "--z", "0", "--k", "-1", "--x-grid", "1:2:2"),  # DomainError
+                ("curve", "--z", "0,0.5", "--anchor", "1,1,1", "--x-grid", "1:2:2")]
+    shared = [run_cli(capsys, *argv) for argv in commands * 2]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in commands]
+    assert shared == fresh * 2
+    assert [code for code, _, _ in fresh] == [2, 0, 1, 0]
 
 
 def test_entry_point_is_installed():

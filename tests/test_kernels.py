@@ -77,6 +77,10 @@ def test_sentinels():
     assert math.isnan(_kernels.arb_target_x(2.0, 1.0, 1.0))
     assert math.isinf(_kernels.solvency_bound(1.0, 1.0, 0.0))
     assert _kernels.solvency_bound(2.0, 1.0, 1.0) == 2.0
+    # a trade that emptied Y re-anchors k to 0 or below, where no curve has a
+    # bound; k = -6.2e-12 once raised "must be real number, not complex"
+    for k in (-6.18e-12, 0.0, -math.inf, math.nan):
+        assert math.isnan(_kernels.solvency_bound(k, 12.772475197631874, 0.5124919555126976))
 
 
 def test_underflows_give_nan_not_raw_errors():

@@ -4,12 +4,13 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridamm.serialize import write_csv, write_json, write_rows, write_table
+from hybridamm.serialize import FORMATS, write_csv, write_json, write_rows, write_table
 
 HEADER = ("step", "value", "label")
 # int steps as dump_price_csv passes them, a float per edge of the double
@@ -141,3 +142,71 @@ def test_float_rows_round_trip(table):
             else:
                 assert text == repr(value)
                 assert json_row[name] is None
+
+
+def reference_text(output_format, header, rows):
+    """One cell at a time, as the README specifies each format."""
+    def number(v, digits):
+        return "%.*g" % (digits, v)
+    if output_format == "csv":
+        def quote(v):
+            if len(header) == 1 and v == "":
+                return '""'
+            return v if set(',"\n\r').isdisjoint(v) else '"' + v.replace('"', '""') + '"'
+        return "".join(",".join(quote(v) if isinstance(v, str) else number(v, 17) for v in row)
+                       + "\n" for row in [header, *rows])
+    if output_format == "json":
+        def key(name):
+            return encode_basestring(name).replace("\\\\", "\\u005c")
+        objects = ["  {%s}" % ", ".join(
+            "%s: %s" % (key(name), encode_basestring(v) if isinstance(v, str)
+                        else number(v, 17) if math.isfinite(v) else "null")
+            for name, v in zip(header, row)) for row in rows]
+        return "[\n" + ",\n".join(objects) + "\n]\n"
+    cells = [[v if isinstance(v, str) else number(v, 10) for v in row] for row in rows]
+    widths = [max([len(name), *(len(row[j]) for row in cells)]) for j, name in enumerate(header)]
+    rules = "  ".join("-" * w for w in widths)   # not stripped: a column may be 0 wide
+    lines = ["  ".join(map(str.ljust, header, widths)),
+             *("  ".join(map(str.rjust, row, widths)) for row in cells)]
+    lines = [line.rstrip() + "\n" for line in lines]
+    return "".join([lines[0], rules + "\n", *lines[1:]])
+
+
+EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+CELLS = {"float": st.floats() | st.sampled_from(EDGES),
+         "int": st.integers(-2 ** 63, 2 ** 63), "str": TEXT}
+
+
+@st.composite
+def tables_sharing_columns(draw):
+    """A header, the names of its shared columns, and tables whose cells in
+    those columns are the same in each: the first table's."""
+    width = draw(st.integers(1, 5))
+    header = tuple(draw(st.lists(TEXT, min_size=width, max_size=width, unique=True)))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=width, max_size=width))
+    shared = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    length = draw(st.integers(0, 6))
+    first = [draw(st.lists(CELLS[kind], min_size=length, max_size=length)) for kind in kinds]
+    tables = [first] + [
+        [column if keep else draw(st.lists(CELLS[kind], min_size=length, max_size=length))
+         for column, keep, kind in zip(first, shared, kinds)]
+        for _ in range(draw(st.integers(0, 2)))]
+    names = [name for name, keep in zip(header, shared) if keep]
+    return header, names, [list(zip(*columns)) if length else [] for columns in tables]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_sharing_columns())
+@example((("step", "price"), ["price"], [[(0, math.nan), (1, math.inf)],
+                                         [(2.5, math.nan), (-0.0, math.inf)]]))
+@example((("a", "%"), ["%"], [[("x", "%s"), ("y", "100%")], [("z", "%s"), ("w", "100%")]]))
+def test_shared_columns_write_the_same_bytes(table):
+    header, names, tables = table
+    for output_format in FORMATS:
+        shared = dict.fromkeys(names)
+        for rows in tables:
+            handle, alone = io.StringIO(), io.StringIO()
+            write_rows(handle, output_format, header, rows, shared)
+            write_rows(alone, output_format, header, rows)
+            assert handle.getvalue() == alone.getvalue() == reference_text(output_format, header,
+                                                                           rows)

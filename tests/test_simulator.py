@@ -137,6 +137,24 @@ def test_run_scenario_is_deterministic():
                                               ha.run_scenario(config)))
 
 
+@pytest.mark.parametrize("arbitrageur, z_values, noise", [
+    # the z = 1 pool has no arbitrage, drains, and skips 1,945 of its 2,000 trades
+    (True, (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+     NoiseParams(size_mu=-4.0, size_sigma=1.0, seed=2000, trades_per_step=2)),
+    # without arbitrage x falls subnormal, and spot_price and slippage_cost read inf
+    (False, (0.999, 0.9999, 1.0 - 1e-8),
+     NoiseParams(size_mu=-3.5, size_sigma=0.8, seed=7, trades_per_step=2)),
+])
+def test_z_independent_columns_are_equal_in_every_pool(arbitrageur, z_values, noise):
+    # `hybridamm simulate` formats these columns for the first pool's file only
+    path = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.01, steps=1000, seed=42)
+    config = ScenarioConfig(x0=1.0, y0=1.0, z_values=z_values, path=path,
+                            arbitrageur=arbitrageur, noise=noise)
+    columns = [METRICS_HEADER.index(name) for name in ("step", "oracle_price", "hold_value")]
+    first, *others = [run.table[:, columns].tobytes() for run in ha.run_scenario(config)]
+    assert others == [first] * (len(z_values) - 1)
+
+
 def test_oversized_noise_is_clamped_and_dust_skipped():
     loud = make_config(z_values=(0.5,), noise=NoiseParams(size_mu=5.0, size_sigma=0.0, seed=1))
     run = ha.run_scenario(loud)[0]
