@@ -430,3 +430,108 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
         il_a = (hold_a - pool_a) / hold_a
         spot_a = blend_spot(x_a, y_a, prices, z)
     return spot_a, x_a, y_a, pool_a, hold_a, il_a, slip_a, vol_a, clamped, skipped
+
+
+def _expm1_minus(u):
+    """expm1(u) - u, elementwise, without the cancellation of the subtraction near 0."""
+    # below |u| = 0.5 by its Taylor series, whose terms past u**17/17! are
+    # under 1e-20 of the sum; above it the subtraction loses under 2 bits
+    series = 1.0 / math.factorial(17)
+    for n in range(16, 1, -1):
+        series = series * u + 1.0 / math.factorial(n)
+    return np.where(np.abs(u) < 0.5, series * u * u, np.expm1(u) - u)
+
+
+def _cumsum2(v):
+    """Cumulative sums along axis 1, each as accurate as a twice-as-precise running sum.
+
+    Every rounding error of ``np.cumsum``, whose sums are sequential, is
+    recovered exactly by TwoSum and added back through its own running sum
+    (Ogita, Rump and Oishi's Sum2, on every prefix).
+    """
+    s = np.cumsum(v, axis=1)
+    prev = np.zeros_like(s)
+    prev[:, 1:] = s[:, :-1]
+    b = s - prev
+    return s + np.cumsum((prev - (s - b)) + (v - b), axis=1)
+
+
+def arbitrage_path(x0, y0, z_values, prices, do_arb):
+    """The pools of ``run_steps`` without noise, one per z, in closed form.
+
+    Returns ``(x, y, slippage, volume)``, ``run_steps``' columns of the same
+    names, each shaped (len(z_values), len(prices)).  Pools without the
+    arbitrageur, and z = 1 pools, keep their reserves.  Step 0 runs as in
+    ``run_steps``: re-anchor, ``arb_target_x``, the dead band, ``trade``.
+    A balanced pool then follows the arbitrage target exactly: per step,
+    x_t = x_{t-1} * exp(l_t) with
+
+        l_t = log1p((2-z) * (p_{t-1}/p_t - 1) / 2) / (2-z),
+
+    so x_t = x_0 * exp(L_t), where L is a compensated cumulative sum of l,
+    and y_t = y_0 * (p_t/p_0) * exp(L_t), which is p_t * x_t but repeats
+    y_{t-1} bit for bit when the price does.  Each trade
+    comes from its own l_t, not from differences of stored reserves: X moves
+    by x_{t-1} * expm1(l_t), and the slippage, ``trade``'s cost against the
+    marginal price before the trade, is (p_{t-1} + c) * N / |expm1(l_t)|
+    with c = z*p_t/(2-z), a = 1 - z and the cancellation-free
+    N = a*(expm1(l) - l) + (expm1(-a*l) + a*l).
+
+    There is no dead band after step 0: an unchanged price gives l = 0, so
+    the reserves stay exactly as they were and the step reports no trade;
+    any price move trades.  A pool whose step-0 target is nan, whose step-0
+    arbitrage does not execute, or whose columns are not all finite comes
+    back as rows of nan, for the caller to run through ``run_steps``.
+    """
+    zs = np.asarray(z_values, dtype=np.float64)
+    shape = (len(zs), len(prices))
+    x = np.full(shape, float(x0))
+    y = np.full(shape, float(y0))
+    slip = np.zeros(shape)
+    volume = np.zeros(shape)
+    trading = (zs < 1.0) & bool(do_arb)
+    if not trading.any():
+        return x, y, slip, volume
+
+    p0 = float(prices[0])
+    first = []   # x, y, slippage and volume after step 0, per trading pool
+    for z in zs[trading].tolist():
+        k = curve_anchor(x0, y0, p0, z)
+        x_star = arb_target_x(k, p0, z)
+        state = (x0, y0, 0.0, 0.0)
+        if math.isnan(x_star):
+            state = (math.nan,) * 4
+        elif abs(x_star - x0) > 1e-12 * x0:   # run_steps' dead band
+            sell_y = x_star < x0
+            x_new, y_new, amount_in, amount_out, s, reason = trade(
+                x0, y0, p0, z, k, sell_y, abs(x_star - x0), sell_y)
+            state = ((x_new, y_new, s, amount_out if sell_y else amount_in)
+                     if reason == EXECUTED else (math.nan,) * 4)
+        first.append(state)
+    x_first, y_first, slip_first, volume_first = np.array(first).T[:, :, None]
+
+    z = zs[trading][:, None]
+    w = 2.0 - z
+    a = 1.0 - z
+    # overflow gives inf or nan silently; such a pool goes back to run_steps
+    with np.errstate(all="ignore"):
+        # p_{t-1} - p_t is exact within a factor of 2, so a small move keeps its digits
+        ell = np.log1p(w * ((prices[:-1] - prices[1:]) / prices[1:]) / 2.0) / w
+        growth = np.ones((len(z), len(prices)))
+        growth[:, 1:] = np.exp(_cumsum2(ell))
+        xt = x_first * growth
+        em = np.expm1(ell)
+        n = a * _expm1_minus(ell) + _expm1_minus(-a * ell)
+        move = np.abs(em)
+        slip_t = np.zeros_like(ell)
+        np.divide((prices[:-1] + z * prices[1:] / w) * n, move, out=slip_t, where=move > 0.0)
+        x[trading] = xt
+        y[trading] = y_first * (prices / p0 * growth)
+        slip[trading] = np.concatenate((slip_first, slip_t), axis=1)
+        volume[trading] = np.cumsum(np.concatenate((volume_first, np.abs(xt[:, :-1] * em)),
+                                                   axis=1), axis=1)
+        covered = (np.isfinite(x) & np.isfinite(y) & np.isfinite(slip)
+                   & np.isfinite(volume)).all(axis=1)
+    for column in (x, y, slip, volume):
+        column[~covered] = math.nan
+    return x, y, slip, volume

@@ -79,7 +79,7 @@ def write_table(handle, header: Sequence[str], rows, shared: Optional[dict] = No
         shared[None] = {j: columns[j] for j, name in enumerate(header) if name in shared}
     widths = [max([len(name), *map(len, column)]) for name, column in zip(header, columns)]
     handle.write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n")
-    handle.write("  ".join("-" * w for w in widths) + "\n")
+    handle.write("  ".join("-" * w for w in widths).rstrip() + "\n")
     for cells in zip(*columns):
         handle.write("  ".join(map(str.rjust, cells, widths)).rstrip() + "\n")
 

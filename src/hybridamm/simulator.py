@@ -229,10 +229,13 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     """Drive one pool per z value through the configured path and agents.
 
     Every pool sees the same oracle path and the same pre-drawn noise
-    attempts, so runs differ only through the curve itself.
+    attempts, so runs differ only through the curve itself.  Without noise,
+    ``_kernels.arbitrage_path`` computes every pool at once in closed form,
+    and only the pools it leaves out step through ``_kernels.run_steps``.
     """
     prices = config.path.prices
     steps = len(prices)
+    zs = config.z_values
     if config.noise is not None:
         noise = config.noise
         rng = np.random.Generator(np.random.PCG64(noise.seed))
@@ -241,28 +244,42 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
         directions = rng.integers(0, 2, size=total, dtype=np.int8)
         trades_per_step = noise.trades_per_step
         max_fraction = noise.max_fraction
+        xs, ys, slip, vol = (np.empty((len(zs), steps)) for _ in range(4))
+        stepped = range(len(zs))
     else:
         fractions = np.empty(0, dtype=np.float64)
         directions = np.empty(0, dtype=np.int8)
         trades_per_step = 0
         max_fraction = 0.0
+        xs, ys, slip, vol = _kernels.arbitrage_path(config.x0, config.y0, zs, prices,
+                                                    bool(config.arbitrageur))
+        stepped = np.flatnonzero(np.isnan(xs[:, 0])).tolist()
 
-    step = np.arange(steps, dtype=np.float64)
-    runs: list[ScenarioRun] = []
-    for z in config.z_values:
-        spot, xs, ys, pool, hold, il, slip, vol, clamped, skipped = _kernels.run_steps(
-            config.x0, config.y0, float(z), prices, bool(config.arbitrageur),
+    counts = [(0, 0)] * len(zs)
+    for i in stepped:
+        _, xs[i], ys[i], _, _, _, slip[i], vol[i], clamped, skipped = _kernels.run_steps(
+            config.x0, config.y0, zs[i], prices, bool(config.arbitrageur),
             fractions, directions, trades_per_step, max_fraction,
         )
-        bad = ~((pool > 0.0) & np.isfinite(il))
-        if bad.any():
-            t = int(np.argmax(bad))
-            raise DomainError(f"z={z}, step {t}: pool value {pool[t]:.17g} must be > 0 "
-                              f"and il_relative {il[t]:.17g} finite")
-        table = np.column_stack((step, prices, spot, xs, ys, pool, hold, il, slip, vol))
-        runs.append(ScenarioRun(z=float(z), table=table,
-                                clamped_trades=int(clamped), skipped_trades=int(skipped)))
-    return runs
+        counts[i] = (int(clamped), int(skipped))
+
+    # run_steps' own column formulas, on every pool at once, so a stepped
+    # pool's columns are bit for bit the ones run_steps returns
+    with np.errstate(all="ignore"):
+        pool = xs + ys / prices
+        hold = config.x0 + config.y0 / prices
+        il = (hold - pool) / hold
+        spot = _kernels.blend_spot(xs, ys, prices, np.array(zs)[:, None])
+    bad = ~((pool > 0.0) & np.isfinite(il))
+    if bad.any():
+        i, t = np.argwhere(bad)[0]
+        raise DomainError(f"z={zs[i]}, step {t}: pool value {pool[i, t]:.17g} must be > 0 "
+                          f"and il_relative {il[i, t]:.17g} finite")
+    step = np.arange(steps, dtype=np.float64)
+    tables = np.stack(np.broadcast_arrays(step, prices, spot, xs, ys, pool, hold, il, slip, vol),
+                      axis=-1)
+    return [ScenarioRun(z=z, table=table, clamped_trades=clamped, skipped_trades=skipped)
+            for z, table, (clamped, skipped) in zip(zs, tables, counts)]
 
 
 def sweep_reserve_curve(anchor: Union[tuple[float, float, float], float],

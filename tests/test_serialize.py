@@ -92,6 +92,12 @@ def test_writer_bytes_without_rows(writer, expected):
     assert written(writer, HEADER, []) == expected
 
 
+def test_table_lines_end_without_spaces():
+    # a last column 0 wide once left the rule line ending in its separator
+    assert written(write_table, ("\\", ""), []) == "\\\n-\n"
+    assert written(write_table, ("a", ""), [(1.5, "")]) == "a\n---\n1.5\n"
+
+
 def test_csv_quotes_an_empty_lone_cell():
     # unquoted, the row would be a blank line, which csv.reader reads as no cells
     assert written(write_csv, ("name",), [("",), ("a",), ("b,c",)]) == 'name\n""\na\n"b,c"\n'
@@ -165,11 +171,9 @@ def reference_text(output_format, header, rows):
         return "[\n" + ",\n".join(objects) + "\n]\n"
     cells = [[v if isinstance(v, str) else number(v, 10) for v in row] for row in rows]
     widths = [max([len(name), *(len(row[j]) for row in cells)]) for j, name in enumerate(header)]
-    rules = "  ".join("-" * w for w in widths)   # not stripped: a column may be 0 wide
-    lines = ["  ".join(map(str.ljust, header, widths)),
+    lines = ["  ".join(map(str.ljust, header, widths)), "  ".join("-" * w for w in widths),
              *("  ".join(map(str.rjust, row, widths)) for row in cells)]
-    lines = [line.rstrip() + "\n" for line in lines]
-    return "".join([lines[0], rules + "\n", *lines[1:]])
+    return "".join(line.rstrip() + "\n" for line in lines)
 
 
 EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]

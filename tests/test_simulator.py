@@ -225,20 +225,42 @@ def test_noise_params_validation():
 
 
 def test_step_metrics_validation(monkeypatch):
-    config = make_config(z_values=(0.5,))
-    assert steps(ha.run_scenario(config)[0])[2]["pool_value"] == 2.0
-    real = _kernels.run_steps
-    # run_steps returns spot, x, y, pool_value, hold_value, il_relative, ...
-    for column, value in ((3, 0.0), (5, math.nan)):
-        def broken(*args, column=column, value=value):
-            result = list(real(*args))
-            result[column] = result[column].copy()
-            result[column][2] = value
-            return tuple(result)
+    # each route's pool, with its reserves at step 2 set to these, is rejected
+    cases = ((0.0, 0.0, "pool value 0 must be > 0 and il_relative 1 finite"),
+             (1e308, 1e308, "pool value inf must be > 0 and il_relative -inf finite"),
+             (math.nan, 1.0, "pool value nan must be > 0 and il_relative nan finite"))
+    real_path, real_steps = _kernels.arbitrage_path, _kernels.run_steps
+    for route in ("closed form", "run_steps fallback", "noise"):
+        # a noise trade of e**-40 of a reserve is dust, so the noise pool stays put too
+        noise = NoiseParams(size_mu=-40.0, size_sigma=0.0, seed=1) if route == "noise" else None
+        config = make_config(z_values=(0.5,), noise=noise)
+        assert steps(ha.run_scenario(config)[0])[2]["pool_value"] == 2.0
+        for x, y, message in cases:
+            stepped = []
 
-        monkeypatch.setattr(_kernels, "run_steps", broken)
-        with pytest.raises(ha.DomainError, match="step 2"):
-            ha.run_scenario(config)
+            def broken_path(*args, x=x, y=y, route=route):
+                columns = real_path(*args)
+                if route == "closed form":
+                    columns[0][:, 2], columns[1][:, 2] = x, y
+                else:   # a pool the closed form leaves to run_steps
+                    for column in columns:
+                        column[:] = math.nan
+                return columns
+
+            def broken_steps(*args, x=x, y=y, stepped=stepped):
+                stepped.append(args[2])
+                result = list(real_steps(*args))
+                result[1], result[2] = result[1].copy(), result[2].copy()
+                result[1][2], result[2][2] = x, y
+                return tuple(result)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "arbitrage_path", broken_path)
+                patch.setattr(_kernels, "run_steps", broken_steps)
+                with pytest.raises(ha.DomainError) as raised:
+                    ha.run_scenario(config)
+            assert str(raised.value) == "z=0.5, step 2: " + message, route
+            assert stepped == ([] if route == "closed form" else [0.5]), route
 
 
 def test_metrics_header_order():
