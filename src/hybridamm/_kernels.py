@@ -1,8 +1,12 @@
 """Numerical kernels shared by the scalar API and the simulator loop.
 
-Kernels are plain Python on floats.  They never raise: an infeasible request
-returns ``nan`` or ``inf``, and a trade returns a reason code.  All randomness
-stays outside this module; stochastic kernels receive pre-drawn arrays.
+The scalar kernels, ``trade`` and ``run_steps`` among them, are plain Python
+on floats.  ``arbitrage_path`` computes whole arbitraged pools, one per z, as
+numpy arrays with numpy's elementwise functions, and its noise trades
+(``_unit_trades``, ``_sell_y_moves``) follow ``trade``'s rules elementwise.
+Kernels never raise: an infeasible request returns ``nan`` or ``inf``, and a
+trade returns a reason code.  All randomness stays outside this module;
+stochastic kernels receive pre-drawn arrays.
 
 One trade kernel, ``trade``, decides whether a trade executes and what it
 costs, for ``swap_exact_in``, ``swap_exact_out`` and every trade of
@@ -456,45 +460,166 @@ def _cumsum2(v):
     return s + np.cumsum((prev - (s - b)) + (v - b), axis=1)
 
 
-def arbitrage_path(x0, y0, z_values, prices, do_arb):
-    """The pools of ``run_steps`` without noise, one per z, in closed form.
+def _sell_y_moves(x, y, z, t):
+    """``solve_delta_x(x, y, 1, z, t)`` elementwise, for Y paid in (t > 0).
 
-    Returns ``(x, y, slippage, volume)``, ``run_steps``' columns of the same
-    names, each shaped (len(z_values), len(prices)).  Pools without the
-    arbitrageur, and z = 1 pools, keep their reserves.  Step 0 runs as in
-    ``run_steps``: re-anchor, ``arb_target_x``, the dead band, ``trade``.
-    A balanced pool then follows the arbitrage target exactly: per step,
-    x_t = x_{t-1} * exp(l_t) with
+    The same closed form at z = 0, and elsewhere the same start and Newton
+    steps, each element stopping where ``solve_delta_x`` stops.  An element
+    that does not stop within 100 steps, or whose spot price is 0, is nan.
+    """
+    c = z / (2.0 - z)
+    a = y + c * x
+    spot = (1.0 - z) * (y / x) + z
+    # the starts of solve_delta_x for X paid out, from _power_term_size's sizes
+    hi = np.minimum(-x * np.expm1(np.log1p(t / a) / (z - 1.0)), t / c)
+    u = np.maximum(t / spot, -x * np.expm1(np.log1p((t - c * hi) / a) / (z - 1.0)))
+    active = (z != 0.0) & (spot != 0.0)
+    slope = (1.0 - z) * a
+    for _ in range(100):
+        if not active.any():
+            break
+        em = np.expm1((z - 1.0) * np.log1p(-u / x))
+        step = (c * u + a * em - t) / (slope * (em + 1.0) / (x - u) + c)
+        u_next = u - step
+        u = np.where(active, u_next, u)
+        # stop at a step away from the start side, which means rounding noise
+        # at the root, at a step below 4e-16 of u, or at nan; u_next > 0
+        # wherever step <= 0
+        active &= step > 4e-16 * u_next
+    dx = np.where(active | (spot == 0.0), math.nan, -u)
+    return np.where(z == 0.0, -t * x / (y + t), dx)
 
-        l_t = log1p((2-z) * (p_{t-1}/p_t - 1) / 2) / (2-z),
 
-    so x_t = x_0 * exp(L_t), where L is a compensated cumulative sum of l,
-    and y_t = y_0 * (p_t/p_0) * exp(L_t), which is p_t * x_t but repeats
-    y_{t-1} bit for bit when the price does.  Each trade
-    comes from its own l_t, not from differences of stored reserves: X moves
-    by x_{t-1} * expm1(l_t), and the slippage, ``trade``'s cost against the
-    marginal price before the trade, is (p_{t-1} + c) * N / |expm1(l_t)|
-    with c = z*p_t/(2-z), a = 1 - z and the cancellation-free
-    N = a*(expm1(l) - l) + (expm1(-a*l) + a*l).
+def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction):
+    """Every step's noise trades on the unit pool (1, 1) at price 1, per pool and step.
 
-    There is no dead band after step 0: an unchanged price gives l = 0, so
-    the reserves stay exactly as they were and the step reports no trade;
-    any price move trades.  A pool whose step-0 target is nan, whose step-0
-    arbitrage does not execute, or whose columns are not all finite comes
-    back as rows of nan, for the caller to run through ``run_steps``.
+    ``z`` is a column with one mix parameter per pool.  The trades follow
+    ``run_steps``: clamps to ``max_fraction`` and to 99.9% of ``headroom``, the
+    skips, and ``trade``'s amounts and slippage, with the X move of a SELL_Y
+    from ``solve_delta_x``'s Newton, elementwise.  An element that needs one
+    of ``trade``'s other branches (more than half of a reserve paid out, or
+    no root) goes through scalar ``trade`` on its own unit pool.
+
+    Returns ``((gx, gx_lo), (gy, gy_lo), slip, volume, clamped, skipped)``:
+    each reserve after the step's trades as a float and the rounding error of
+    its running sum of moves (Fast2Sum: no move exceeds its reserve); the last
+    executed trade's slippage, nan where none executed; the X traded; and the
+    counts per pool.
+    """
+    shape = (len(z), steps)
+    gx, gy = np.ones(shape), np.ones(shape)
+    gx_lo, gy_lo, volume = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    slip = np.full(shape, math.nan)
+    clamped = np.zeros(len(z), dtype=np.int64)
+    skipped = np.zeros(len(z), dtype=np.int64)
+    c = z / (2.0 - z)
+    floor_power = np.exp((z - 1.0) * math.log(X_FLOOR_REL))   # X_FLOOR_REL**(z-1)
+    for j in range(trades_per_step):
+        frac = fractions[j::trades_per_step]
+        sells = directions[j::trades_per_step] != 0
+        live = np.isfinite(frac) & (frac > 0.0)
+        skipped += np.count_nonzero(~live)
+        clamped += np.count_nonzero(live & (frac > max_fraction))
+        frac = np.minimum(frac, max_fraction)
+        # a trade's direction is the same in every pool, so each side is a set of steps
+        for sell_y in (False, True):
+            cols = np.flatnonzero(live & (sells == sell_y))
+            x, y = gx[:, cols], gy[:, cols]
+            reserve = y if sell_y else x
+            amount = frac[cols] * reserve
+            # headroom's curve, relative to the current reserves: no k
+            if sell_y:
+                cap = 0.999 * ((y + c * x) * floor_power - c * (X_FLOOR_REL * x) - y)
+            else:
+                cap = 0.999 * (x * np.power(1.0 + y / (c * x), 1.0 / (2.0 - z)) - x)
+            room = ~(cap <= 0.0)
+            capped = room & (amount > cap)
+            amount = np.where(capped, cap, amount)
+            clamped += capped.sum(axis=1)
+            tried = room & ~(amount < DUST_REL * reserve)
+            # the amount paid out: X by solve_delta_x's Newton, Y by delta_y's formula
+            if sell_y:
+                out = -_sell_y_moves(x, y, z, amount)
+            else:
+                out = -((y + c * x) * np.expm1((z - 1.0) * np.log1p(amount / x)) - c * amount)
+            spot0 = (1.0 - z) * (y / x) + z
+            s = amount / out - spot0 if sell_y else spot0 - out / amount
+            executed = tried & (out > 0.0)   # else NO_MOVE
+            rare = tried & ~(out <= 0.5 * (x if sell_y else y))
+            if rare.any():
+                for i, t in np.argwhere(rare).tolist():
+                    zi = z[i, 0].item()
+                    _, _, _, out[i, t], s[i, t], reason = trade(
+                        x[i, t].item(), y[i, t].item(), 1.0, zi, curve_anchor(1.0, 1.0, 1.0, zi),
+                        sell_y, amount[i, t].item(), False)
+                    executed[i, t] = reason == EXECUTED
+            out = np.where(executed, out, 0.0)
+            amount = np.where(executed, amount, 0.0)
+            for column, lo, old, move in ((gx, gx_lo, x, -out if sell_y else amount),
+                                          (gy, gy_lo, y, amount if sell_y else -out)):
+                new = old + move
+                lo[:, cols] += move - (new - old)
+                column[:, cols] = new
+            volume[:, cols] += out if sell_y else amount   # volume counts X traded
+            slip[:, cols] = np.where(executed, np.maximum(s, 0.0), slip[:, cols])
+            skipped += (~executed).sum(axis=1)
+    return (gx, gx_lo), (gy, gy_lo), slip, volume, clamped, skipped
+
+
+def arbitrage_path(x0, y0, z_values, prices, do_arb, fractions=np.empty(0),
+                   directions=np.empty(0, dtype=np.int8), trades_per_step=0, max_fraction=0.0):
+    """The arbitraged pools of ``run_steps``, one per z, in closed form.
+
+    Takes ``run_steps``' arguments, with one pool per z.  Returns ``(x, y,
+    slippage, volume, clamped, skipped)``: ``run_steps``' columns of those
+    names, each shaped (len(z_values), len(prices)), and its noise-trade
+    counts per pool.  Without noise, pools without the arbitrageur and z = 1
+    pools keep their reserves; with noise, such pools come back as rows of
+    nan, for the caller to run through ``run_steps``.
+
+    Step 0's arbitrage runs as in ``run_steps``: re-anchor, ``arb_target_x``,
+    the dead band, ``trade``.  After each arbitrage the pool is balanced,
+    y = p*x, so the curve, the trade rules and the noise sizes, which are all
+    relative, make step t's noise trades those of the unit pool (1, 1) at
+    price 1 (``_unit_trades``), scaled: x and y become x*_t * gx_t and
+    p_t * x*_t * gy_t, where x*_t is x after step t's arbitrage.  The next
+    arbitrage then moves x by exp(l_t) with
+
+        l_t = log1p((2-z) * (p_{t-1}*gy_{t-1} / (p_t*gx_{t-1}) - 1) / 2) / (2-z),
+
+    so x*_t = x_0 * exp(L_t), where L is a compensated cumulative sum of
+    log(gx_{t-1}) + l_t.  Without noise gx = gy = 1, and y_t = y_0 * (p_t/p_0)
+    * exp(L_t), which is p_t * x*_t but repeats y_{t-1} bit for bit when the
+    price does.  Each arbitrage comes from its own l_t, not from differences
+    of stored reserves: X moves by x_{t-1} * expm1(l_t), and the slippage,
+    ``trade``'s cost against the marginal price before the trade, is
+    (y_{t-1}/x_{t-1} + c) * N / |expm1(l_t)| with c = z*p_t/(2-z), a = 1 - z
+    and the cancellation-free N = a*(expm1(l) - l) + (expm1(-a*l) + a*l).
+    A step's slippage is that of its last executed noise trade, the unit
+    pool's times p_t, or the arbitrage's if none executed; its volume adds
+    x*_t times the unit pool's.
+
+    There is no dead band after step 0: a balanced pool at an unchanged
+    price has l = 0, so its reserves stay exactly as they were and the step
+    reports no arbitrage; any other step arbitrages.  A pool whose step-0
+    target is nan, whose step-0 arbitrage does not execute, or whose columns
+    are not all finite comes back as rows of nan.
     """
     zs = np.asarray(z_values, dtype=np.float64)
     shape = (len(zs), len(prices))
-    x = np.full(shape, float(x0))
-    y = np.full(shape, float(y0))
-    slip = np.zeros(shape)
-    volume = np.zeros(shape)
+    noisy = trades_per_step > 0
+    x = np.full(shape, math.nan if noisy else float(x0))
+    y = np.full(shape, math.nan if noisy else float(y0))
+    slip = np.full(shape, math.nan if noisy else 0.0)
+    volume = np.full(shape, math.nan if noisy else 0.0)
+    clamped = np.zeros(len(zs), dtype=np.int64)
+    skipped = np.zeros(len(zs), dtype=np.int64)
     trading = (zs < 1.0) & bool(do_arb)
     if not trading.any():
-        return x, y, slip, volume
+        return x, y, slip, volume, clamped, skipped
 
     p0 = float(prices[0])
-    first = []   # x, y, slippage and volume after step 0, per trading pool
+    first = []   # x, y, slippage and volume after step 0's arbitrage, per trading pool
     for z in zs[trading].tolist():
         k = curve_anchor(x0, y0, p0, z)
         x_star = arb_target_x(k, p0, z)
@@ -513,25 +638,38 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb):
     z = zs[trading][:, None]
     w = 2.0 - z
     a = 1.0 - z
-    # overflow gives inf or nan silently; such a pool goes back to run_steps
+    # overflow gives inf or nan silently; such a pool comes back as nan
     with np.errstate(all="ignore"):
+        (gx, gx_lo), (gy, gy_lo), unit_slip, unit_volume, *counts = _unit_trades(
+            z, len(prices), fractions, directions, trades_per_step, max_fraction)
+        clamped[trading], skipped[trading] = counts
+        # gy/gx - 1 before each arbitrage
+        gap = (((gy - gx) + (gy_lo - gx_lo)) / (gx + gx_lo))[:, :-1]
         # p_{t-1} - p_t is exact within a factor of 2, so a small move keeps its digits
-        ell = np.log1p(w * ((prices[:-1] - prices[1:]) / prices[1:]) / 2.0) / w
+        move = (prices[:-1] - prices[1:]) / prices[1:]
+        move = move + gap + move * gap
+        ell = np.log1p(w * move / 2.0) / w
         growth = np.ones((len(z), len(prices)))
-        growth[:, 1:] = np.exp(_cumsum2(ell))
+        growth[:, 1:] = np.exp(_cumsum2((np.log(gx) + gx_lo / gx)[:, :-1] + ell))
         xt = x_first * growth
+        yt = y_first * (prices / p0 * growth)
+        x[trading] = xt * gx + xt * gx_lo
+        y[trading] = yt * gy + yt * gy_lo
         em = np.expm1(ell)
         n = a * _expm1_minus(ell) + _expm1_minus(-a * ell)
-        move = np.abs(em)
+        size = np.abs(em)
         slip_t = np.zeros_like(ell)
-        np.divide((prices[:-1] + z * prices[1:] / w) * n, move, out=slip_t, where=move > 0.0)
-        x[trading] = xt
-        y[trading] = y_first * (prices / p0 * growth)
-        slip[trading] = np.concatenate((slip_first, slip_t), axis=1)
-        volume[trading] = np.cumsum(np.concatenate((volume_first, np.abs(xt[:, :-1] * em)),
-                                                   axis=1), axis=1)
+        np.divide((prices[:-1] + prices[:-1] * gap + z * prices[1:] / w) * n, size, out=slip_t,
+                  where=size > 0.0)
+        slip[trading] = np.where(np.isnan(unit_slip), np.concatenate((slip_first, slip_t), axis=1),
+                                 unit_slip * prices)
+        volume[trading] = np.cumsum(
+            np.concatenate((volume_first, np.abs(x[trading][:, :-1] * em)), axis=1)
+            + xt * unit_volume, axis=1)
         covered = (np.isfinite(x) & np.isfinite(y) & np.isfinite(slip)
                    & np.isfinite(volume)).all(axis=1)
     for column in (x, y, slip, volume):
         column[~covered] = math.nan
-    return x, y, slip, volume
+    clamped[~covered] = 0
+    skipped[~covered] = 0
+    return x, y, slip, volume, clamped, skipped

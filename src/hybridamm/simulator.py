@@ -229,9 +229,11 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     """Drive one pool per z value through the configured path and agents.
 
     Every pool sees the same oracle path and the same pre-drawn noise
-    attempts, so runs differ only through the curve itself.  Without noise,
-    ``_kernels.arbitrage_path`` computes every pool at once in closed form,
-    and only the pools it leaves out step through ``_kernels.run_steps``.
+    attempts, so runs differ only through the curve itself.
+    ``_kernels.arbitrage_path`` computes every arbitraged pool at once in
+    closed form, and only the pools it leaves out step through
+    ``_kernels.run_steps``: with noise, z = 1 pools and pools without the
+    arbitrageur, and any pool whose closed form is not finite.
     """
     prices = config.path.prices
     steps = len(prices)
@@ -244,23 +246,18 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
         directions = rng.integers(0, 2, size=total, dtype=np.int8)
         trades_per_step = noise.trades_per_step
         max_fraction = noise.max_fraction
-        xs, ys, slip, vol = (np.empty((len(zs), steps)) for _ in range(4))
-        stepped = range(len(zs))
     else:
         fractions = np.empty(0, dtype=np.float64)
         directions = np.empty(0, dtype=np.int8)
         trades_per_step = 0
         max_fraction = 0.0
-        xs, ys, slip, vol = _kernels.arbitrage_path(config.x0, config.y0, zs, prices,
-                                                    bool(config.arbitrageur))
-        stepped = np.flatnonzero(np.isnan(xs[:, 0])).tolist()
-
-    counts = [(0, 0)] * len(zs)
-    for i in stepped:
+    args = (fractions, directions, trades_per_step, max_fraction)
+    xs, ys, slip, vol, clamped, skipped = _kernels.arbitrage_path(
+        config.x0, config.y0, zs, prices, bool(config.arbitrageur), *args)
+    counts = list(zip(clamped.tolist(), skipped.tolist()))
+    for i in np.flatnonzero(np.isnan(xs[:, 0])).tolist():
         _, xs[i], ys[i], _, _, _, slip[i], vol[i], clamped, skipped = _kernels.run_steps(
-            config.x0, config.y0, zs[i], prices, bool(config.arbitrageur),
-            fractions, directions, trades_per_step, max_fraction,
-        )
+            config.x0, config.y0, zs[i], prices, bool(config.arbitrageur), *args)
         counts[i] = (int(clamped), int(skipped))
 
     # run_steps' own column formulas, on every pool at once, so a stepped

@@ -230,21 +230,27 @@ def test_step_metrics_validation(monkeypatch):
              (1e308, 1e308, "pool value inf must be > 0 and il_relative -inf finite"),
              (math.nan, 1.0, "pool value nan must be > 0 and il_relative nan finite"))
     real_path, real_steps = _kernels.arbitrage_path, _kernels.run_steps
-    for route in ("closed form", "run_steps fallback", "noise"):
-        # a noise trade of e**-40 of a reserve is dust, so the noise pool stays put too
-        noise = NoiseParams(size_mu=-40.0, size_sigma=0.0, seed=1) if route == "noise" else None
-        config = make_config(z_values=(0.5,), noise=noise)
+    # a noise trade of e**-40 of a reserve is dust, so a noise pool stays put too
+    dust = NoiseParams(size_mu=-40.0, size_sigma=0.0, seed=1)
+    routes = {   # route: noise, arbitrageur, and whether the pool steps through run_steps
+        "closed form": (None, True, False),
+        "noise closed form": (dust, True, False),
+        "run_steps fallback": (None, True, True),
+        "noise run_steps": (dust, False, True),
+    }
+    for route, (noise, arbitrageur, steps_through) in routes.items():
+        config = make_config(z_values=(0.5,), noise=noise, arbitrageur=arbitrageur)
         assert steps(ha.run_scenario(config)[0])[2]["pool_value"] == 2.0
         for x, y, message in cases:
             stepped = []
 
             def broken_path(*args, x=x, y=y, route=route):
                 columns = real_path(*args)
-                if route == "closed form":
-                    columns[0][:, 2], columns[1][:, 2] = x, y
-                else:   # a pool the closed form leaves to run_steps
-                    for column in columns:
+                if route == "run_steps fallback":   # a pool the closed form leaves to run_steps
+                    for column in columns[:4]:
                         column[:] = math.nan
+                else:
+                    columns[0][:, 2], columns[1][:, 2] = x, y
                 return columns
 
             def broken_steps(*args, x=x, y=y, stepped=stepped):
@@ -260,7 +266,7 @@ def test_step_metrics_validation(monkeypatch):
                 with pytest.raises(ha.DomainError) as raised:
                     ha.run_scenario(config)
             assert str(raised.value) == "z=0.5, step 2: " + message, route
-            assert stepped == ([] if route == "closed form" else [0.5]), route
+            assert stepped == ([0.5] if steps_through else []), route
 
 
 def test_metrics_header_order():
