@@ -460,12 +460,13 @@ def _cumsum2(v):
     return s + np.cumsum((prev - (s - b)) + (v - b), axis=1)
 
 
-def _sell_y_moves(x, y, z, t):
-    """``solve_delta_x(x, y, 1, z, t)`` elementwise, for Y paid in (t > 0).
+def _sell_y_moves(x, y, z, t, tried):
+    """``solve_delta_x(x, y, 1, z, t)`` elementwise where ``tried``, for Y paid in (t > 0).
 
     The same closed form at z = 0, and elsewhere the same start and Newton
     steps, each element stopping where ``solve_delta_x`` stops.  An element
     that does not stop within 100 steps, or whose spot price is 0, is nan.
+    Elements outside ``tried`` take no Newton step and hold no meaningful move.
     """
     c = z / (2.0 - z)
     a = y + c * x
@@ -473,7 +474,7 @@ def _sell_y_moves(x, y, z, t):
     # the starts of solve_delta_x for X paid out, from _power_term_size's sizes
     hi = np.minimum(-x * np.expm1(np.log1p(t / a) / (z - 1.0)), t / c)
     u = np.maximum(t / spot, -x * np.expm1(np.log1p((t - c * hi) / a) / (z - 1.0)))
-    active = (z != 0.0) & (spot != 0.0)
+    active = tried & (z != 0.0) & (spot != 0.0)
     slope = (1.0 - z) * a
     for _ in range(100):
         if not active.any():
@@ -493,12 +494,13 @@ def _sell_y_moves(x, y, z, t):
 def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction):
     """Every step's noise trades on the unit pool (1, 1) at price 1, per pool and step.
 
-    ``z`` is a column with one mix parameter per pool.  The trades follow
-    ``run_steps``: clamps to ``max_fraction`` and to 99.9% of ``headroom``, the
-    skips, and ``trade``'s amounts and slippage, with the X move of a SELL_Y
-    from ``solve_delta_x``'s Newton, elementwise.  An element that needs one
-    of ``trade``'s other branches (more than half of a reserve paid out, or
-    no root) goes through scalar ``trade`` on its own unit pool.
+    ``z`` is a column with one mix parameter per pool.  Each trade slot is one
+    pass over every pool and step, a step's direction being the same in every
+    pool.  The trades follow ``run_steps``: clamps to ``max_fraction`` and to
+    99.9% of ``headroom``, the skips, and ``trade``'s amounts and slippage,
+    with the X move of a SELL_Y from ``solve_delta_x``'s Newton.  An element
+    that needs one of ``trade``'s other branches (more than half of a reserve
+    paid out, or no root) goes through scalar ``trade`` on its own unit pool.
 
     Returns ``((gx, gx_lo), (gy, gy_lo), slip, volume, clamped, skipped)``:
     each reserve after the step's trades as a float and the rounding error of
@@ -516,53 +518,42 @@ def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction)
     floor_power = np.exp((z - 1.0) * math.log(X_FLOOR_REL))   # X_FLOOR_REL**(z-1)
     for j in range(trades_per_step):
         frac = fractions[j::trades_per_step]
-        sells = directions[j::trades_per_step] != 0
+        sell_y = directions[j::trades_per_step] != 0
         live = np.isfinite(frac) & (frac > 0.0)
-        skipped += np.count_nonzero(~live)
         clamped += np.count_nonzero(live & (frac > max_fraction))
-        frac = np.minimum(frac, max_fraction)
-        # a trade's direction is the same in every pool, so each side is a set of steps
-        for sell_y in (False, True):
-            cols = np.flatnonzero(live & (sells == sell_y))
-            x, y = gx[:, cols], gy[:, cols]
-            reserve = y if sell_y else x
-            amount = frac[cols] * reserve
-            # headroom's curve, relative to the current reserves: no k
-            if sell_y:
-                cap = 0.999 * ((y + c * x) * floor_power - c * (X_FLOOR_REL * x) - y)
-            else:
-                cap = 0.999 * (x * np.power(1.0 + y / (c * x), 1.0 / (2.0 - z)) - x)
-            room = ~(cap <= 0.0)
-            capped = room & (amount > cap)
-            amount = np.where(capped, cap, amount)
-            clamped += capped.sum(axis=1)
-            tried = room & ~(amount < DUST_REL * reserve)
-            # the amount paid out: X by solve_delta_x's Newton, Y by delta_y's formula
-            if sell_y:
-                out = -_sell_y_moves(x, y, z, amount)
-            else:
-                out = -((y + c * x) * np.expm1((z - 1.0) * np.log1p(amount / x)) - c * amount)
-            spot0 = (1.0 - z) * (y / x) + z
-            s = amount / out - spot0 if sell_y else spot0 - out / amount
-            executed = tried & (out > 0.0)   # else NO_MOVE
-            rare = tried & ~(out <= 0.5 * (x if sell_y else y))
-            if rare.any():
-                for i, t in np.argwhere(rare).tolist():
-                    zi = z[i, 0].item()
-                    _, _, _, out[i, t], s[i, t], reason = trade(
-                        x[i, t].item(), y[i, t].item(), 1.0, zi, curve_anchor(1.0, 1.0, 1.0, zi),
-                        sell_y, amount[i, t].item(), False)
-                    executed[i, t] = reason == EXECUTED
-            out = np.where(executed, out, 0.0)
-            amount = np.where(executed, amount, 0.0)
-            for column, lo, old, move in ((gx, gx_lo, x, -out if sell_y else amount),
-                                          (gy, gy_lo, y, amount if sell_y else -out)):
-                new = old + move
-                lo[:, cols] += move - (new - old)
-                column[:, cols] = new
-            volume[:, cols] += out if sell_y else amount   # volume counts X traded
-            slip[:, cols] = np.where(executed, np.maximum(s, 0.0), slip[:, cols])
-            skipped += (~executed).sum(axis=1)
+        x, y = gx, gy
+        reserve = np.where(sell_y, y, x)
+        amount = np.minimum(frac, max_fraction) * reserve
+        # headroom's curve, relative to the current reserves: no k
+        cap = 0.999 * np.where(sell_y, (y + c * x) * floor_power - c * (X_FLOOR_REL * x) - y,
+                               x * np.power(1.0 + y / (c * x), 1.0 / (2.0 - z)) - x)
+        room = live & ~(cap <= 0.0)
+        capped = room & (amount > cap)
+        amount = np.where(capped, cap, amount)
+        clamped += capped.sum(axis=1)
+        tried = room & ~(amount < DUST_REL * reserve)
+        # the amount paid out: X by solve_delta_x's Newton, Y by delta_y's formula
+        out = np.where(sell_y, -_sell_y_moves(x, y, z, amount, tried & sell_y),
+                       -((y + c * x) * np.expm1((z - 1.0) * np.log1p(amount / x)) - c * amount))
+        spot0 = (1.0 - z) * (y / x) + z
+        s = np.where(sell_y, amount / out - spot0, spot0 - out / amount)
+        executed = tried & (out > 0.0)   # else NO_MOVE
+        rare = tried & ~(out <= 0.5 * np.where(sell_y, x, y))
+        for i, t in np.argwhere(rare).tolist():
+            zi = z[i, 0].item()
+            _, _, _, out[i, t], s[i, t], reason = trade(
+                x[i, t].item(), y[i, t].item(), 1.0, zi, curve_anchor(1.0, 1.0, 1.0, zi),
+                bool(sell_y[t]), amount[i, t].item(), False)
+            executed[i, t] = reason == EXECUTED
+        out = np.where(executed, out, 0.0)
+        amount = np.where(executed, amount, 0.0)
+        dx, dy = np.where(sell_y, -out, amount), np.where(sell_y, amount, -out)
+        gx, gy = x + dx, y + dy
+        gx_lo += dx - (gx - x)
+        gy_lo += dy - (gy - y)
+        volume += np.where(sell_y, out, amount)   # volume counts X traded
+        slip = np.where(executed, np.maximum(s, 0.0), slip)
+        skipped += (~executed).sum(axis=1)
     return (gx, gx_lo), (gy, gy_lo), slip, volume, clamped, skipped
 
 
@@ -656,7 +647,8 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, fractions=np.empty(0),
         x[trading] = xt * gx + xt * gx_lo
         y[trading] = yt * gy + yt * gy_lo
         em = np.expm1(ell)
-        n = a * _expm1_minus(ell) + _expm1_minus(-a * ell)
+        ea, eb = _expm1_minus(np.stack((ell, -a * ell)))
+        n = a * ea + eb
         size = np.abs(em)
         slip_t = np.zeros_like(ell)
         np.divide((prices[:-1] + prices[:-1] * gap + z * prices[1:] / w) * n, size, out=slip_t,

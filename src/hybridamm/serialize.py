@@ -8,6 +8,7 @@ CSV and text and ``null`` in JSON.  Strings pass through (escaped as ``json`` do
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
@@ -61,11 +62,16 @@ def write_json(handle, header: Sequence[str], rows, shared: Optional[dict] = Non
     # `\` in a key is \u005c: a key's closing quote never follows a `\`, a string's always does
     keys = ["%s: " % encode_basestring(name).replace("\\\\", "\\u005c").replace("%", "%%")
             for name in header]
+    rows = list(rows)
     text = _rows_text(header, rows,
                       lambda specs: ",\n  {%s}" % ", ".join(map(str.__add__, keys, specs)),
-                      encode_basestring, shared)
+                      encode_basestring, shared) or ",\n"
+    try:   # a float sum of the cells is finite only if every cell is
+        finite = math.isfinite(sum(chain.from_iterable(rows)))
+    except (TypeError, OverflowError):   # a string cell, or an int past double range
+        finite = False
     # the first row takes no comma
-    handle.write("[" + _JSON_NON_FINITE.sub(": null", text or ",\n")[1:] + "\n]\n")
+    handle.write("[" + (text if finite else _JSON_NON_FINITE.sub(": null", text))[1:] + "\n]\n")
 
 
 def write_table(handle, header: Sequence[str], rows, shared: Optional[dict] = None) -> None:

@@ -371,6 +371,22 @@ def test_unit_trades_are_run_steps_on_the_unit_pool(case):
         assert (clamped[i], skipped[i]) == tuple(counts), z
 
 
+def test_sell_y_moves_are_the_same_on_the_tried_elements():
+    """Newton on the tried elements alone gives each of them the bits it gets when every
+    element is tried."""
+    rng = np.random.default_rng(5)
+    z = np.array([0.0, 5e-324, 0.3, 1.0 - 2.0 ** -52])[:, None]
+    shape = (len(z), 500)
+    # unit pools a few trades away from (1, 1), and SELL_Y amounts of up to a few times y
+    x, y = np.exp(rng.normal(0.0, 0.5, shape)), np.exp(rng.normal(0.0, 0.5, shape))
+    t = y * np.exp(rng.normal(-2.0, 1.5, shape))
+    tried = rng.random(shape) < 0.5
+    with np.errstate(all="ignore"):
+        want = _kernels._sell_y_moves(x, y, z, t, np.ones(shape, dtype=bool))
+        got = _kernels._sell_y_moves(x, y, z, t, tried)
+    assert (got.view(np.int64) == want.view(np.int64))[tried].all()
+
+
 def test_noise_counts_match_run_steps_on_every_sim_noise_reference():
     """The closed form's clamped and skipped counts are run_steps', pool by pool."""
     for ref in range(_perfbench.REFERENCE_SEEDS):
