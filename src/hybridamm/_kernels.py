@@ -17,7 +17,7 @@ input-side reserve), ``NO_MOVE`` (the amount that follows is not positive),
 lands closer to the solvency bound than doubles resolve).  ``headroom`` is the
 largest input the pool can take.  The swaps turn the reasons into typed
 exceptions; ``run_steps`` counts a noise trade that did not execute as
-skipped.
+skipped.  ``arbitrage_step`` adds ``IN_BAND`` and ``NO_TARGET``.
 
 Curve family (mix parameter z in [0, 1], oracle price p, constant k):
 
@@ -39,14 +39,18 @@ NUMBA_ENABLED = False
 
 # Trades moving less than this fraction of the input-side reserve are dust.
 DUST_REL = 1e-15
+# No arbitrage within this fraction of x of its target: the band absorbs exp/log
+# rounding, so a balanced pool stays put, and leaves |spot - p| ~ 1e-12 * p at worst.
+ARB_BAND_REL = 1e-12
 # SellY feasibility floor: the pool never quotes below this fraction of current x.
 X_FLOOR_REL = 1e-12
 
 # exact-out SELL_X inverts the curve no further than this fraction of the solvency bound
 BOUND_REL = 1.0 - 1e-15
 
-# trade reason codes
+# trade reason codes, then arbitrage_step's own two
 EXECUTED, DUST, NO_MOVE, NO_ROOT, PAST_BOUND = 0, 1, 2, 3, 4
+IN_BAND, NO_TARGET = 5, 6
 
 
 def pow_zm1(x, z):
@@ -243,7 +247,7 @@ def solve_delta_x(x, y, p, z, dy):
     t = abs(dy)
     c = z * p / (2.0 - z)
     a = y + c * x
-    spot = (1.0 - z) * (y / x) + z * p
+    spot = blend_spot(x, y, p, z)
     if spot == 0.0:   # underflowed: no start for Newton, so trade inverts the curve
         return math.nan
     # The power term alone, and the linear term c*u alone, move Y by t at
@@ -346,6 +350,38 @@ def trade(x, y, p, z, k, sell_y, amount, exact_out):
     return x_new, y_new, amount_in, amount_out, 0.0 if slip < 0.0 else slip, EXECUTED
 
 
+def arbitrage_step(x, y, p, z, k):
+    """The arbitrageur's ``trade`` to x* = ``arb_target_x``, where the spot price is p.
+
+    X out of the pool is an exact-out SELL_Y of |x* - x|, X in an exact-in
+    SELL_X.  Returns ``(x_new, y_new, slippage, volume, reason)``; the X volume
+    is |x* - x|, or 0 unless ``EXECUTED``: ``NO_TARGET`` (x* is nan: z = 1, or
+    (2-z)*k/(2p) underflows), ``IN_BAND`` (within ``ARB_BAND_REL`` of x), or
+    ``trade``'s reason.
+    """
+    x_star = arb_target_x(k, p, z)
+    if math.isnan(x_star):
+        return x, y, 0.0, 0.0, NO_TARGET
+    size = abs(x_star - x)
+    if not size > ARB_BAND_REL * x:
+        return x, y, 0.0, 0.0, IN_BAND
+    sell_y = x_star < x
+    x_new, y_new, _, _, slip, reason = trade(x, y, p, z, k, sell_y, size, sell_y)
+    return x_new, y_new, slip, size if reason == EXECUTED else 0.0, reason
+
+
+def derived_columns(x0, y0, x, y, prices, z):
+    """Spot, pool value, hold value (of x0, y0) and il_relative, in X at each price.
+
+    Overflow gives inf or nan silently, as in float arithmetic; ``run_scenario``
+    rejects it.
+    """
+    with np.errstate(all="ignore"):
+        pool = x + y / prices
+        hold = x0 + y0 / prices
+        return blend_spot(x, y, prices, z), pool, hold, (hold - pool) / hold
+
+
 def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
               max_fraction):
     """Advance one pool through the full scenario; returns per-step metric arrays.
@@ -357,15 +393,13 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
     clamped to ``max_fraction`` of the input-side reserve and to 99.9% of
     ``headroom``.  Every trade, the arbitrage included, is executed by
     ``trade`` as ``swap_exact_in`` and ``swap_exact_out`` execute it; a trade
-    whose reason is not ``EXECUTED`` is skipped.  The arbitrage is skipped
-    inside a dead band around its target, and where ``arb_target_x`` returns
-    nan because (2-z)*k/(2p) underflows to 0.
+    whose reason is not ``EXECUTED`` is skipped; the arbitrage is
+    ``arbitrage_step``.
 
     The loop records x, y, the last trade's slippage and the cumulative X
-    volume per step; spot, pool value, hold value and il_relative are then
-    column formulas, bitwise equal to the scalar ones.  Returns ``(spot, x, y,
-    pool, hold, il, slippage, volume, clamped, skipped)``, the counts of noise
-    trades.
+    volume per step, and ``derived_columns`` adds the rest.  Returns ``(spot,
+    x, y, pool, hold, il, slippage, volume, clamped, skipped)``, the counts of
+    noise trades.
     """
     # Python floats: arithmetic on numpy scalars costs several times as much
     noise_frac = noise_frac.tolist()
@@ -383,19 +417,8 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
         last_slip = 0.0
 
         if do_arb and z < 1.0:
-            x_star = arb_target_x(k, p, z)
-            # dead-band absorbs exp/log rounding so already-balanced pools
-            # do not trade; a skipped arb leaves |spot - p| ~ 1e-12 * p at worst
-            if abs(x_star - x) > 1e-12 * x:
-                # X out of the pool is an exact-out SELL_Y, X in an exact-in SELL_X
-                sell_y = x_star < x
-                x_new, y_new, amount_in, amount_out, slip, reason = trade(
-                    x, y, p, z, k, sell_y, abs(x_star - x), sell_y)
-                if reason == EXECUTED:
-                    last_slip = slip
-                    volume += amount_out if sell_y else amount_in   # volume counts X traded
-                    x = x_new
-                    y = y_new
+            x, y, last_slip, traded, _ = arbitrage_step(x, y, p, z, k)
+            volume += traded
 
         for j in range(trades_per_step):
             frac = noise_frac[t * trades_per_step + j]
@@ -427,12 +450,7 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
         rows.append((x, y, last_slip, volume))
 
     x_a, y_a, slip_a, vol_a = np.array(rows).T
-    # overflow gives inf or nan silently, as in float arithmetic; run_scenario rejects it
-    with np.errstate(all="ignore"):
-        pool_a = x_a + y_a / prices
-        hold_a = x0 + y0 / prices
-        il_a = (hold_a - pool_a) / hold_a
-        spot_a = blend_spot(x_a, y_a, prices, z)
+    spot_a, pool_a, hold_a, il_a = derived_columns(x0, y0, x_a, y_a, prices, z)
     return spot_a, x_a, y_a, pool_a, hold_a, il_a, slip_a, vol_a, clamped, skipped
 
 
@@ -470,7 +488,7 @@ def _sell_y_moves(x, y, z, t, tried):
     """
     c = z / (2.0 - z)
     a = y + c * x
-    spot = (1.0 - z) * (y / x) + z
+    spot = blend_spot(x, y, 1.0, z)
     # the starts of solve_delta_x for X paid out, from _power_term_size's sizes
     hi = np.minimum(-x * np.expm1(np.log1p(t / a) / (z - 1.0)), t / c)
     u = np.maximum(t / spot, -x * np.expm1(np.log1p((t - c * hi) / a) / (z - 1.0)))
@@ -535,7 +553,7 @@ def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction)
         # the amount paid out: X by solve_delta_x's Newton, Y by delta_y's formula
         out = np.where(sell_y, -_sell_y_moves(x, y, z, amount, tried & sell_y),
                        -((y + c * x) * np.expm1((z - 1.0) * np.log1p(amount / x)) - c * amount))
-        spot0 = (1.0 - z) * (y / x) + z
+        spot0 = blend_spot(x, y, 1.0, z)
         s = np.where(sell_y, amount / out - spot0, spot0 - out / amount)
         executed = tried & (out > 0.0)   # else NO_MOVE
         rare = tried & ~(out <= 0.5 * np.where(sell_y, x, y))
@@ -564,15 +582,16 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, fractions=np.empty(0),
     Takes ``run_steps``' arguments, with one pool per z.  Returns ``(x, y,
     slippage, volume, clamped, skipped)``: ``run_steps``' columns of those
     names, each shaped (len(z_values), len(prices)), and its noise-trade
-    counts per pool.  Without noise, pools without the arbitrageur and z = 1
-    pools keep their reserves; with noise, such pools come back as rows of
-    nan, for the caller to run through ``run_steps``.
+    counts per pool.  A pool it does not compute comes back as rows of nan
+    and counts of 0, for the caller to run through ``run_steps``: every pool
+    without the arbitrageur or at z = 1, one whose step-0 arbitrage does not
+    trade or lie in the dead band, and one whose columns are not all finite.
 
-    Step 0's arbitrage runs as in ``run_steps``: re-anchor, ``arb_target_x``,
-    the dead band, ``trade``.  After each arbitrage the pool is balanced,
-    y = p*x, so the curve, the trade rules and the noise sizes, which are all
-    relative, make step t's noise trades those of the unit pool (1, 1) at
-    price 1 (``_unit_trades``), scaled: x and y become x*_t * gx_t and
+    Step 0 re-anchors and runs ``arbitrage_step``, as ``run_steps`` does.
+    After each arbitrage the pool is balanced, y = p*x, so the curve, the
+    trade rules and the noise sizes, which are all relative, make step t's
+    noise trades those of the unit pool (1, 1) at price 1
+    (``_unit_trades``), scaled: x and y become x*_t * gx_t and
     p_t * x*_t * gy_t, where x*_t is x after step t's arbitrage.  The next
     arbitrage then moves x by exp(l_t) with
 
@@ -592,17 +611,10 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, fractions=np.empty(0),
 
     There is no dead band after step 0: a balanced pool at an unchanged
     price has l = 0, so its reserves stay exactly as they were and the step
-    reports no arbitrage; any other step arbitrages.  A pool whose step-0
-    target is nan, whose step-0 arbitrage does not execute, or whose columns
-    are not all finite comes back as rows of nan.
+    reports no arbitrage; any other step arbitrages.
     """
     zs = np.asarray(z_values, dtype=np.float64)
-    shape = (len(zs), len(prices))
-    noisy = trades_per_step > 0
-    x = np.full(shape, math.nan if noisy else float(x0))
-    y = np.full(shape, math.nan if noisy else float(y0))
-    slip = np.full(shape, math.nan if noisy else 0.0)
-    volume = np.full(shape, math.nan if noisy else 0.0)
+    x, y, slip, volume = np.full((4, len(zs), len(prices)), math.nan)
     clamped = np.zeros(len(zs), dtype=np.int64)
     skipped = np.zeros(len(zs), dtype=np.int64)
     trading = (zs < 1.0) & bool(do_arb)
@@ -612,18 +624,8 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, fractions=np.empty(0),
     p0 = float(prices[0])
     first = []   # x, y, slippage and volume after step 0's arbitrage, per trading pool
     for z in zs[trading].tolist():
-        k = curve_anchor(x0, y0, p0, z)
-        x_star = arb_target_x(k, p0, z)
-        state = (x0, y0, 0.0, 0.0)
-        if math.isnan(x_star):
-            state = (math.nan,) * 4
-        elif abs(x_star - x0) > 1e-12 * x0:   # run_steps' dead band
-            sell_y = x_star < x0
-            x_new, y_new, amount_in, amount_out, s, reason = trade(
-                x0, y0, p0, z, k, sell_y, abs(x_star - x0), sell_y)
-            state = ((x_new, y_new, s, amount_out if sell_y else amount_in)
-                     if reason == EXECUTED else (math.nan,) * 4)
-        first.append(state)
+        *state, reason = arbitrage_step(x0, y0, p0, z, curve_anchor(x0, y0, p0, z))
+        first.append(state if reason in (EXECUTED, IN_BAND) else (math.nan,) * 4)
     x_first, y_first, slip_first, volume_first = np.array(first).T[:, :, None]
 
     z = zs[trading][:, None]

@@ -232,8 +232,8 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     attempts, so runs differ only through the curve itself.
     ``_kernels.arbitrage_path`` computes every arbitraged pool at once in
     closed form, and only the pools it leaves out step through
-    ``_kernels.run_steps``: with noise, z = 1 pools and pools without the
-    arbitrageur, and any pool whose closed form is not finite.
+    ``_kernels.run_steps``: z = 1 pools, pools without the arbitrageur, and
+    any pool whose closed form is not finite.
     """
     prices = config.path.prices
     steps = len(prices)
@@ -260,13 +260,8 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
             config.x0, config.y0, zs[i], prices, bool(config.arbitrageur), *args)
         counts[i] = (int(clamped), int(skipped))
 
-    # run_steps' own column formulas, on every pool at once, so a stepped
-    # pool's columns are bit for bit the ones run_steps returns
-    with np.errstate(all="ignore"):
-        pool = xs + ys / prices
-        hold = config.x0 + config.y0 / prices
-        il = (hold - pool) / hold
-        spot = _kernels.blend_spot(xs, ys, prices, np.array(zs)[:, None])
+    spot, pool, hold, il = _kernels.derived_columns(config.x0, config.y0, xs, ys, prices,
+                                                    np.array(zs)[:, None])
     bad = ~((pool > 0.0) & np.isfinite(il))
     if bad.any():
         i, t = np.argwhere(bad)[0]

@@ -29,21 +29,27 @@ from hybridamm import _kernels
 from hybridamm.simulator import METRICS_HEADER, ScenarioConfig
 
 PREC = 170   # bits: 51 digits
-# libmp's functions on raw (sign, mantissa, exponent, bits) tuples, rounded to nearest
-add, sub, mul, div = (partial(fn, prec=PREC, rnd="n") for fn in (
-    libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div))
-log, exp = (partial(fn, prec=PREC, rnd="n") for fn in (libmp.mpf_log, libmp.mpf_exp))
+
+
+def arithmetic(prec):
+    """libmp's add, sub, mul, div, log and exp on raw (sign, mantissa, exponent, bits)
+    tuples, rounded to nearest at ``prec`` bits."""
+    return tuple(partial(fn, prec=prec, rnd="n") for fn in (
+        libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div, libmp.mpf_log,
+        libmp.mpf_exp))
+
+
 f = libmp.from_float
 ONE, ZERO = f(1.0), libmp.fzero
 # run_steps' noise rules: the SELL_Y floor, the share of headroom a trade may
 # take, and dust, each as a fraction of a reserve
 X_FLOOR, CAP, DUST = f(1e-12), f(0.999), f(1e-15)
-BAND = f(1e-12)   # run_steps' dead band around the arbitrage target, as a fraction of x
+BAND = f(_kernels.ARB_BAND_REL)   # the dead band around the arbitrage target, as a fraction of x
 NEAR = f(2.0 ** -52)   # a move below this share of its reserve is within the rounding of it
 
 
-def reference_path(x0, y0, z, prices, noise=None):
-    """Each step's reserves and slippage at 51 digits, and the noise trades' decisions.
+def reference_path(x0, y0, z, prices, noise=None, prec=PREC):
+    """Each step's reserves and slippage at ``prec`` bits, and the noise trades' decisions.
 
     ``prices`` are raw mpmath numbers; ``noise`` is None or ``run_steps``'
     ``(noise_frac, noise_dir, trades_per_step, max_fraction)``.  Per step, the
@@ -56,8 +62,8 @@ def reference_path(x0, y0, z, prices, noise=None):
     curve: Y follows an X paid in from the curve's formula, and X paid out
     for Y paid in is found by Newton's method (``curve_root``).
 
-    Returns x and y as float pairs (hi, lo) whose sums are the 51-digit
-    values, the slippage rounded to a float, and the decisions: trades
+    Returns x and y as float pairs (hi, lo) whose sums are the computed
+    values to 1e-32, the slippage rounded to a float, and the decisions: trades
     clamped and skipped; ``near``, the trades whose headroom or move lies
     within the rounding of the reserves it is read from, which this run
     skips, as a float run may or may not; and ``band``, the arbitrages after
@@ -67,6 +73,7 @@ def reference_path(x0, y0, z, prices, noise=None):
     trade: amount_in/amount_out - spot for X bought, spot - amount_out/amount_in
     for X sold, both |spot + dy/dx|, of the step's last trade.
     """
+    add, sub, mul, div, log, exp = arithmetic(prec)
     fractions, directions, per_step, max_fraction = noise or ([], [], 0, 0.0)
     fractions, directions = list(fractions), list(directions)
     arbitrage = z < 1.0
@@ -131,7 +138,7 @@ def reference_path(x0, y0, z, prices, noise=None):
             spot = add(mul(a, div(y, x)), mul(z, p))
             if sell_y:
                 y_new = add(y, amount)
-                x_new = curve_root(x, total, c, z, y_new, sub(x, div(amount, spot)))
+                x_new = curve_root(x, total, c, z, y_new, sub(x, div(amount, spot)), prec)
                 moved, out_reserve = sub(x, x_new), x
                 cost = sub(div(amount, moved), spot)
             else:
@@ -151,12 +158,14 @@ def reference_path(x0, y0, z, prices, noise=None):
     return (*split(xs), *split(ys), np.array(slips), decisions)
 
 
-def curve_root(x, total, c, z, y_target, start):
-    """x' < x on the curve total*(x'/x)**(z-1) - c*x' = y_target, by Newton's method.
+def curve_root(x, total, c, z, y_target, start, prec):
+    """x' < x on the curve total*(x'/x)**(z-1) - c*x' = y_target, by Newton's method at
+    ``prec`` bits.
 
     The curve is decreasing and convex in x', so from a start left of the
     root (the tangent at x lands there) the iterates rise to it monotonically.
     """
+    _, sub, mul, div, log, exp = arithmetic(prec)
     zm1 = sub(z, ONE)
 
     def curve(u):
@@ -171,7 +180,7 @@ def curve_root(x, total, c, z, y_target, start):
         power = curve(u)
         step = div(sub(sub(power, mul(c, u)), y_target), sub(div(mul(zm1, power), u), c))
         u = sub(u, step)
-        if libmp.mpf_le(libmp.mpf_abs(step), mul(f(2.0 ** -160), u)):
+        if libmp.mpf_le(libmp.mpf_abs(step), mul(f(2.0 ** (10 - prec)), u)):
             return u
     raise AssertionError("no root")
 
@@ -312,6 +321,20 @@ def test_noise_pools_match_the_reference(case):
                 row = int(name == "run_steps")
                 worst[row] = np.maximum(worst[row], errors)
     assert np.all(worst[0] <= worst[1]) or case == "heavy-60", worst
+
+
+def test_reference_holds_its_digits_over_the_noise_path():
+    """The reference's reserves at 50 and at 80 digits agree to 1e-30 on the 200-step noise
+    path at z = 0.3, with the same decisions, so its own rounding lies far below the
+    errors it judges."""
+    config = ScenarioConfig.from_dict(NOISE_JUDGE["gbm-200"])
+    exact, noise = mp_prices(config.path.prices), noise_draws(config)
+    low, high = (reference_path(config.x0, config.y0, 0.3, exact, noise, libmp.dps_to_prec(dps))
+                 for dps in (50, 80))
+    for i in (0, 2):   # x, then y, each a float pair (hi, lo)
+        gap = (low[i] - high[i]) + (low[i + 1] - high[i + 1])
+        assert np.all(np.abs(gap) <= 1e-30 * high[i]), i
+    assert low[5] == high[5]
 
 
 @pytest.mark.parametrize("case", sorted(NOISE_JUDGE))
@@ -465,10 +488,25 @@ def test_run_steps_slippage_of_a_small_move_matches_mpmath():
     assert abs(got - want) <= 1e-12 * want
 
 
+# run_steps' columns, in the order it returns them
+STEPPED_COLUMNS = ("spot_price", "reserve_x", "reserve_y", "pool_value", "hold_value",
+                   "il_relative", "slippage_cost", "cum_volume")
+
+
+def assert_stepped(run, x0, y0, prices, arbitrageur=True):
+    """A run_scenario pool's columns and counts are run_steps', bit for bit."""
+    result = _kernels.run_steps(x0, y0, run.z, prices, arbitrageur, np.zeros(0), np.zeros(0),
+                                0, 0.0)
+    for name, column in zip(STEPPED_COLUMNS, result):
+        assert run.table[:, METRICS_HEADER.index(name)].tobytes() == column.tobytes(), name
+    assert (run.clamped_trades, run.skipped_trades) == result[8:]
+
+
 def test_closed_form_agrees_with_run_steps_over_20k_steps():
-    prices = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.01, steps=20_000, seed=11).prices
-    zs = [0.0, 5e-324, 0.3, 0.6, 0.99, 1.0 - 2.0 ** -52, 1.0]
-    x, y, slip, volume, _, _ = _kernels.arbitrage_path(1000.0, 1000.0, zs, prices, True)
+    path = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.01, steps=20_000, seed=11)
+    prices = path.prices
+    zs = [0.0, 5e-324, 0.3, 0.6, 0.99, 1.0 - 2.0 ** -52]
+    x, y, slip, volume, _, _ = _kernels.arbitrage_path(1000.0, 1000.0, zs + [1.0], prices, True)
     for i, z in enumerate(zs):
         result = _kernels.run_steps(1000.0, 1000.0, z, prices, True, np.zeros(0),
                                     np.zeros(0), 0, 0.0)
@@ -480,24 +518,37 @@ def test_closed_form_agrees_with_run_steps_over_20k_steps():
         # run_steps' own slippage is off by up to 1.5e-10 of the price here,
         # on moves of 5e-7, so it is held to the benchmark's 1e-9 of the price
         assert np.all(np.abs(slip[i] - result[6]) <= 1e-9 * prices), z
+    # the z = 1 pool is left to run_steps
+    assert all(np.isnan(column[-1]).all() for column in (x, y, slip, volume))
+    config = ScenarioConfig(x0=1000.0, y0=1000.0, z_values=(1.0,), path=path)
+    assert_stepped(ha.run_scenario(config)[0], 1000.0, 1000.0, prices)
 
 
 def test_repeated_prices_leave_the_pool_alone():
     # no dead band after step 0: an unchanged price is no trade, bit for bit,
     # and a move of one ulp trades, though x may not resolve it
     prices = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 0.5, 0.5, math.nextafter(0.5, 1.0)])
-    zs = [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -52, 1.0]
+    zs = (0.0, 5e-324, 0.5, 1.0 - 2.0 ** -52, 1.0)
     x, y, slip, volume, _, _ = _kernels.arbitrage_path(1.0, 1.0, zs, prices, True)
     for t in (1, 3, 4, 6):
-        assert np.array_equal(x[:, t], x[:, t - 1]) and np.array_equal(y[:, t], y[:, t - 1])
-        assert np.array_equal(volume[:, t], volume[:, t - 1])
-        assert not slip[:, t].any()
+        assert np.array_equal(x[:4, t], x[:4, t - 1]) and np.array_equal(y[:4, t], y[:4, t - 1])
+        assert np.array_equal(volume[:4, t], volume[:4, t - 1])
+        assert not slip[:4, t].any()
     assert np.all(volume[:4, 7] > volume[:4, 6]) and np.all(slip[:4, 7] > 0.0)
-    # z = 1 has no arbitrage: the reserves stay as they start
-    assert not np.any(x[4] - 1.0) and not np.any(y[4] - 1.0) and not volume[4].any()
+    # the closed form leaves the z = 1 pool and the pools without the arbitrageur to
+    # run_steps, where nothing trades and the reserves stay as they start
     without = _kernels.arbitrage_path(3.0, 0.7, zs, prices, False)
-    for column, value in zip(without, (3.0, 0.7, 0.0, 0.0)):
-        assert np.all(column == value)
+    assert all(np.isnan(column[4]).all() for column in (x, y, slip, volume))
+    assert all(np.isnan(column).all() for column in without[:4])
+    # one config per pool: z = 1 - 2**-52 and z = 1 share a file name
+    for x0, y0, arbitrageur, z in [(1.0, 1.0, True, 1.0)] + [(3.0, 0.7, False, z) for z in zs]:
+        config = ScenarioConfig(x0=x0, y0=y0, z_values=(z,), path=ha.PricePath(prices),
+                                arbitrageur=arbitrageur)
+        run = ha.run_scenario(config)[0]
+        assert_stepped(run, x0, y0, prices, arbitrageur)
+        for name, value in (("reserve_x", x0), ("reserve_y", y0), ("slippage_cost", 0.0),
+                            ("cum_volume", 0.0)):
+            assert np.all(run.table[:, METRICS_HEADER.index(name)] == value), (z, name)
 
 
 def test_a_pool_the_closed_form_leaves_out_steps_through_run_steps():
@@ -507,14 +558,55 @@ def test_a_pool_the_closed_form_leaves_out_steps_through_run_steps():
     prices = np.full(3, p)
     zs = (0.5, 0.99, 1.0)
     closed = _kernels.arbitrage_path(x0, y0, zs, prices, True)
-    assert [bool(np.isnan(column[0]).all()) for column in closed[:4]] == [True] * 4
-    assert not np.isnan(closed[0][1:]).any()
+    # the z = 1 pool has no arbitrage, so it is left out as well
+    for i in (0, 2):
+        assert [bool(np.isnan(column[i]).all()) for column in closed[:4]] == [True] * 4
+    assert not np.isnan(closed[0][1]).any()
     config = ScenarioConfig(x0=x0, y0=y0, z_values=zs, path=ha.PricePath(prices))
-    run = ha.run_scenario(config)[0]
-    result = _kernels.run_steps(x0, y0, 0.5, prices, True, np.zeros(0), np.zeros(0), 0, 0.0)
-    for name, column in (("reserve_x", 1), ("reserve_y", 2), ("slippage_cost", 6),
-                         ("cum_volume", 7)):
-        assert run.table[:, METRICS_HEADER.index(name)].tolist() == result[column].tolist()
+    runs = ha.run_scenario(config)
+    for i in (0, 2):
+        assert_stepped(runs[i], x0, y0, prices)
+
+
+# ------------------------------------------------------------------ arbitrage_step
+
+
+@pytest.mark.parametrize("z", [0.0, 5e-324, 0.3, 0.5, 1.0 - 2.0 ** -52])
+def test_arbitrage_dead_band_on_a_balanced_start(z):
+    # y = p*x puts the target within rounding of x; a start whose target lies 5e-13 of x
+    # away stays in the band, and one 2e-12 away trades
+    for x, p in ((1.0, 1.0), (1000.0, 1.7), (3e-5, 2e4), (2.5, 0.01)):
+        for gap, reason in ((0.0, _kernels.IN_BAND), (1e-12, _kernels.IN_BAND),
+                            (4e-12, _kernels.EXECUTED)):
+            y = p * x * (1.0 + gap)
+            step = _kernels.arbitrage_step(x, y, p, z, _kernels.curve_anchor(x, y, p, z))
+            assert step[4] == reason, (x, p, gap)
+            if reason == _kernels.IN_BAND:
+                assert step == (x, y, 0.0, 0.0, reason)
+    # so run_steps leaves a balanced pool alone at step 0
+    result = _kernels.run_steps(1000.0, 1700.0, z, np.full(2, 1.7), True, np.zeros(0),
+                                np.zeros(0), 0, 0.0)
+    assert result[1].tolist() == [1000.0] * 2 and result[7].tolist() == [0.0] * 2
+
+
+def test_arbitrage_step_without_a_target():
+    # (2-z)*k/(2p) underflows at z = 0.5, and z = 1 has no target at all
+    x, y, p = 1e-217, 1e-200, 1e100
+    for z in (0.5, 1.0):
+        k = _kernels.curve_anchor(x, y, p, z)
+        assert _kernels.arbitrage_step(x, y, p, z, k) == (x, y, 0.0, 0.0, _kernels.NO_TARGET)
+
+
+@pytest.mark.parametrize("z", [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -52])
+def test_arbitrage_volume_is_the_requested_size(z):
+    # X out of the pool (an exact-out SELL_Y) and X in (an exact-in SELL_X)
+    for x0, y0 in ((1000.0, 1300.0), (1000.0, 700.0), (2.0, 0.5)):
+        k = _kernels.curve_anchor(x0, y0, 1.0, z)
+        size = abs(_kernels.arb_target_x(k, 1.0, z) - x0)
+        *_, volume, reason = _kernels.arbitrage_step(x0, y0, 1.0, z, k)
+        result = _kernels.run_steps(x0, y0, z, np.ones(1), True, np.zeros(0), np.zeros(0),
+                                    0, 0.0)
+        assert reason == _kernels.EXECUTED and volume == size == result[7][0], (x0, y0)
 
 
 @pytest.mark.parametrize("u", [0.0, 1e-300, -1e-20, 1e-8, -3e-5, 0.1, -0.3, 0.49, -0.5, 0.5,

@@ -47,10 +47,11 @@ def sample_states(n=250, seed=17):
 def test_module_flags():
     assert _kernels.NUMBA_ENABLED is False
     assert _kernels.DUST_REL == 1e-15
+    assert _kernels.ARB_BAND_REL == 1e-12
     assert _kernels.X_FLOOR_REL == 1e-12
     reasons = (_kernels.EXECUTED, _kernels.DUST, _kernels.NO_MOVE, _kernels.NO_ROOT,
-               _kernels.PAST_BOUND)
-    assert len(set(reasons)) == 5
+               _kernels.PAST_BOUND, _kernels.IN_BAND, _kernels.NO_TARGET)
+    assert len(set(reasons)) == 7
 
 
 def test_invert_accuracy():
@@ -212,6 +213,65 @@ def test_solve_delta_x_matches_mpmath(z, dy):
         assert ulps(got, lo) <= 4.0
 
 
+# ------------------------------------------------------ trade's rarest branches
+
+
+def test_exact_out_sell_x_can_land_on_the_last_x_it_may_reach():
+    # more than half of Y paid out at 0 < z < 1 inverts the curve over
+    # [x, bound*BOUND_REL]; a Y target the curve meets exactly at that end is its root
+    k = _kernels.curve_anchor(1.0, 1.0, 1.0, 0.5)
+    hi = _kernels.solvency_bound(k, 1.0, 0.5) * _kernels.BOUND_REL
+    y_hi = _kernels.curve_y(k, hi, 1.0, 0.5)
+    amount = 1.0 - y_hi
+    assert amount > 0.5 and 1.0 - amount == y_hi
+    result = _kernels.trade(1.0, 1.0, 1.0, 0.5, k, False, amount, True)
+    assert result[:4] == (hi, y_hi, hi - 1.0, amount) and result[5] == _kernels.EXECUTED
+
+
+def test_sell_y_of_nearly_all_x_lies_on_the_curve():
+    # at z = 0.999 a SELL_Y of about all of Y pays out more than half of X, so trade
+    # inverts the curve.  Near x = 0.01 the curve's rounding, an ulp of y, exceeds its
+    # change across the bisection's 1e-13 bracket, and on some of these amounts the Newton
+    # polish steps out of the bracket and stops.  Either way Y is on the curve at the new X.
+    z = 0.999
+    k = _kernels.curve_anchor(1.0, 1.0, 1.0, z)
+    with mpmath.workdps(30):
+        c = mpmath.mpf(z) / (2 - mpmath.mpf(z))
+        for amount in np.linspace(0.98, 1.02, 41).tolist():
+            x_new, y_new, *_, reason = _kernels.trade(1.0, 1.0, 1.0, z, k, True, amount, False)
+            assert reason == _kernels.EXECUTED and x_new < 0.03 and y_new == 1.0 + amount
+            residual = (1 + c) * mpmath.mpf(x_new) ** (z - 1) - c * x_new - y_new
+            assert abs(residual) <= 1e-15 * y_new, amount
+
+
+def test_exact_out_sell_x_where_newton_does_not_settle():
+    # at p = 1e-300 the curve's linear term is tiny, so paying 0.001 Y out takes X past
+    # 1e296: solve_delta_x's Newton does not settle within its 100 steps and gives nan,
+    # and trade inverts the curve, whose bisection holds x to 1e-13
+    x, y, p, z, amount = 1.0, 1.0, 1e-300, 0.999999, 1e-3
+    assert math.isnan(_kernels.solve_delta_x(x, y, p, z, -amount))
+    k = _kernels.curve_anchor(x, y, p, z)
+    x_new, y_new, amount_in, amount_out, _, reason = _kernels.trade(x, y, p, z, k, False,
+                                                                   amount, True)
+    assert reason == _kernels.EXECUTED and (y_new, amount_out) == (y - amount, amount)
+    with mpmath.workdps(40):
+        zm, c = mpmath.mpf(z), mpmath.mpf(z) * p / (2 - mpmath.mpf(z))
+        root = mpmath.findroot(lambda u: (1 + c) * u ** (zm - 1) - c * u - y_new,
+                               (0.99 * x_new, 1.01 * x_new), solver="anderson")
+        assert abs(x_new - root) <= 1e-13 * root
+
+
+def test_sell_y_that_would_empty_a_subnormal_x():
+    # the X paid out rounds to all of x = 5e-320, so solve_delta_x gives nan; the
+    # inversion's floor X_FLOOR_REL*x underflows to 0, where the curve has no finite
+    # point, so it finds no root either
+    x, y, p, z = 5e-320, 1e-100, 1.0, 0.5
+    assert math.isnan(_kernels.solve_delta_x(x, y, p, z, 1000.0 * y))
+    k = _kernels.curve_anchor(x, y, p, z)
+    assert _kernels.trade(x, y, p, z, k, True, 1000.0 * y, False) == (
+        x, y, 0.0, 0.0, 0.0, _kernels.NO_ROOT)
+
+
 # ------------------------------------------------------------ one trade engine
 
 
@@ -226,7 +286,7 @@ def replay_step(x, y, p, z, fractions, directions, max_fraction):
     if z < 1.0:
         # rebalance_to_oracle supplies only the target; the swaps move the pool
         x_star = rebalance_to_oracle(state, p).x
-        if abs(x_star - state.x) > 1e-12 * state.x:   # run_steps' dead band
+        if abs(x_star - state.x) > _kernels.ARB_BAND_REL * state.x:
             if x_star > state.x:
                 trades.append(swap_exact_in(state, TradeDirection.SELL_X, x_star - state.x))
             else:
