@@ -39,6 +39,8 @@ NUMBA_ENABLED = False
 
 # Trades moving less than this fraction of the input-side reserve are dust.
 DUST_REL = 1e-15
+# Noise trades are clamped to this share of ``headroom``.
+HEADROOM_SHARE = 0.999
 # No arbitrage within this fraction of x of its target: the band absorbs exp/log
 # rounding, so a balanced pool stays put, and leaves |spot - p| ~ 1e-12 * p at worst.
 ARB_BAND_REL = 1e-12
@@ -51,6 +53,10 @@ BOUND_REL = 1.0 - 1e-15
 # trade reason codes, then arbitrage_step's own two
 EXECUTED, DUST, NO_MOVE, NO_ROOT, PAST_BOUND = 0, 1, 2, 3, 4
 IN_BAND, NO_TARGET = 5, 6
+
+# run_steps' and arbitrage_path's noise arguments (fractions, directions, trades per
+# step, max fraction) for a run without noise trades
+NO_NOISE = (np.empty(0), np.empty(0, dtype=np.int8), 0, 0.0)
 
 
 def pow_zm1(x, z):
@@ -236,8 +242,8 @@ def solve_delta_x(x, y, p, z, dy):
     (dy < 0) and convex when X is paid out (dy > 0).  The start lies on the
     side from which Newton's iterates approach the root monotonically, below
     it for X paid in and above it for X paid out, so no bracket is needed.
-    Returns nan when 100 steps do not converge, or when the spot price
-    underflows to 0.
+    Returns nan when 100 steps do not converge, or when the spot price or
+    Newton's slope underflows to 0.
     """
     if z == 1.0:
         return -dy / p
@@ -267,7 +273,10 @@ def solve_delta_x(x, y, p, z, dy):
     for _ in range(100):
         em = math.expm1((z - 1.0) * math.log1p(s * u / x))
         f = s * (c * s * u - a * em) - t
-        step = f / ((1.0 - z) * a * (em + 1.0) / (x + s * u) + c)
+        slope = (1.0 - z) * a * (em + 1.0) / (x + s * u) + c
+        if not slope > 0.0:   # underflowed: no Newton step, so trade inverts the curve
+            return math.nan
+        step = f / slope
         u -= step
         # a step away from the start side means rounding noise at the root
         if s * step >= 0.0 or abs(step) <= 4e-16 * u:
@@ -387,14 +396,14 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
     """Advance one pool through the full scenario; returns per-step metric arrays.
 
     Per step: oracle update (re-anchor k at fixed reserves), arbitrage to the
-    oracle price (skipped at z = 1), then ``trades_per_step`` noise trades.
+    oracle price (none at z = 1), then ``trades_per_step`` noise trades.
     ``noise_frac`` holds pre-drawn lognormal size fractions laid out step-major,
     ``noise_dir`` the matching directions (0 sells X, 1 sells Y).  Trades are
-    clamped to ``max_fraction`` of the input-side reserve and to 99.9% of
-    ``headroom``.  Every trade, the arbitrage included, is executed by
-    ``trade`` as ``swap_exact_in`` and ``swap_exact_out`` execute it; a trade
-    whose reason is not ``EXECUTED`` is skipped; the arbitrage is
-    ``arbitrage_step``.
+    clamped to ``max_fraction`` of the input-side reserve and to
+    ``HEADROOM_SHARE`` of ``headroom``.  Every trade, the arbitrage included,
+    is executed by ``trade`` as ``swap_exact_in`` and ``swap_exact_out``
+    execute it; a trade whose reason is not ``EXECUTED`` is skipped; the
+    arbitrage is ``arbitrage_step``.
 
     The loop records x, y, the last trade's slippage and the cumulative X
     volume per step, and ``derived_columns`` adds the rest.  Returns ``(spot,
@@ -416,7 +425,7 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
         k = curve_anchor(x, y, p, z)
         last_slip = 0.0
 
-        if do_arb and z < 1.0:
+        if do_arb:
             x, y, last_slip, traded, _ = arbitrage_step(x, y, p, z, k)
             volume += traded
 
@@ -430,7 +439,7 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
                 frac = max_fraction
                 clamped += 1
             amount_in = frac * (y if sell_y else x)
-            cap = 0.999 * headroom(x, y, p, z, k, sell_y)
+            cap = HEADROOM_SHARE * headroom(x, y, p, z, k, sell_y)
             if cap <= 0.0:
                 skipped += 1
                 continue
@@ -515,10 +524,11 @@ def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction)
     ``z`` is a column with one mix parameter per pool.  Each trade slot is one
     pass over every pool and step, a step's direction being the same in every
     pool.  The trades follow ``run_steps``: clamps to ``max_fraction`` and to
-    99.9% of ``headroom``, the skips, and ``trade``'s amounts and slippage,
-    with the X move of a SELL_Y from ``solve_delta_x``'s Newton.  An element
-    that needs one of ``trade``'s other branches (more than half of a reserve
-    paid out, or no root) goes through scalar ``trade`` on its own unit pool.
+    ``HEADROOM_SHARE`` of ``headroom``, the skips, and ``trade``'s amounts and
+    slippage, with the X move of a SELL_Y from ``solve_delta_x``'s Newton.  An
+    element that needs one of ``trade``'s other branches (more than half of a
+    reserve paid out, or no root) goes through scalar ``trade`` on its own
+    unit pool.
 
     Returns ``((gx, gx_lo), (gy, gy_lo), slip, volume, clamped, skipped)``:
     each reserve after the step's trades as a float and the rounding error of
@@ -543,8 +553,9 @@ def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction)
         reserve = np.where(sell_y, y, x)
         amount = np.minimum(frac, max_fraction) * reserve
         # headroom's curve, relative to the current reserves: no k
-        cap = 0.999 * np.where(sell_y, (y + c * x) * floor_power - c * (X_FLOOR_REL * x) - y,
-                               x * np.power(1.0 + y / (c * x), 1.0 / (2.0 - z)) - x)
+        cap = HEADROOM_SHARE * np.where(
+            sell_y, (y + c * x) * floor_power - c * (X_FLOOR_REL * x) - y,
+            x * np.power(1.0 + y / (c * x), 1.0 / (2.0 - z)) - x)
         room = live & ~(cap <= 0.0)
         capped = room & (amount > cap)
         amount = np.where(capped, cap, amount)
@@ -575,19 +586,20 @@ def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction)
     return (gx, gx_lo), (gy, gy_lo), slip, volume, clamped, skipped
 
 
-def arbitrage_path(x0, y0, z_values, prices, do_arb, fractions=np.empty(0),
-                   directions=np.empty(0, dtype=np.int8), trades_per_step=0, max_fraction=0.0):
+def arbitrage_path(x0, y0, z_values, prices, do_arb, *noise):
     """The arbitraged pools of ``run_steps``, one per z, in closed form.
 
-    Takes ``run_steps``' arguments, with one pool per z.  Returns ``(x, y,
-    slippage, volume, clamped, skipped)``: ``run_steps``' columns of those
-    names, each shaped (len(z_values), len(prices)), and its noise-trade
-    counts per pool.  A pool it does not compute comes back as rows of nan
-    and counts of 0, for the caller to run through ``run_steps``: every pool
-    without the arbitrageur or at z = 1, one whose step-0 arbitrage does not
-    trade or lie in the dead band, and one whose columns are not all finite.
+    Takes ``run_steps``' arguments, with one pool per z; without the noise
+    arguments it runs ``NO_NOISE``.  Returns ``(x, y, slippage, volume,
+    clamped, skipped)``: ``run_steps``' columns of those names, each shaped
+    (len(z_values), len(prices)), and its noise-trade counts per pool.
 
-    Step 0 re-anchors and runs ``arbitrage_step``, as ``run_steps`` does.
+    The route: with ``do_arb``, step 0 re-anchors and runs ``arbitrage_step``
+    for every pool, as ``run_steps`` does, and the pools computed are exactly
+    those whose step-0 reason is ``EXECUTED`` or ``IN_BAND`` and whose
+    columns stay finite.  Every other pool comes back as rows of nan and
+    counts of 0, for the caller to run through ``run_steps``.
+
     After each arbitrage the pool is balanced, y = p*x, so the curve, the
     trade rules and the noise sizes, which are all relative, make step t's
     noise trades those of the unit pool (1, 1) at price 1
@@ -613,29 +625,30 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, fractions=np.empty(0),
     price has l = 0, so its reserves stay exactly as they were and the step
     reports no arbitrage; any other step arbitrages.
     """
+    fractions, directions, trades_per_step, max_fraction = noise or NO_NOISE
     zs = np.asarray(z_values, dtype=np.float64)
     x, y, slip, volume = np.full((4, len(zs), len(prices)), math.nan)
     clamped = np.zeros(len(zs), dtype=np.int64)
     skipped = np.zeros(len(zs), dtype=np.int64)
-    trading = (zs < 1.0) & bool(do_arb)
-    if not trading.any():
-        return x, y, slip, volume, clamped, skipped
-
     p0 = float(prices[0])
-    first = []   # x, y, slippage and volume after step 0's arbitrage, per trading pool
-    for z in zs[trading].tolist():
+    routed, first = [], []   # the pools computed, and their x, y, slippage and volume at step 0
+    for i, z in enumerate(zs.tolist() if do_arb else ()):
         *state, reason = arbitrage_step(x0, y0, p0, z, curve_anchor(x0, y0, p0, z))
-        first.append(state if reason in (EXECUTED, IN_BAND) else (math.nan,) * 4)
+        if reason in (EXECUTED, IN_BAND):
+            routed.append(i)
+            first.append(state)
+    if not routed:
+        return x, y, slip, volume, clamped, skipped
     x_first, y_first, slip_first, volume_first = np.array(first).T[:, :, None]
 
-    z = zs[trading][:, None]
+    z = zs[routed][:, None]
     w = 2.0 - z
     a = 1.0 - z
     # overflow gives inf or nan silently; such a pool comes back as nan
     with np.errstate(all="ignore"):
         (gx, gx_lo), (gy, gy_lo), unit_slip, unit_volume, *counts = _unit_trades(
             z, len(prices), fractions, directions, trades_per_step, max_fraction)
-        clamped[trading], skipped[trading] = counts
+        clamped[routed], skipped[routed] = counts
         # gy/gx - 1 before each arbitrage
         gap = (((gy - gx) + (gy_lo - gx_lo)) / (gx + gx_lo))[:, :-1]
         # p_{t-1} - p_t is exact within a factor of 2, so a small move keeps its digits
@@ -646,8 +659,8 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, fractions=np.empty(0),
         growth[:, 1:] = np.exp(_cumsum2((np.log(gx) + gx_lo / gx)[:, :-1] + ell))
         xt = x_first * growth
         yt = y_first * (prices / p0 * growth)
-        x[trading] = xt * gx + xt * gx_lo
-        y[trading] = yt * gy + yt * gy_lo
+        x[routed] = xt * gx + xt * gx_lo
+        y[routed] = yt * gy + yt * gy_lo
         em = np.expm1(ell)
         ea, eb = _expm1_minus(np.stack((ell, -a * ell)))
         n = a * ea + eb
@@ -655,10 +668,10 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, fractions=np.empty(0),
         slip_t = np.zeros_like(ell)
         np.divide((prices[:-1] + prices[:-1] * gap + z * prices[1:] / w) * n, size, out=slip_t,
                   where=size > 0.0)
-        slip[trading] = np.where(np.isnan(unit_slip), np.concatenate((slip_first, slip_t), axis=1),
-                                 unit_slip * prices)
-        volume[trading] = np.cumsum(
-            np.concatenate((volume_first, np.abs(x[trading][:, :-1] * em)), axis=1)
+        slip[routed] = np.where(np.isnan(unit_slip), np.concatenate((slip_first, slip_t), axis=1),
+                                unit_slip * prices)
+        volume[routed] = np.cumsum(
+            np.concatenate((volume_first, np.abs(x[routed][:, :-1] * em)), axis=1)
             + xt * unit_volume, axis=1)
         covered = (np.isfinite(x) & np.isfinite(y) & np.isfinite(slip)
                    & np.isfinite(volume)).all(axis=1)

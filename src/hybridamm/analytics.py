@@ -31,7 +31,6 @@ __all__ = [
     "ILReport",
     "SlippageEstimate",
     "il_closed_form",
-    "il_standard_amm",
     "il_simulated",
     "rebalance_to_oracle",
     "slippage_taylor",
@@ -70,12 +69,6 @@ def il_closed_form(z: float, rho: float) -> ILReport:
     il = v_hold - v_pool
     return _unchecked(ILReport, {"z": z, "rho": rho, "v_pool": v_pool, "v_hold": v_hold,
                                  "il_paper": il, "il_relative": il / v_hold})
-
-
-def il_standard_amm(r: float) -> float:
-    """Classic constant-product IL curve 2*sqrt(r) - r - 1 (nonpositive, 0 at r = 1)."""
-    r = _check_finite_positive(r, "r")
-    return 2.0 * math.sqrt(r) - r - 1.0
 
 
 def rebalance_to_oracle(state: PoolState, p_new: float) -> PoolState:

@@ -128,6 +128,9 @@ def cmd_simulate(args) -> int:
     config = load_scenario(args.config)
     extension = {"csv": "csv", "json": "json", "table": "txt"}[args.format]
     names = [f"metrics_z{z:.12g}.{extension}" for z in config.z_values]
+    if len(set(names)) != len(names):
+        raise DomainError("z_values must differ at 12 significant digits, "
+                          f"got {list(config.z_values)}")
     # metrics of an earlier run would leave a directory that no longer
     # describes one run, so refuse before doing any work
     if os.path.isdir(args.out):

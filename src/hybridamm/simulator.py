@@ -80,10 +80,6 @@ class ScenarioConfig:
         if not zs:
             raise DomainError("z_values must be non-empty")
         object.__setattr__(self, "z_values", zs)
-        # each pool's output files are named by %.12g of its z
-        labels = {"%.12g" % z for z in zs}
-        if len(labels) != len(zs):
-            raise DomainError(f"z_values must differ at 12 significant digits, got {list(zs)}")
         if not isinstance(self.path, PricePath):
             raise DomainError("path must be a PricePath")
         if self.noise is not None and not isinstance(self.noise, NoiseParams):
@@ -229,36 +225,26 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     """Drive one pool per z value through the configured path and agents.
 
     Every pool sees the same oracle path and the same pre-drawn noise
-    attempts, so runs differ only through the curve itself.
-    ``_kernels.arbitrage_path`` computes every arbitraged pool at once in
-    closed form, and only the pools it leaves out step through
-    ``_kernels.run_steps``: z = 1 pools, pools without the arbitrageur, and
-    any pool whose closed form is not finite.
+    attempts, so runs differ only through the curve itself.  The pools that
+    ``_kernels.arbitrage_path``'s route takes are computed at once in closed
+    form, and every other pool steps through ``_kernels.run_steps``.
     """
     prices = config.path.prices
     steps = len(prices)
     zs = config.z_values
-    if config.noise is not None:
-        noise = config.noise
+    noise = config.noise
+    args = _kernels.NO_NOISE
+    if noise is not None:
         rng = np.random.Generator(np.random.PCG64(noise.seed))
         total = steps * noise.trades_per_step
         fractions = np.exp(noise.size_mu + noise.size_sigma * rng.standard_normal(total))
         directions = rng.integers(0, 2, size=total, dtype=np.int8)
-        trades_per_step = noise.trades_per_step
-        max_fraction = noise.max_fraction
-    else:
-        fractions = np.empty(0, dtype=np.float64)
-        directions = np.empty(0, dtype=np.int8)
-        trades_per_step = 0
-        max_fraction = 0.0
-    args = (fractions, directions, trades_per_step, max_fraction)
+        args = (fractions, directions, noise.trades_per_step, noise.max_fraction)
     xs, ys, slip, vol, clamped, skipped = _kernels.arbitrage_path(
         config.x0, config.y0, zs, prices, bool(config.arbitrageur), *args)
-    counts = list(zip(clamped.tolist(), skipped.tolist()))
     for i in np.flatnonzero(np.isnan(xs[:, 0])).tolist():
-        _, xs[i], ys[i], _, _, _, slip[i], vol[i], clamped, skipped = _kernels.run_steps(
+        _, xs[i], ys[i], _, _, _, slip[i], vol[i], clamped[i], skipped[i] = _kernels.run_steps(
             config.x0, config.y0, zs[i], prices, bool(config.arbitrageur), *args)
-        counts[i] = (int(clamped), int(skipped))
 
     spot, pool, hold, il = _kernels.derived_columns(config.x0, config.y0, xs, ys, prices,
                                                     np.array(zs)[:, None])
@@ -270,8 +256,8 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     step = np.arange(steps, dtype=np.float64)
     tables = np.stack(np.broadcast_arrays(step, prices, spot, xs, ys, pool, hold, il, slip, vol),
                       axis=-1)
-    return [ScenarioRun(z=z, table=table, clamped_trades=clamped, skipped_trades=skipped)
-            for z, table, (clamped, skipped) in zip(zs, tables, counts)]
+    return [ScenarioRun(z=z, table=table, clamped_trades=c, skipped_trades=s)
+            for z, table, c, s in zip(zs, tables, clamped.tolist(), skipped.tolist())]
 
 
 def sweep_reserve_curve(anchor: Union[tuple[float, float, float], float],

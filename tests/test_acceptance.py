@@ -146,7 +146,8 @@ def test_il_pipeline_equivalence(report):
             assert ha.il_closed_form(z, 1.0).il_paper == 0.0
             assert ha.il_simulated(1.0, 1.0, 1.0, z).il_paper == 0.0
         for r in np.geomspace(0.1, 10.0, 21):
-            gap = ha.il_standard_amm(r) + ha.il_closed_form(0.0, r).il_paper
+            # the classic constant-product IL curve
+            gap = (2.0 * math.sqrt(r) - r - 1.0) + ha.il_closed_form(0.0, r).il_paper
             assert abs(gap) <= 1e-12
 
 

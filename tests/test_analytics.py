@@ -75,17 +75,11 @@ def test_il_z_monotonicity_both_regimes():
 # ---------------------------------------------------- standard-AMM comparison
 
 
-def test_standard_amm_values():
-    assert ha.il_standard_amm(1.0) == 0.0
-    assert ha.il_standard_amm(4.0) == -1.0
-    assert ha.il_standard_amm(0.25) == -0.25
-    with pytest.raises(ha.DomainError):
-        ha.il_standard_amm(0.0)
-
-
 @given(r=ratios)
 def test_standard_amm_is_negated_z0_closed_form(r):
-    assert abs(ha.il_standard_amm(r) + ha.il_closed_form(0.0, r).il_paper) <= 1e-12
+    # the classic constant-product IL curve, nonpositive and 0 at r = 1
+    classic = 2.0 * math.sqrt(r) - r - 1.0
+    assert abs(classic + ha.il_closed_form(0.0, r).il_paper) <= 1e-12
 
 
 # ----------------------------------------------------------------- rebalance

@@ -540,15 +540,15 @@ def test_repeated_prices_leave_the_pool_alone():
     without = _kernels.arbitrage_path(3.0, 0.7, zs, prices, False)
     assert all(np.isnan(column[4]).all() for column in (x, y, slip, volume))
     assert all(np.isnan(column).all() for column in without[:4])
-    # one config per pool: z = 1 - 2**-52 and z = 1 share a file name
-    for x0, y0, arbitrageur, z in [(1.0, 1.0, True, 1.0)] + [(3.0, 0.7, False, z) for z in zs]:
-        config = ScenarioConfig(x0=x0, y0=y0, z_values=(z,), path=ha.PricePath(prices),
-                                arbitrageur=arbitrageur)
-        run = ha.run_scenario(config)[0]
+    runs = [(1.0, 1.0, True, ha.run_scenario(ScenarioConfig(
+        x0=1.0, y0=1.0, z_values=zs, path=ha.PricePath(prices)))[4])]
+    runs += [(3.0, 0.7, False, run) for run in ha.run_scenario(ScenarioConfig(
+        x0=3.0, y0=0.7, z_values=zs, path=ha.PricePath(prices), arbitrageur=False))]
+    for x0, y0, arbitrageur, run in runs:
         assert_stepped(run, x0, y0, prices, arbitrageur)
         for name, value in (("reserve_x", x0), ("reserve_y", y0), ("slippage_cost", 0.0),
                             ("cum_volume", 0.0)):
-            assert np.all(run.table[:, METRICS_HEADER.index(name)] == value), (z, name)
+            assert np.all(run.table[:, METRICS_HEADER.index(name)] == value), (run.z, name)
 
 
 def test_a_pool_the_closed_form_leaves_out_steps_through_run_steps():

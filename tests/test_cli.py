@@ -530,6 +530,17 @@ def test_simulate_config_errors(capsys, tmp_path):
         assert err.startswith(f"error: {config}.steps: too many steps for a price path: ")
 
 
+@pytest.mark.parametrize("z_values", [[0.5, 0.5000000000001], [1.0 - 2.0 ** -52, 1.0]])
+def test_simulate_refuses_z_values_that_share_a_file_name(capsys, tmp_path, z_values):
+    # both pools would write metrics_z0.5 (or metrics_z1); the library runs them
+    out_dir = tmp_path / "out"
+    config = write_scenario(tmp_path, z_values=z_values)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"error: z_values must differ at 12 significant digits, got {z_values}\n"
+    assert not out_dir.exists()
+
+
 def test_simulate_refuses_stale_metrics_files(capsys, tmp_path):
     out_dir = tmp_path / "out"
     config = write_scenario(tmp_path, z_values=[0.0, 0.9])

@@ -49,6 +49,7 @@ def test_module_flags():
     assert _kernels.DUST_REL == 1e-15
     assert _kernels.ARB_BAND_REL == 1e-12
     assert _kernels.X_FLOOR_REL == 1e-12
+    assert _kernels.HEADROOM_SHARE == 0.999
     reasons = (_kernels.EXECUTED, _kernels.DUST, _kernels.NO_MOVE, _kernels.NO_ROOT,
                _kernels.PAST_BOUND, _kernels.IN_BAND, _kernels.NO_TARGET)
     assert len(set(reasons)) == 7

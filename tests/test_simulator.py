@@ -2,7 +2,9 @@
 
 import json
 import math
+import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,6 +78,48 @@ def test_final_il_decreases_in_z_when_price_falls():
     assert finals[0] == pytest.approx(0.2, rel=1e-12)
     assert all(a > b for a, b in zip(finals, finals[1:]))
     assert all(f > 0.0 for f in finals)
+
+
+@pytest.mark.parametrize("p0, p1", [(1.0, 1.1), (1.0, 0.5), (2.0, 8.0), (3.0, 2.9999),
+                                    (1.0, 1.0 + 1e-9)])
+def test_one_tick_il_is_the_reanchored_closed_form(p0, p1):
+    # the re-anchored curve through a balanced pool puts spot = p1 at
+    # x1 = x0 * (((2-z)*p0/p1 + z)/2)**(1/(2-z)), where y1 = p1*x1
+    zs = (0.0, 5e-324, 0.3, 0.5, 0.9, 0.99, 1.0 - 2.0 ** -52)
+    for run in ha.run_scenario(balanced_jump_config(p0, p1, zs)):
+        with mpmath.workdps(50):
+            z, p0_, p1_ = mpmath.mpf(run.z), mpmath.mpf(p0), mpmath.mpf(p1)
+            x1 = (((2 - z) * p0_ / p1_ + z) / 2) ** (1 / (2 - z))
+            hold = 1 + p0_ / p1_
+            il = (hold - 2 * x1) / hold
+            assert abs(steps(run)[1]["il_relative"] - il) <= 1e-12, run.z
+
+
+def test_readme_one_tick_il_figures():
+    # README, "Two oracle-tick models": fixed k against re-anchored k, to the digits it prints
+    figures = {}
+    for z in (0.3, 0.9):
+        simulated = steps(ha.run_scenario(balanced_jump_config(1.0, 1.1, [z]))[0])[1]
+        figures[z] = (f"{ha.il_closed_form(z, 1.0 / 1.1).il_relative:.2g}",
+                      f"{simulated['il_relative']:.2g}")
+    assert figures == {0.3: ("0.0095", "0.00079"), 0.9: ("0.039", "0.00011")}
+    readme = " ".join((pathlib.Path(__file__).resolve().parents[1] / "README.md")
+                      .read_text(encoding="utf-8").split())
+    assert ("`il_relative` is 0.0095 (fixed k) against 0.00079 (re-anchored k) at z = 0.3, "
+            "and 0.039 against 0.00011 at z = 0.9.") in readme
+
+
+def test_pools_that_share_a_file_name_run_in_one_config():
+    # simulate names its files by %.12g of z, so it refuses these; the library runs them
+    zs = (1.0 - 2.0 ** -52, 1.0)
+    path = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.05, steps=50, seed=3)
+    runs = ha.run_scenario(make_config(z_values=zs, path=path))
+    assert [run.z for run in runs] == list(zs)
+    for run in runs:
+        assert same_run(run, ha.run_scenario(make_config(z_values=(run.z,), path=path))[0])
+    # the z < 1 pool arbitrages, and the z = 1 pool has no arbitrage
+    assert steps(runs[0])[-1]["cum_volume"] > 0.0
+    assert steps(runs[1])[-1]["cum_volume"] == 0.0
 
 
 def test_arbitrage_tracks_oracle_for_partial_mixes():
@@ -199,8 +243,6 @@ def test_config_validation():
             ScenarioConfig.from_dict(scenario_dict(steps=bad_steps))
     with pytest.raises(ha.DomainError):
         make_config(path=(1.0, 1.0, 1.0, 1.0))            # not a PricePath
-    with pytest.raises(ha.DomainError):
-        make_config(z_values=(0.5, 0.5000000000001))      # same metrics_z0.5 file
     with pytest.raises(ha.DomainError):
         make_config(noise={"seed": 1})
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -217,6 +218,25 @@ def test_exact_out_sell_x_at_zero_spot_with_bound_past_double_range():
     amount_out = 6.007286758215366e-155
     result = ha.swap_exact_out(state, SELL_X, amount_out)
     assert result.new_state.x == pytest.approx(state.k / (state.y - amount_out), rel=1e-12)
+
+
+def test_exact_out_sell_x_where_newtons_slope_underflows():
+    # c = z*p/(2-z) underflows to 0 at this subnormal z, and so does the power
+    # term's slope (1-z)*a*(em+1)/(x+u): solve_delta_x has no Newton step, and
+    # trade inverts the curve instead
+    state = ha.PoolState.anchored(1.793556418786901e244, 9.241120189569264e-80,
+                                  1.2958283247692273e-69, 5e-324)
+    amount_out = 3.247378115279142e-80
+    assert math.isnan(_kernels.solve_delta_x(state.x, state.y, state.p, state.z, -amount_out))
+    result = ha.swap_exact_out(state, SELL_X, amount_out)
+    with mpmath.workdps(60):
+        x, y, p, z = (mpmath.mpf(v) for v in (state.x, state.y, state.p, state.z))
+        c = z * p / (2 - z)
+        y_new = y - amount_out
+        # the new X on the curve through (x, y): (y + c*x) * (x/x1)**(1-z) - c*x1 = y_new
+        x_new = mpmath.findroot(lambda x1: ((y + c * x) * (x / x1) ** (1 - z) - c * x1) / y_new - 1,
+                                (x, 2 * x * y / y_new), solver="anderson")
+        assert abs(result.amount_in - (x_new - x)) <= 1e-12 * (x_new - x)
 
 
 def test_dust_trades_rejected(monkeypatch):
