@@ -14,10 +14,11 @@ costs, for ``swap_exact_in``, ``swap_exact_out`` and every trade of
 did not execute: ``DUST`` (an exact-in amount below ``DUST_REL`` of the
 input-side reserve), ``NO_MOVE`` (the amount that follows is not positive),
 ``NO_ROOT`` (the new X was not found) or ``PAST_BOUND`` (an exact-out SELL_X
-lands closer to the solvency bound than doubles resolve).  ``headroom`` is the
-largest input the pool can take.  The swaps turn the reasons into typed
-exceptions; ``run_steps`` counts a noise trade that did not execute as
-skipped.  ``arbitrage_step`` adds ``IN_BAND`` and ``NO_TARGET``.
+lands closer to the solvency bound than doubles resolve, or an exact-out
+SELL_Y pays out all of X or more).  ``headroom`` is the largest input the
+pool can take.  The swaps turn the reasons into typed exceptions;
+``run_steps`` counts a noise trade that did not execute as skipped.
+``arbitrage_step`` adds ``IN_BAND`` and ``NO_TARGET``.
 
 Curve family (mix parameter z in [0, 1], oracle price p, constant k):
 
@@ -325,6 +326,8 @@ def trade(x, y, p, z, k, sell_y, amount, exact_out):
     if exact_out == sell_y:
         dx = -amount if sell_y else amount
         x_new = x + dx
+        if x_new <= 0.0:   # an exact-out SELL_Y that pays out all of X
+            return x, y, 0.0, 0.0, 0.0, PAST_BOUND
         dy = delta_y(x, y, p, z, dx)
         y_new = y + dy if -dy <= 0.5 * y else curve_y(k, x_new, p, z)
         moved = y_new - y if sell_y else y - y_new

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .core import (PoolState, _anchor, _check_finite_positive, _check_mix, _check_residual,
-                   _check_solvent, _unchecked, d2y_dx2, reserve_y)
+                   _check_solvent, _unchecked, reserve_y)
 from .errors import DomainError, UnsupportedConfigurationError
 from .swap import SwapResult, TradeDirection, swap_exact_in
 
@@ -35,7 +35,6 @@ __all__ = [
     "rebalance_to_oracle",
     "slippage_taylor",
     "slippage_exact",
-    "normalized_taylor_coefficient",
 ]
 
 
@@ -166,12 +165,3 @@ def slippage_exact(state: PoolState, direction: TradeDirection,
                                          "taylor_second_derivative_form": _taylor(state, dx),
                                          "exact": result.slippage_cost})
 
-
-def normalized_taylor_coefficient(z: float) -> float:
-    """Slippage per unit trade size, dx -> 0, on the unit pool (x = y = p = 1).
-
-    Equals 1/2*k*(z-1)*(z-2) with k = 1 + z/(2-z): 1 at z = 0, decreasing to
-    0 at z = 1 (the concentration effect).
-    """
-    state = PoolState.anchored(1.0, 1.0, 1.0, _check_mix(z))
-    return 0.5 * d2y_dx2(state.k, state.x, state.p, state.z)

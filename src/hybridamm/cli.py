@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .analytics import il_closed_form, il_simulated, slippage_exact
-from .core import PoolState
+from .core import PoolState, _check_finite_positive
 from .errors import DomainError, HybridAmmError
 from .oracle import dump_price_csv
 from .serialize import FORMATS, write_rows
@@ -95,9 +95,7 @@ def cmd_swap(args) -> int:
 def cmd_il(args) -> int:
     if args.prices is not None:
         p0, p1 = args.prices
-        if not (math.isfinite(p0) and p0 > 0.0 and math.isfinite(p1) and p1 > 0.0):
-            raise DomainError(f"prices must be finite and > 0, got p0={p0}, p1={p1}")
-        moves = [(p0, p1)]
+        moves = [(_check_finite_positive(p0, "p0"), _check_finite_positive(p1, "p1"))]
     else:
         moves = [(float(rho), 1.0) for rho in args.rho_grid]
     rows = []
@@ -174,11 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     curve = add_parser("curve", help="tabulate reserve curves over an x grid")
     curve.add_argument("--z", **z_list)
-    source = curve.add_mutually_exclusive_group(required=True)
-    # both spell the anchor that sweep_reserve_curve takes: a point, or a raw k
-    source.add_argument("--k", type=float, dest="anchor", metavar="K",
-                        help="explicit curve constant, at oracle price 1")
-    source.add_argument("--anchor", **anchor)
+    curve.add_argument("--anchor", required=True, **anchor)
     curve.add_argument("--x-grid", type=_grid, required=True, metavar="START:STOP:COUNT")
     _add_output_flags(curve)
     curve.set_defaults(func=cmd_curve)

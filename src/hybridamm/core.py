@@ -58,10 +58,10 @@ class PoolState:
     """Immutable pool snapshot: reserves, oracle price, mix parameter, curve constant.
 
     Who checks what: the constructor checks all five fields, then the
-    residual, since its caller may pass any k.  :meth:`anchored` checks x,
-    y, p, z, the k it derives and the residual once each.  Swaps and oracle
-    updates check what they change (the new reserves, or p and the
-    re-derived k) and the residual.  Rebalancing reads y from the curve at
+    residual, since its caller may pass any k.  :meth:`anchored`, which an
+    oracle tick re-runs at the new price, checks x, y, p, z, the k it
+    derives and the residual once each.  Swaps check what they change (the
+    new reserves) and the residual.  Rebalancing reads y from the curve at
     its new x, so it checks the new reserves only.  All but the constructor
     build the state with ``_unchecked``.
     """
@@ -84,8 +84,11 @@ class PoolState:
     @classmethod
     def anchored(cls, x: float, y: float, p: float, z: float) -> "PoolState":
         """Build a state from reserves, deriving k so the curve passes through (x, y)."""
-        return _anchored(_check_finite_positive(x, "x"), _check_finite_positive(y, "y"),
-                         _check_finite_positive(p, "p"), _check_mix(z))
+        x, y = _check_finite_positive(x, "x"), _check_finite_positive(y, "y")
+        p, z = _check_finite_positive(p, "p"), _check_mix(z)
+        k, power, linear = _anchor(x, y, p, z)
+        _check_residual(x, y, p, z, _check_finite_positive(k, "k"), power, linear)
+        return _unchecked(cls, {"x": x, "y": y, "p": p, "z": z, "k": k})
 
 
 def _unchecked(cls, fields: dict):
@@ -110,13 +113,6 @@ def _check_residual(x: float, y: float, p: float, z: float, k: float,
             if 0.0 < value < sys.float_info.min:
                 message += f"; {label}{value!r} is subnormal"
         raise DomainError(message)
-
-
-def _anchored(x: float, y: float, p: float, z: float) -> PoolState:
-    """State through checked reserves (x, y) at a checked p and z."""
-    k, power, linear = _anchor(x, y, p, z)
-    _check_residual(x, y, p, z, _check_finite_positive(k, "k"), power, linear)
-    return _unchecked(PoolState, {"x": x, "y": y, "p": p, "z": z, "k": k})
 
 
 def _anchor(x: float, y: float, p: float, z: float) -> tuple[float, float, float]:

@@ -1,4 +1,4 @@
-"""Oracle price paths and the re-anchoring policy for oracle updates.
+"""Oracle price paths.
 
 Paths are deterministic value objects: constant schedules, explicit
 schedules, seeded geometric Brownian motion, or CSV replay.  The GBM
@@ -7,7 +7,8 @@ so a given (seed, numpy release) pair yields a bit-identical path on every
 platform.
 
 When the oracle price changes, reserves stay where they are and the curve
-constant is re-derived through them (k jumps, tokens do not); the spot price
+constant is re-derived through them (k jumps, tokens do not): the new state is
+``PoolState.anchored(state.x, state.y, p_new, state.z)``, and the spot price
 moves only through the z*p blend term.
 """
 
@@ -21,14 +22,13 @@ from typing import Union
 
 import numpy as np
 
-from .core import PoolState, _anchored, _check_finite_positive, _check_int
+from .core import _check_finite_positive, _check_int
 from .errors import ConfigError, DomainError
 from .serialize import write_csv
 
 __all__ = [
     "PricePath",
     "gbm_path",
-    "apply_oracle_update",
     "load_price_csv",
     "dump_price_csv",
 ]
@@ -73,15 +73,6 @@ def gbm_path(p0: float, mu: float, sigma: float, steps: int, seed: int) -> Price
     draws = rng.standard_normal(steps - 1)
     log_steps = (mu - 0.5 * sigma * sigma) + sigma * draws
     return PricePath(p0 * np.exp(np.concatenate(([0.0], np.cumsum(log_steps)))))
-
-
-def apply_oracle_update(state: PoolState, p_new: float) -> PoolState:
-    """Oracle tick: reserves stay fixed, the curve constant re-anchors through them.
-
-    The spot price moves by exactly z*(p_new - p_old); the reserve-ratio term
-    of the blend is untouched.
-    """
-    return _anchored(state.x, state.y, _check_finite_positive(p_new, "p_new"), state.z)
 
 
 def load_price_csv(source: Union[str, os.PathLike]) -> PricePath:

@@ -225,13 +225,20 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     """Drive one pool per z value through the configured path and agents.
 
     Every pool sees the same oracle path and the same pre-drawn noise
-    attempts, so runs differ only through the curve itself.  The pools that
+    attempts, so runs differ only through the curve itself.  Each pool's start
+    is anchored with :meth:`PoolState.anchored` first, and a start it rejects
+    raises its ``DomainError`` prefixed with the pool's z.  The pools that
     ``_kernels.arbitrage_path``'s route takes are computed at once in closed
     form, and every other pool steps through ``_kernels.run_steps``.
     """
     prices = config.path.prices
     steps = len(prices)
     zs = config.z_values
+    for z in zs:
+        try:
+            PoolState.anchored(config.x0, config.y0, prices[0], z)
+        except DomainError as err:
+            raise DomainError(f"z={z}: {err}") from None
     noise = config.noise
     args = _kernels.NO_NOISE
     if noise is not None:
@@ -260,16 +267,14 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
             for z, table, c, s in zip(zs, tables, clamped.tolist(), skipped.tolist())]
 
 
-def sweep_reserve_curve(anchor: Union[tuple[float, float, float], float],
-                        z_values: Sequence[float],
+def sweep_reserve_curve(anchor: tuple[float, float, float], z_values: Sequence[float],
                         x_grid: Sequence[float]) -> list[tuple[float, float, float]]:
     """Tabulate (z, x, y) curve samples for plotting.
 
-    ``anchor`` is either the reserves and oracle price (x, y, p), through
-    which :meth:`PoolState.anchored` anchors and checks each z's curve, so
-    all curves share that point, or an explicit curve constant k at oracle
-    price 1.  Grid points outside a curve's domain yield y = nan rather
-    than failing.
+    ``anchor`` is the reserves and oracle price (x, y, p), through which
+    :meth:`PoolState.anchored` anchors and checks each z's curve, so all
+    curves share that point.  Grid points outside a curve's domain yield
+    y = nan rather than failing.
     """
     zs = [_check_mix(z) for z in z_values]
     if not zs:
@@ -280,15 +285,11 @@ def sweep_reserve_curve(anchor: Union[tuple[float, float, float], float],
     if not np.all(np.isfinite(xs)):
         raise DomainError("x_grid values must be finite")
 
-    if isinstance(anchor, tuple):
-        states = [PoolState.anchored(*anchor, z) for z in zs]
-        curves = [(state.z, state.k, state.p) for state in states]
-    else:
-        k = _check_finite_positive(anchor, "k")
-        curves = [(z, k, 1.0) for z in zs]
     rows: list[tuple[float, float, float]] = []
-    for z, k, p_z in curves:
-        bound = _kernels.solvency_bound(k, p_z, z)
-        rows.extend((z, x, _kernels.curve_y(k, x, p_z, z) if 0.0 < x < bound else math.nan)
+    for z in zs:
+        state = PoolState.anchored(*anchor, z)
+        k, p = state.k, state.p
+        bound = _kernels.solvency_bound(k, p, z)
+        rows.extend((z, x, _kernels.curve_y(k, x, p, z) if 0.0 < x < bound else math.nan)
                     for x in xs.tolist())
     return rows

@@ -54,8 +54,9 @@ def test_unit_pool_anchors_and_coefficients(report):
         k_high = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.9).k
         assert abs(k_low - 20.0 / 19.0) <= 1e-12
         assert abs(k_high - 20.0 / 11.0) <= 1e-12
-        c_low = ha.normalized_taylor_coefficient(0.1)
-        c_high = ha.normalized_taylor_coefficient(0.9)
+        # slippage per unit trade size, dx -> 0, on the unit pool: y''(1) / 2
+        c_low = 0.5 * ha.d2y_dx2(k_low, 1.0, 1.0, 0.1)
+        c_high = 0.5 * ha.d2y_dx2(k_high, 1.0, 1.0, 0.9)
         assert abs(c_low - 0.9) <= 1e-12
         assert abs(c_high - 0.1) <= 1e-12
         assert abs(c_low / c_high - 9.0) <= 1e-12

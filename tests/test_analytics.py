@@ -162,16 +162,22 @@ def test_il_pipeline_matches_closed_form(x0, p0, p1, z):
 # ------------------------------------------------------------ Taylor slippage
 
 
+def unit_coefficient(z):
+    """Slippage per unit trade size, dx -> 0, on the unit pool: y''(1) / 2, or 1 - z."""
+    state = ha.PoolState.anchored(1.0, 1.0, 1.0, z)
+    return 0.5 * ha.d2y_dx2(state.k, state.x, state.p, state.z)
+
+
 def test_concentration_coefficients_from_worked_example():
-    assert abs(ha.normalized_taylor_coefficient(0.1) - 0.9) <= 1e-13
-    assert abs(ha.normalized_taylor_coefficient(0.9) - 0.1) <= 1e-13
-    assert ha.normalized_taylor_coefficient(0.0) == 1.0
-    assert ha.normalized_taylor_coefficient(1.0) == 0.0
+    assert abs(unit_coefficient(0.1) - 0.9) <= 1e-13
+    assert abs(unit_coefficient(0.9) - 0.1) <= 1e-13
+    assert unit_coefficient(0.0) == 1.0
+    assert unit_coefficient(1.0) == 0.0
 
 
 def test_concentration_coefficient_strictly_decreasing():
     grid = [round(0.1 * i, 1) for i in range(11)]
-    values = [ha.normalized_taylor_coefficient(z) for z in grid]
+    values = [unit_coefficient(z) for z in grid]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] == 0.0
 

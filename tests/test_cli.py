@@ -40,7 +40,7 @@ def csv_rows(text):
 
 
 def test_curve_constant_product(capsys):
-    code, out, _ = run_cli(capsys, "curve", "--z", "0", "--k", "1",
+    code, out, _ = run_cli(capsys, "curve", "--z", "0", "--anchor", "1,1,1",
                            "--x-grid", "0.5:2:4")
     assert code == 0
     rows = csv_rows(out)
@@ -67,7 +67,8 @@ def test_curve_anchored_reference_point(capsys):
 
 
 def test_curve_marks_out_of_domain_as_nan(capsys):
-    code, out, _ = run_cli(capsys, "curve", "--z", "1", "--k", "1",
+    # the z = 1 line through (0.5, 0.5) at p = 1 is y = 1 - x
+    code, out, _ = run_cli(capsys, "curve", "--z", "1", "--anchor", "0.5,0.5,1",
                            "--x-grid", "0.5:2:2")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -77,10 +78,8 @@ def test_curve_marks_out_of_domain_as_nan(capsys):
 
 def test_curve_flag_validation(capsys):
     assert run_cli(capsys, "curve", "--z", "0", "--x-grid", "1:2:2")[0] == 2
-    assert run_cli(capsys, "curve", "--z", "0", "--k", "1", "--anchor", "1,1,1",
-                   "--x-grid", "1:2:2")[0] == 2
-    assert run_cli(capsys, "curve", "--z", "0", "--k", "1", "--x-grid", "1:2")[0] == 2
-    code, _, err = run_cli(capsys, "curve", "--z", "0", "--k", "-1", "--x-grid", "1:2:2")
+    assert run_cli(capsys, "curve", "--z", "0", "--anchor", "1,1,1", "--x-grid", "1:2")[0] == 2
+    code, _, err = run_cli(capsys, "curve", "--z", "0", "--anchor", "1,1,-1", "--x-grid", "1:2:2")
     assert code == 1
     assert err.startswith("error:")
 
@@ -205,7 +204,7 @@ def test_il_price_flag_coupling(capsys):
                    "--prices", "4,1")[0] == 2
     code, _, err = run_cli(capsys, "il", "--z", "0", "--prices", "0,1")
     assert code == 1
-    assert err == "error: prices must be finite and > 0, got p0=0.0, p1=1.0\n"
+    assert err == "error: p0 must be finite and > 0, got 0.0\n"
 
 
 # ------------------------------------------------------------------- slippage
@@ -264,6 +263,7 @@ def test_slippage_requires_anchor(capsys):
     ("curve", "--z", "0", "--k", "1", "--p", "2", "--x-grid", "1:2:2"),
     ("il", "--z", "0", "--pr", "4,1"),
     ("swap", "--z", "0.6", "--anch", "1,1,1", "--dir", "sell-x", "--amount-i", "0.1"),
+    ("curve", "--z", "0", "--k", "1", "--x-grid", "1:2:2"),
 ])
 def test_one_spelling_per_input(capsys, argv):
     # a pool is --anchor X,Y,P, a z list is --z and a price move is --prices
@@ -301,9 +301,8 @@ def _long_flags():
 FULL_NAMES = [
     ("--help",),
     ("curve", "--help"),
-    ("curve", "--z", "0", "--k", "1", "--x-grid", "1:2:2", "--format", "json",
+    ("curve", "--z", "0", "--anchor", "1,1,1", "--x-grid", "1:2:2", "--format", "json",
      "--out", "{tmp}/curve.json"),
-    ("curve", "--z", "0", "--anchor", "1,1,1", "--x-grid", "1:2:2"),
     ("swap", "--help"),
     ("swap", "--z", "0.6", "--anchor", "1,1,1", "--direction", "sell-x", "--amount-in", "0.1",
      "--format", "table", "--out", "{tmp}/swap.txt"),
@@ -471,6 +470,24 @@ def test_a_trade_that_empties_y_is_not_a_traceback(capsys, tmp_path):
     assert out.startswith("z=0.512491955513 ")
 
 
+def test_starts_at_the_edge_of_the_double_range_are_not_tracebacks(capsys, tmp_path):
+    path = {"kind": "gbm", "mu": 0.0, "sigma": 0.1, "seed": 2}
+    # k overflows at this start, which PoolState.anchored rejects; it once ended in a
+    # raw ZeroDivisionError at step 1
+    config = write_scenario(tmp_path, x0=1e300, y0=1e300, z_values=[0.5], steps=20, path=path)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+    assert (code, out, err) == (1, "", "error: z=0.5: k must be finite and > 0, got inf\n")
+    assert not out_dir.exists()
+    # the arbitrage's payout rounds to all of x, which once took log(0) in delta_y;
+    # trade reads it as past the bound, so the pool never moves
+    config = write_scenario(tmp_path, x0=1e150, y0=1e-150, p0=0.001, z_values=[0.0], steps=20,
+                            path=path)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    assert out == "z=0 final_il_relative=0 clamped_trades=0 skipped_trades=0\n"
+
+
 def test_simulate_json_format(capsys, tmp_path):
     config = write_scenario(tmp_path, z_values=[0.5])
     out_dir = tmp_path / "out"
@@ -574,7 +591,7 @@ def test_unwritable_output_is_an_error_not_a_traceback(capsys, tmp_path):
 def test_subnormal_reserves_are_not_tracebacks(capsys):
     # x**(z-1) overflows at x = 1e-310, z = 1e-300, and x*x underflows to 0
     # at x = 1e-200; both once ended in tracebacks
-    code, out, _ = run_cli(capsys, "curve", "--z", "1e-300", "--k", "1",
+    code, out, _ = run_cli(capsys, "curve", "--z", "1e-300", "--anchor", "1,1,1",
                            "--x-grid", "0:1e-310:3")
     assert code == 0
     ys = [row["y"] for row in csv_rows(out)]
@@ -627,7 +644,7 @@ def test_json_renders_nonfinite_as_null(capsys):
 
 
 def test_table_format(capsys):
-    code, out, _ = run_cli(capsys, "curve", "--z", "0", "--k", "1",
+    code, out, _ = run_cli(capsys, "curve", "--z", "0", "--anchor", "1,1,1",
                            "--x-grid", "1:2:2", "--format", "table")
     assert code == 0
     lines = out.splitlines()
@@ -637,7 +654,7 @@ def test_table_format(capsys):
 
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "table.csv"
-    code, out, _ = run_cli(capsys, "curve", "--z", "0", "--k", "1",
+    code, out, _ = run_cli(capsys, "curve", "--z", "0", "--anchor", "1,1,1",
                            "--x-grid", "1:2:2", "--out", str(target))
     assert code == 0
     assert out == ""
@@ -657,7 +674,8 @@ def test_main_exit_codes(capsys, monkeypatch):
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "teleport")[0] == 2
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    assert run_cli(capsys, "curve", "--z", "0", "--k", "1", "--x-grid", "1:2:2") == (1, "", "")
+    assert run_cli(capsys, "curve", "--z", "0", "--anchor", "1,1,1",
+                   "--x-grid", "1:2:2") == (1, "", "")
 
 
 def test_the_shared_parser_keeps_no_state(capsys, monkeypatch):
@@ -665,7 +683,7 @@ def test_the_shared_parser_keeps_no_state(capsys, monkeypatch):
     # would on a parser built for it alone
     commands = [("curve", "--z", "0"),                                   # usage error
                 ("--help",),
-                ("curve", "--z", "0", "--k", "-1", "--x-grid", "1:2:2"),  # DomainError
+                ("curve", "--z", "0", "--anchor", "1,1,-1", "--x-grid", "1:2:2"),  # DomainError
                 ("curve", "--z", "0,0.5", "--anchor", "1,1,1", "--x-grid", "1:2:2")]
     shared = [run_cli(capsys, *argv) for argv in commands * 2]
     assert cli._build_parser() is cli._build_parser()
@@ -673,6 +691,21 @@ def test_the_shared_parser_keeps_no_state(capsys, monkeypatch):
     fresh = [run_cli(capsys, *argv) for argv in commands]
     assert shared == fresh * 2
     assert [code for code, _, _ in fresh] == [2, 0, 1, 0]
+
+
+def test_module_entry_point_exit_codes():
+    # python -m hybridamm.cli exits with main's code, through the module's __main__ guard
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}
+    for argv, code, first_line in [
+        ("curve --z 0,0.5,1 --anchor 1,1,1 --x-grid 0.5:1.5:101", 0, "z,x,y"),
+        ("il --z 0 --prices 0,1", 1, "error: p0 must be finite and > 0, got 0.0"),
+        ("curve --z 0 --k 1 --x-grid 1:2:2", 2,
+         "usage: hybridamm curve [-h] --z Z --anchor X,Y,P --x-grid START:STOP:COUNT"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "hybridamm.cli", *argv.split()],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == code, argv
+        assert (proc.stdout + proc.stderr).splitlines()[0] == first_line, argv
 
 
 def test_entry_point_is_installed():

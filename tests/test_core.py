@@ -176,5 +176,5 @@ def test_package_lists_each_module_name_once():
         for name in module.__all__:
             assert getattr(ha, name) is getattr(module, name)
     assert ha.__all__ == expected
-    assert len(set(ha.__all__)) == len(ha.__all__) == 38
+    assert len(set(ha.__all__)) == len(ha.__all__) == 36
     assert ha.__version__ == "0.1.0"

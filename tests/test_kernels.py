@@ -273,6 +273,18 @@ def test_sell_y_that_would_empty_a_subnormal_x():
         x, y, 0.0, 0.0, 0.0, _kernels.NO_ROOT)
 
 
+def test_exact_out_sell_y_of_all_of_x_is_past_the_bound():
+    # a payout of all of X leaves no point on the curve; delta_y once took log(0) here
+    k = _kernels.curve_anchor(1.0, 1.0, 1.0, 0.5)
+    for amount in (1.0, 2.0):
+        assert _kernels.trade(1.0, 1.0, 1.0, 0.5, k, True, amount, True) == (
+            1.0, 1.0, 0.0, 0.0, 0.0, _kernels.PAST_BOUND)
+    # the arbitrage's target x* = 31.6 lies below half an ulp of x, so its payout is x
+    x, y, p, z = 1e150, 1e-150, 0.001, 0.0
+    k = _kernels.curve_anchor(x, y, p, z)
+    assert _kernels.arbitrage_step(x, y, p, z, k) == (x, y, 0.0, 0.0, _kernels.PAST_BOUND)
+
+
 # ------------------------------------------------------------ one trade engine
 
 

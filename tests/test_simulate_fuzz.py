@@ -52,6 +52,11 @@ TYPE_ERROR = scenario(
     [0.5124919555126976], 293, 0.4968958368576199, False,
     noise(-1.4514595909840216, 1.9067374694029193, 0.606138894260195, 3, seed=52),
     x0=919.5901717135855, y0=0.07821897313333037, p0=12.772475197631874, seed=36)
+# once a raw ZeroDivisionError: k overflows at this start, which PoolState.anchored rejects
+K_INF = scenario([0.5], 20, 0.1, True, None, x0=1e300, y0=1e300, seed=2)
+# once a raw ValueError from log(0): the arbitrage's exact-out SELL_Y paid out all of x
+ALL_OF_X = [scenario([0.0], 20, 0.1, True, None, x0=1e150, y0=1e-150, p0=0.001, seed=2),
+            scenario([1e-300], 20, 0.1, True, None, x0=1.0, y0=1e-300, p0=1e300, seed=2)]
 
 
 def positive():
@@ -83,6 +88,9 @@ def routes(config):
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=scenarios)
 @example(config=TYPE_ERROR)
+@example(config=K_INF)
+@example(config=ALL_OF_X[0])
+@example(config=ALL_OF_X[1])
 @example(config=ROUTE_EXAMPLES["noise-free closed form"])
 @example(config=ROUTE_EXAMPLES["noise closed form"])
 @example(config=ROUTE_EXAMPLES["run_steps"])

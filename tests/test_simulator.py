@@ -411,18 +411,18 @@ def test_load_scenario_reports_json_errors(tmp_path):
 
 
 def test_sweep_constant_product_rows():
-    rows = ha.sweep_reserve_curve(2.0, [0.0], np.linspace(0.5, 4.0, 8))
+    rows = ha.sweep_reserve_curve((1.0, 2.0, 1.0), [0.0], np.linspace(0.5, 4.0, 8))
     for z, x, y in rows:
         assert z == 0.0
         assert x * y == pytest.approx(2.0, rel=1e-12)
 
 
 def test_sweep_full_mix_rows_are_collinear():
-    # at z = 1 the curve through (0.5, 2) at p = 2 is y = 3 - 2x; a raw k is at p = 1
+    # at z = 1 the curve through (0.5, 2) at p = 2 is y = 3 - 2x, through (1, 2) at p = 1 y = 3 - x
     rows = ha.sweep_reserve_curve((0.5, 2.0, 2.0), [1.0], [0.5, 1.0, 1.4])
     for _, x, y in rows:
         assert y == pytest.approx(3.0 - 2.0 * x, rel=1e-12)
-    for _, x, y in ha.sweep_reserve_curve(3.0, [1.0], [0.5, 1.0, 2.5]):
+    for _, x, y in ha.sweep_reserve_curve((1.0, 2.0, 1.0), [1.0], [0.5, 1.0, 2.5]):
         assert y == pytest.approx(3.0 - x, rel=1e-12)
 
 
@@ -444,13 +444,14 @@ def test_sweep_marks_out_of_domain_points():
 
 @pytest.mark.parametrize("z", [0.0, 1e-300, 0.5, 1.0])
 def test_sweep_nan_markers_at_domain_edges(z):
-    k, p = 4.0 / 3.0, 1.0   # a raw k is at oracle price 1
+    p = 1.0
+    k = ha.PoolState.anchored(1.0, 1.0, p, z).k
     bound = ha.max_x_bound(k, p, z)
     # subnormal x overflows x**(z-1) for small z, which gives inf, not an error
     xs = [-1.0, -5e-324, 0.0, 5e-324, 1e-310, 1e-200, 0.1, 1.0, 1.5]
     if math.isfinite(bound):
         xs += [math.nextafter(bound, 0.0), bound, bound * 1.2]
-    rows = ha.sweep_reserve_curve(k, [z], xs)
+    rows = ha.sweep_reserve_curve((1.0, 1.0, p), [z], xs)
     assert [x for _, x, _ in rows] == xs
     for _, x, y in rows:
         if x <= 0.0 or x >= bound:
@@ -460,18 +461,22 @@ def test_sweep_nan_markers_at_domain_edges(z):
 
 
 def test_sweep_validation():
+    unit = (1.0, 1.0, 1.0)
     with pytest.raises(TypeError):
-        ha.sweep_reserve_curve(2.0, [0.5], [1.0], p=2.0)   # the oracle price is 1, or the anchor's
+        ha.sweep_reserve_curve(unit, [0.5], [1.0], p=2.0)   # the oracle price is the anchor's
     with pytest.raises(ha.DomainError):
-        ha.sweep_reserve_curve(2.0, [], [1.0])
+        ha.sweep_reserve_curve(unit, [], [1.0])
     with pytest.raises(ha.DomainError):
-        ha.sweep_reserve_curve(2.0, [2.0], [1.0])
+        ha.sweep_reserve_curve(unit, [2.0], [1.0])
     with pytest.raises(ha.DomainError):
-        ha.sweep_reserve_curve(2.0, [0.5], [])
+        ha.sweep_reserve_curve(unit, [0.5], [])
     with pytest.raises(ha.DomainError):
-        ha.sweep_reserve_curve(2.0, [0.5], [math.inf])
+        ha.sweep_reserve_curve(unit, [0.5], [math.inf])
     with pytest.raises(ha.DomainError):
-        ha.sweep_reserve_curve(-1.0, [0.5], [1.0])
+        ha.sweep_reserve_curve((-1.0, 1.0, 1.0), [0.5], [1.0])
+    # a curve is drawn through an anchor point only, never from a raw k or a state
+    with pytest.raises(TypeError):
+        ha.sweep_reserve_curve(2.0, [0.5], [1.0])
     with pytest.raises(TypeError):
         ha.sweep_reserve_curve(ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5), [0.5], [1.0])
     # each z's curve is checked, whatever the order of z: k = 1e400 at z = 0

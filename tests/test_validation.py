@@ -155,10 +155,9 @@ CASES = {
         ha.PoolState.anchored(1e-200, 1e-200, 1e100, 0.5), 1e300), DomainError,
         "cannot rebalance the (k=3.3333333333332965e-201, z=0.5) curve to p=1e+300: "
         "(2-z)*k/(2*p) underflows to 0"),
-    # oracle updates check p_new, then the k re-derived through the kept reserves
-    "oracle-neg": (lambda: ha.apply_oracle_update(S, -1.0), DomainError, positive("p_new", -1.0)),
-    "oracle-inf": (lambda: ha.apply_oracle_update(S, INF), DomainError, positive("p_new", INF)),
-    "oracle-k-inf": (lambda: ha.apply_oracle_update(BIG, 1e308), DomainError, positive("k", INF)),
+    # an oracle tick re-anchors the kept reserves at the new price
+    "oracle-k-inf": (lambda: ha.PoolState.anchored(BIG.x, BIG.y, 1e308, BIG.z), DomainError,
+                     positive("k", INF)),
 }
 
 
@@ -221,7 +220,7 @@ def checked(monkeypatch):
     # reserve_y's check of x + dx covers x, as x <= x + dx
     (lambda: ha.slippage_taylor(S, 0.1), ["dx", "k", "x", "p", "z"]),
     (lambda: ha.rebalance_to_oracle(S, 2.0), ["p_new", "x", "y"]),
-    (lambda: ha.apply_oracle_update(S, 2.0), ["p_new", "k"]),
+    (lambda: ha.PoolState.anchored(S.x, S.y, 2.0, S.z), ["x", "y", "p", "z", "k"]),
     (lambda: ha.il_simulated(2.0, 1.5, 2.0, 0.4), ["x0", "p0", "p1", "z", "y", "k", "x", "y"]),
 ], ids=["anchored", "in-sell-x", "in-sell-y", "out-sell-x", "out-sell-y", "slippage_exact",
         "slippage_taylor", "rebalance", "oracle_update", "il_simulated"])
@@ -256,7 +255,7 @@ def residuals(monkeypatch):
     (lambda: ha.swap_exact_out(S, SY, 0.1), 1),
     (lambda: ha.slippage_exact(S, SX, 0.1), 1),
     (lambda: ha.slippage_taylor(S, 0.1), 0),
-    (lambda: ha.apply_oracle_update(S, 2.0), 1),
+    (lambda: ha.PoolState.anchored(S.x, S.y, 2.0, S.z), 1),
     (lambda: ha.rebalance_to_oracle(S, 2.0), 0),
     # the anchored pool, and not the rebalanced one
     (lambda: ha.il_simulated(2.0, 1.5, 2.0, 0.4), 1),
@@ -282,7 +281,7 @@ def test_each_state_residual_is_checked_once(residuals, call, count):
     lambda: ha.il_closed_form(0.4, 0.5),
     lambda: ha.il_simulated(2.0, 1.5, 2.0, 0.4),
     lambda: ha.rebalance_to_oracle(S, 2.0),
-    lambda: ha.apply_oracle_update(S, 2.0),
+    lambda: ha.PoolState.anchored(S.x, S.y, 2.0, S.z),
 ], ids=["in-sell-x", "in-sell-y", "out-sell-x", "out-sell-y", "slippage_exact-sell-x",
         "slippage_exact-sell-y", "slippage_taylor", "il_closed_form", "il_simulated",
         "rebalance", "oracle_update"])
