@@ -18,7 +18,6 @@ lands closer to the solvency bound than doubles resolve, or an exact-out
 SELL_Y pays out all of X or more).  ``headroom`` is the largest input the
 pool can take.  The swaps turn the reasons into typed exceptions;
 ``run_steps`` counts a noise trade that did not execute as skipped.
-``arbitrage_step`` adds ``IN_BAND`` and ``NO_TARGET``.
 
 Curve family (mix parameter z in [0, 1], oracle price p, constant k):
 
@@ -51,9 +50,8 @@ X_FLOOR_REL = 1e-12
 # exact-out SELL_X inverts the curve no further than this fraction of the solvency bound
 BOUND_REL = 1.0 - 1e-15
 
-# trade reason codes, then arbitrage_step's own two
+# trade reason codes
 EXECUTED, DUST, NO_MOVE, NO_ROOT, PAST_BOUND = 0, 1, 2, 3, 4
-IN_BAND, NO_TARGET = 5, 6
 
 # run_steps' and arbitrage_path's noise arguments (fractions, directions, trades per
 # step, max fraction) for a run without noise trades
@@ -352,7 +350,7 @@ def trade(x, y, p, z, k, sell_y, amount, exact_out):
                 # the X move is below the resolution of x, so the bracket
                 # held only the rounding of curve_y at x
                 x_new = x
-        if math.isnan(x_new):
+        if not x_new > 0.0:   # nan, or 0 from a SELL_Y floor X_FLOOR_REL*x that underflows
             return x, y, 0.0, 0.0, 0.0, NO_ROOT
         moved = x - x_new if sell_y else x_new - x
     if moved <= 0.0:
@@ -366,20 +364,17 @@ def arbitrage_step(x, y, p, z, k):
     """The arbitrageur's ``trade`` to x* = ``arb_target_x``, where the spot price is p.
 
     X out of the pool is an exact-out SELL_Y of |x* - x|, X in an exact-in
-    SELL_X.  Returns ``(x_new, y_new, slippage, volume, reason)``; the X volume
-    is |x* - x|, or 0 unless ``EXECUTED``: ``NO_TARGET`` (x* is nan: z = 1, or
-    (2-z)*k/(2p) underflows), ``IN_BAND`` (within ``ARB_BAND_REL`` of x), or
-    ``trade``'s reason.
+    SELL_X.  Returns ``(x_new, y_new, slippage, volume)``; the X volume is
+    |x* - x| if ``trade`` executes, else 0.  There is no trade where x* is nan
+    (z = 1, or (2-z)*k/(2p) underflows) or inf, or within ``ARB_BAND_REL`` of x.
     """
     x_star = arb_target_x(k, p, z)
-    if math.isnan(x_star):
-        return x, y, 0.0, 0.0, NO_TARGET
     size = abs(x_star - x)
-    if not size > ARB_BAND_REL * x:
-        return x, y, 0.0, 0.0, IN_BAND
+    if not ARB_BAND_REL * x < size < math.inf:
+        return x, y, 0.0, 0.0
     sell_y = x_star < x
     x_new, y_new, _, _, slip, reason = trade(x, y, p, z, k, sell_y, size, sell_y)
-    return x_new, y_new, slip, size if reason == EXECUTED else 0.0, reason
+    return x_new, y_new, slip, size if reason == EXECUTED else 0.0
 
 
 def derived_columns(x0, y0, x, y, prices, z):
@@ -429,7 +424,7 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
         last_slip = 0.0
 
         if do_arb:
-            x, y, last_slip, traded, _ = arbitrage_step(x, y, p, z, k)
+            x, y, last_slip, traded = arbitrage_step(x, y, p, z, k)
             volume += traded
 
         for j in range(trades_per_step):
@@ -597,24 +592,24 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, *noise):
     clamped, skipped)``: ``run_steps``' columns of those names, each shaped
     (len(z_values), len(prices)), and its noise-trade counts per pool.
 
-    The route: with ``do_arb``, step 0 re-anchors and runs ``arbitrage_step``
-    for every pool, as ``run_steps`` does, and the pools computed are exactly
-    those whose step-0 reason is ``EXECUTED`` or ``IN_BAND`` and whose
-    columns stay finite.  Every other pool comes back as rows of nan and
-    counts of 0, for the caller to run through ``run_steps``.
+    The route: with ``do_arb``, the pools computed are exactly those with
+    z < 1 whose columns stay finite.  Every other pool comes back as rows of
+    nan and counts of 0, for the caller to run through ``run_steps``.
 
-    After each arbitrage the pool is balanced, y = p*x, so the curve, the
-    trade rules and the noise sizes, which are all relative, make step t's
-    noise trades those of the unit pool (1, 1) at price 1
-    (``_unit_trades``), scaled: x and y become x*_t * gx_t and
-    p_t * x*_t * gy_t, where x*_t is x after step t's arbitrage.  The next
-    arbitrage then moves x by exp(l_t) with
-
-        l_t = log1p((2-z) * (p_{t-1}*gy_{t-1} / (p_t*gx_{t-1}) - 1) / 2) / (2-z),
-
-    so x*_t = x_0 * exp(L_t), where L is a compensated cumulative sum of
-    log(gx_{t-1}) + l_t.  Without noise gx = gy = 1, and y_t = y_0 * (p_t/p_0)
-    * exp(L_t), which is p_t * x*_t but repeats y_{t-1} bit for bit when the
+    Each arbitrage moves x by exp(l_t) to x*_t, where the spot price is p_t:
+    with w = 2 - z and r = y / (p_t*x) before it, l_t = log((w*r + z)/2) / w.
+    At step 0, log r comes from exact mantissas and exponents, so r may lie
+    past double range, and l_0 = 0 within ``ARB_BAND_REL`` of x_0, the dead
+    band.  After each arbitrage the pool is balanced, y = p*x, so the curve,
+    the trade rules and the noise sizes, which are all relative, make step
+    t's noise trades those of the unit pool (1, 1) at price 1
+    (``_unit_trades``), scaled: x and y become x*_t * gx_t and p_t * x*_t *
+    gy_t.  So r = p_{t-1}*gy_{t-1} / (p_t*gx_{t-1}) at step t > 0, and l_t =
+    log1p(w*(r - 1)/2) / w keeps the digits of a small move.  Then x*_t = x_0
+    * exp(l_0) * exp(L_t), where L is a compensated cumulative sum of
+    log(gx_{t-1}) + l_t (with l_0 in it, its rounding would grow with |l_0|).
+    Without noise gx = gy = 1, and y_t = p_t * x*_t, or y_0 * (p_t/p_0) *
+    exp(L_t) within the dead band; both repeat y_{t-1} bit for bit when the
     price does.  Each arbitrage comes from its own l_t, not from differences
     of stored reserves: X moves by x_{t-1} * expm1(l_t), and the slippage,
     ``trade``'s cost against the marginal price before the trade, is
@@ -630,38 +625,43 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, *noise):
     """
     fractions, directions, trades_per_step, max_fraction = noise or NO_NOISE
     zs = np.asarray(z_values, dtype=np.float64)
-    x, y, slip, volume = np.full((4, len(zs), len(prices)), math.nan)
-    clamped = np.zeros(len(zs), dtype=np.int64)
-    skipped = np.zeros(len(zs), dtype=np.int64)
-    p0 = float(prices[0])
-    routed, first = [], []   # the pools computed, and their x, y, slippage and volume at step 0
-    for i, z in enumerate(zs.tolist() if do_arb else ()):
-        *state, reason = arbitrage_step(x0, y0, p0, z, curve_anchor(x0, y0, p0, z))
-        if reason in (EXECUTED, IN_BAND):
-            routed.append(i)
-            first.append(state)
-    if not routed:
+    columns = np.full((4, len(zs), len(prices)), math.nan)
+    x, y, slip, volume = columns
+    clamped, skipped = np.zeros((2, len(zs)), dtype=np.int64)
+    routed = (zs < 1.0) & do_arb
+    if not routed.any():
         return x, y, slip, volume, clamped, skipped
-    x_first, y_first, slip_first, volume_first = np.array(first).T[:, :, None]
+    p0 = float(prices[0])
+    # log r from exact mantissas and exponents, so r may lie past double range
+    (mx, ex), (my, ey), (mp, ep) = math.frexp(x0), math.frexp(y0), math.frexp(p0)
+    log_r = math.log(my / (mx * mp)) + (ey - ex - ep) * math.log(2.0)
 
     z = zs[routed][:, None]
     w = 2.0 - z
     a = 1.0 - z
+
+    def after(first, rest):   # step 0's value, then each later step's
+        return np.concatenate((np.broadcast_to(first, (len(z), 1)), rest), axis=1)
+
     # overflow gives inf or nan silently; such a pool comes back as nan
     with np.errstate(all="ignore"):
         (gx, gx_lo), (gy, gy_lo), unit_slip, unit_volume, *counts = _unit_trades(
             z, len(prices), fractions, directions, trades_per_step, max_fraction)
         clamped[routed], skipped[routed] = counts
+        # log((w*r + z)/2), where z/2 would underflow at z = 5e-324
+        l0 = (np.logaddexp(np.log(w) + log_r, np.log(z)) - math.log(2.0)) / w
+        band = np.abs(np.expm1(l0)) <= ARB_BAND_REL
+        l0[band] = 0.0
         # gy/gx - 1 before each arbitrage
         gap = (((gy - gx) + (gy_lo - gx_lo)) / (gx + gx_lo))[:, :-1]
         # p_{t-1} - p_t is exact within a factor of 2, so a small move keeps its digits
         move = (prices[:-1] - prices[1:]) / prices[1:]
         move = move + gap + move * gap
         ell = np.log1p(w * move / 2.0) / w
-        growth = np.ones((len(z), len(prices)))
-        growth[:, 1:] = np.exp(_cumsum2((np.log(gx) + gx_lo / gx)[:, :-1] + ell))
-        xt = x_first * growth
-        yt = y_first * (prices / p0 * growth)
+        growth = after(1.0, np.exp(_cumsum2((np.log(gx) + gx_lo / gx)[:, :-1] + ell)))
+        xt = x0 * np.exp(l0) * growth
+        ell = after(l0, ell)
+        yt = np.where(band, y0 * (prices / p0 * growth), prices * xt)
         x[routed] = xt * gx + xt * gx_lo
         y[routed] = yt * gy + yt * gy_lo
         em = np.expm1(ell)
@@ -669,17 +669,13 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, *noise):
         n = a * ea + eb
         size = np.abs(em)
         slip_t = np.zeros_like(ell)
-        np.divide((prices[:-1] + prices[:-1] * gap + z * prices[1:] / w) * n, size, out=slip_t,
-                  where=size > 0.0)
-        slip[routed] = np.where(np.isnan(unit_slip), np.concatenate((slip_first, slip_t), axis=1),
-                                unit_slip * prices)
-        volume[routed] = np.cumsum(
-            np.concatenate((volume_first, np.abs(x[routed][:, :-1] * em)), axis=1)
-            + xt * unit_volume, axis=1)
-        covered = (np.isfinite(x) & np.isfinite(y) & np.isfinite(slip)
-                   & np.isfinite(volume)).all(axis=1)
-    for column in (x, y, slip, volume):
-        column[~covered] = math.nan
-    clamped[~covered] = 0
-    skipped[~covered] = 0
+        # y/x before each arbitrage, plus c
+        np.divide((after(y0 / x0, prices[:-1] + prices[:-1] * gap) + z * prices / w) * n, size,
+                  out=slip_t, where=size > 0.0)
+        slip[routed] = np.where(np.isnan(unit_slip), slip_t, unit_slip * prices)
+        volume[routed] = np.cumsum(np.abs(after(x0, x[routed][:, :-1]) * em) + xt * unit_volume,
+                                   axis=1)
+        covered = np.isfinite(columns).all(axis=(0, 2))
+    columns[:, ~covered] = math.nan
+    clamped[~covered] = skipped[~covered] = 0
     return x, y, slip, volume, clamped, skipped

@@ -323,6 +323,21 @@ def test_noise_pools_match_the_reference(case):
     assert np.all(worst[0] <= worst[1]) or case == "heavy-60", worst
 
 
+def test_the_closed_form_runs_no_scalar_kernel(monkeypatch):
+    """An unbalanced start with noise trades, none of which pays out half of a reserve,
+    runs without ``arbitrage_step``, ``curve_anchor``, ``trade`` or ``run_steps``."""
+    config = ScenarioConfig.from_dict(dict(NOISE_JUDGE["gbm-200"], x0=3.0, y0=0.7))
+
+    def scalar(*args):
+        raise AssertionError("a scalar kernel ran")
+
+    for name in ("arbitrage_step", "curve_anchor", "trade", "run_steps"):
+        monkeypatch.setattr(_kernels, name, scalar)
+    closed = _kernels.arbitrage_path(config.x0, config.y0, config.z_values, config.path.prices,
+                                     True, *noise_draws(config))
+    assert all(np.isfinite(column).all() for column in closed[:4])
+
+
 def test_reference_holds_its_digits_over_the_noise_path():
     """The reference's reserves at 50 and at 80 digits agree to 1e-30 on the 200-step noise
     path at z = 0.3, with the same decisions, so its own rounding lies far below the
@@ -552,20 +567,55 @@ def test_repeated_prices_leave_the_pool_alone():
 
 
 def test_a_pool_the_closed_form_leaves_out_steps_through_run_steps():
-    # (2-z)*k/(2p) underflows at z = 0.5, so step 0 has no target
+    # (2-z)*k/(2p) underflows at z = 0.5, so the re-anchored curve has no target; the
+    # closed form needs no k and moves the pool to x* = 3.97e-218
     x0, y0, p = 1e-217, 1e-200, 1e100
     assert math.isnan(_kernels.arb_target_x(_kernels.curve_anchor(x0, y0, p, 0.5), p, 0.5))
     prices = np.full(3, p)
     zs = (0.5, 0.99, 1.0)
     closed = _kernels.arbitrage_path(x0, y0, zs, prices, True)
-    # the z = 1 pool has no arbitrage, so it is left out as well
-    for i in (0, 2):
-        assert [bool(np.isnan(column[i]).all()) for column in closed[:4]] == [True] * 4
-    assert not np.isnan(closed[0][1]).any()
+    assert closed[0][0, 0] == pytest.approx(3.97e-218, rel=1e-3)
+    for i, z in enumerate(zs[:2]):
+        x_hi, x_lo, y_hi, y_lo, slip, _ = reference_path(x0, y0, z, mp_prices(prices))
+        assert rel_err(closed[0][i], x_hi, x_lo).max() <= 2.5e-15, z
+        assert rel_err(closed[1][i], y_hi, y_lo).max() <= 2.5e-15, z
+        assert np.all(np.abs(closed[2][i] - slip) <= 1e-15 * slip), z
+    # the z = 1 pool has no arbitrage, so it is left out
+    assert [bool(np.isnan(column[2]).all()) for column in closed[:4]] == [True] * 4
     config = ScenarioConfig(x0=x0, y0=y0, z_values=zs, path=ha.PricePath(prices))
-    runs = ha.run_scenario(config)
-    for i in (0, 2):
-        assert_stepped(runs[i], x0, y0, prices)
+    assert_stepped(ha.run_scenario(config)[2], x0, y0, prices)
+
+
+UNBALANCED_STARTS = [(1.0, 2.0, 1.0), (3.0, 0.7, 1.0), (3.0, 700.0, 50.0), (1e-3, 500.0, 7.0),
+                     (1e6, 1e-3, 1e-2)]
+
+
+@pytest.mark.parametrize("x0, y0, p0", UNBALANCED_STARTS)
+def test_closed_form_from_an_unbalanced_start_matches_the_reference(x0, y0, p0):
+    """Step 0's arbitrage comes from the closed form's own log formula, so an unbalanced
+    start is as accurate as a balanced one: x and y within 2.5e-15 of the reference on
+    200 GBM steps, and the slippage within 1e-15 of itself."""
+    prices = ha.gbm_path(p0=p0, mu=0.0, sigma=0.01, steps=200, seed=3).prices
+    closed = _kernels.arbitrage_path(x0, y0, JUDGE_Z, prices, True)
+    exact = mp_prices(prices)
+    for i, z in enumerate(JUDGE_Z):
+        x_hi, x_lo, y_hi, y_lo, slip, _ = reference_path(x0, y0, z, exact)
+        errors = rel_err(closed[0][i], x_hi, x_lo).max(), rel_err(closed[1][i], y_hi, y_lo).max()
+        assert max(errors) <= 2.5e-15, (z, errors)
+        assert np.all(np.abs(closed[2][i] - slip) <= 1e-15 * slip), z
+
+
+def test_step_zero_keeps_the_z_term_at_subnormal_z():
+    """r = y0/(p0*x0) = 4e-398 lies past double range, so z/2 = 2.5e-324 outweighs w*r/2 at
+    z = 5e-324, although z/2 rounds to 0: the pool moves to x* = 8.9e-181, not 8.9e-183.
+    l_0 = -373 there, and a half ulp of it is 2.8e-14 of x*."""
+    x0, y0, p0 = 5.65436523868885e-19, 9.696905985201018e-84, 4.238979148115741e296
+    prices = ha.gbm_path(p0=p0, mu=0.0, sigma=0.03, steps=20, seed=1).prices
+    closed = _kernels.arbitrage_path(x0, y0, [5e-324], prices, True)
+    x_hi, x_lo, y_hi, y_lo, slip, _ = reference_path(x0, y0, 5e-324, mp_prices(prices))
+    assert rel_err(closed[0][0], x_hi, x_lo).max() <= 1e-13
+    assert rel_err(closed[1][0], y_hi, y_lo).max() <= 1e-13
+    assert np.all(np.abs(closed[2][0] - slip) <= 1e-13 * slip)
 
 
 # ------------------------------------------------------------------ arbitrage_step
@@ -576,13 +626,13 @@ def test_arbitrage_dead_band_on_a_balanced_start(z):
     # y = p*x puts the target within rounding of x; a start whose target lies 5e-13 of x
     # away stays in the band, and one 2e-12 away trades
     for x, p in ((1.0, 1.0), (1000.0, 1.7), (3e-5, 2e4), (2.5, 0.01)):
-        for gap, reason in ((0.0, _kernels.IN_BAND), (1e-12, _kernels.IN_BAND),
-                            (4e-12, _kernels.EXECUTED)):
+        for gap, in_band in ((0.0, True), (1e-12, True), (4e-12, False)):
             y = p * x * (1.0 + gap)
             step = _kernels.arbitrage_step(x, y, p, z, _kernels.curve_anchor(x, y, p, z))
-            assert step[4] == reason, (x, p, gap)
-            if reason == _kernels.IN_BAND:
-                assert step == (x, y, 0.0, 0.0, reason)
+            if in_band:
+                assert step == (x, y, 0.0, 0.0), (x, p, gap)
+            else:
+                assert step[3] > 0.0, (x, p, gap)
     # so run_steps leaves a balanced pool alone at step 0
     result = _kernels.run_steps(1000.0, 1700.0, z, np.full(2, 1.7), True, np.zeros(0),
                                 np.zeros(0), 0, 0.0)
@@ -594,7 +644,7 @@ def test_arbitrage_step_without_a_target():
     x, y, p = 1e-217, 1e-200, 1e100
     for z in (0.5, 1.0):
         k = _kernels.curve_anchor(x, y, p, z)
-        assert _kernels.arbitrage_step(x, y, p, z, k) == (x, y, 0.0, 0.0, _kernels.NO_TARGET)
+        assert _kernels.arbitrage_step(x, y, p, z, k) == (x, y, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("z", [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -52])
@@ -603,10 +653,10 @@ def test_arbitrage_volume_is_the_requested_size(z):
     for x0, y0 in ((1000.0, 1300.0), (1000.0, 700.0), (2.0, 0.5)):
         k = _kernels.curve_anchor(x0, y0, 1.0, z)
         size = abs(_kernels.arb_target_x(k, 1.0, z) - x0)
-        *_, volume, reason = _kernels.arbitrage_step(x0, y0, 1.0, z, k)
+        *_, volume = _kernels.arbitrage_step(x0, y0, 1.0, z, k)
         result = _kernels.run_steps(x0, y0, z, np.ones(1), True, np.zeros(0), np.zeros(0),
                                     0, 0.0)
-        assert reason == _kernels.EXECUTED and volume == size == result[7][0], (x0, y0)
+        assert size > 0.0 and volume == size == result[7][0], (x0, y0)
 
 
 @pytest.mark.parametrize("u", [0.0, 1e-300, -1e-20, 1e-8, -3e-5, 0.1, -0.3, 0.49, -0.5, 0.5,

@@ -479,13 +479,42 @@ def test_starts_at_the_edge_of_the_double_range_are_not_tracebacks(capsys, tmp_p
     code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
     assert (code, out, err) == (1, "", "error: z=0.5: k must be finite and > 0, got inf\n")
     assert not out_dir.exists()
-    # the arbitrage's payout rounds to all of x, which once took log(0) in delta_y;
-    # trade reads it as past the bound, so the pool never moves
+    # the stepped arbitrage's payout rounds to all of x, which once took log(0) in
+    # delta_y; the closed form moves x to x* = sqrt(1000), within |log r| * 2**-53 of it
     config = write_scenario(tmp_path, x0=1e150, y0=1e-150, p0=0.001, z_values=[0.0], steps=20,
                             path=path)
     code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
     assert (code, err) == (0, "")
-    assert out == "z=0 final_il_relative=0 clamped_trades=0 skipped_trades=0\n"
+    assert out == "z=0 final_il_relative=1 clamped_trades=0 skipped_trades=0\n"
+    first = csv_rows((out_dir / "metrics_z0.csv").read_text(encoding="utf-8"))[0]
+    assert first["reserve_x"] == pytest.approx(math.sqrt(1000.0), rel=1e-14)
+
+
+def test_an_arbitrage_target_past_double_range_is_an_error_not_a_traceback(capsys, tmp_path):
+    # x* of the re-anchored curve is inf: the arbitrage once traded the pool to (inf, -inf)
+    # and step 1 anchored a curve at x = inf, a raw ZeroDivisionError; the hold value
+    # y0/p0 = 4e381 overflows
+    config = write_scenario(
+        tmp_path, x0=1e20, y0=4.083307274826564e231, p0=1e-150, z_values=[0.5], steps=24,
+        path={"kind": "gbm", "mu": 0.0, "sigma": 0.14619002982048895, "seed": 1340138202})
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == ("error: z=0.5, step 0: pool value inf must be > 0 and il_relative nan "
+                   "finite\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the step-0 arbitrage's slippage is priced against the start's spot "
+                          "y0/x0 = 1e309, which overflows, and is written as inf; ROADMAP "
+                          "items 5 and 17")
+def test_an_arbitrage_from_a_spot_past_double_range_writes_finite_numbers(capsys, tmp_path):
+    config = write_scenario(tmp_path, x0=1e-176, y0=1e133, z_values=[0.0], steps=1)
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))[0] == 0
+    (row,) = csv_rows((out_dir / "metrics_z0.csv").read_text(encoding="utf-8"))
+    assert all(map(math.isfinite, row.values())), row
 
 
 def test_simulate_json_format(capsys, tmp_path):

@@ -51,8 +51,8 @@ def test_module_flags():
     assert _kernels.X_FLOOR_REL == 1e-12
     assert _kernels.HEADROOM_SHARE == 0.999
     reasons = (_kernels.EXECUTED, _kernels.DUST, _kernels.NO_MOVE, _kernels.NO_ROOT,
-               _kernels.PAST_BOUND, _kernels.IN_BAND, _kernels.NO_TARGET)
-    assert len(set(reasons)) == 7
+               _kernels.PAST_BOUND)
+    assert len(set(reasons)) == 5
 
 
 def test_invert_accuracy():
@@ -282,7 +282,21 @@ def test_exact_out_sell_y_of_all_of_x_is_past_the_bound():
     # the arbitrage's target x* = 31.6 lies below half an ulp of x, so its payout is x
     x, y, p, z = 1e150, 1e-150, 0.001, 0.0
     k = _kernels.curve_anchor(x, y, p, z)
-    assert _kernels.arbitrage_step(x, y, p, z, k) == (x, y, 0.0, 0.0, _kernels.PAST_BOUND)
+    size = x - _kernels.arb_target_x(k, p, z)
+    assert size == x
+    assert _kernels.trade(x, y, p, z, k, True, size, True) == (
+        x, y, 0.0, 0.0, 0.0, _kernels.PAST_BOUND)
+    assert _kernels.arbitrage_step(x, y, p, z, k) == (x, y, 0.0, 0.0)
+
+
+def test_a_sell_y_that_would_empty_x_has_no_root():
+    # the SELL_Y floor X_FLOOR_REL*x underflows to 0 at x = 1.6e-312, so the curve was once
+    # inverted down to x = 0, and the pool's next trade divided by it
+    x, y, p = 1.56218721116e-312, 3.1689395230926763e-127, 7.197406650055293e170
+    k = _kernels.curve_anchor(x, y, p, 1.0)
+    amount = _kernels.HEADROOM_SHARE * _kernels.headroom(x, y, p, 1.0, k, True)
+    assert _kernels.trade(x, y, p, 1.0, k, True, amount, False) == (
+        x, y, 0.0, 0.0, 0.0, _kernels.NO_ROOT)
 
 
 # ------------------------------------------------------------ one trade engine
