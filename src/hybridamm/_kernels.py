@@ -381,12 +381,13 @@ def derived_columns(x0, y0, x, y, prices, z):
     """Spot, pool value, hold value (of x0, y0) and il_relative, in X at each price.
 
     Overflow gives inf or nan silently, as in float arithmetic; ``run_scenario``
-    rejects it.
+    rejects it.  The spot at z = 1 is p, where (1-z)*(y/x) may be 0*inf.
     """
     with np.errstate(all="ignore"):
         pool = x + y / prices
         hold = x0 + y0 / prices
-        return blend_spot(x, y, prices, z), pool, hold, (hold - pool) / hold
+        spot = np.where(z == 1.0, prices, blend_spot(x, y, prices, z))
+        return spot, pool, hold, (hold - pool) / hold
 
 
 def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
@@ -526,20 +527,19 @@ def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction)
     slippage, with the X move of a SELL_Y from ``solve_delta_x``'s Newton.  An
     element that needs one of ``trade``'s other branches (more than half of a
     reserve paid out, or no root) goes through scalar ``trade`` on its own
-    unit pool.
+    unit pool, and takes its reserves from it.
 
     Returns ``((gx, gx_lo), (gy, gy_lo), slip, volume, clamped, skipped)``:
     each reserve after the step's trades as a float and the rounding error of
-    its running sum of moves (Fast2Sum: no move exceeds its reserve); the last
-    executed trade's slippage, nan where none executed; the X traded; and the
-    counts per pool.
+    its running sum of moves (Fast2Sum: no move exceeds its reserve), 0 after
+    ``trade`` or past 2**-26 of the reserve; the last executed trade's
+    slippage, nan where none executed; the X traded; and the counts per pool.
     """
     shape = (len(z), steps)
     gx, gy = np.ones(shape), np.ones(shape)
     gx_lo, gy_lo, volume = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     slip = np.full(shape, math.nan)
-    clamped = np.zeros(len(z), dtype=np.int64)
-    skipped = np.zeros(len(z), dtype=np.int64)
+    clamped, skipped = np.zeros((2, len(z)), dtype=np.int64)
     c = z / (2.0 - z)
     floor_power = np.exp((z - 1.0) * math.log(X_FLOOR_REL))   # X_FLOOR_REL**(z-1)
     for j in range(trades_per_step):
@@ -566,35 +566,37 @@ def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction)
         s = np.where(sell_y, amount / out - spot0, spot0 - out / amount)
         executed = tried & (out > 0.0)   # else NO_MOVE
         rare = tried & ~(out <= 0.5 * np.where(sell_y, x, y))
+        x_rare, y_rare = np.empty_like(x), np.empty_like(y)
         for i, t in np.argwhere(rare).tolist():
             zi = z[i, 0].item()
-            _, _, _, out[i, t], s[i, t], reason = trade(
+            x_rare[i, t], y_rare[i, t], _, out[i, t], s[i, t], reason = trade(
                 x[i, t].item(), y[i, t].item(), 1.0, zi, curve_anchor(1.0, 1.0, 1.0, zi),
                 bool(sell_y[t]), amount[i, t].item(), False)
             executed[i, t] = reason == EXECUTED
         out = np.where(executed, out, 0.0)
         amount = np.where(executed, amount, 0.0)
         dx, dy = np.where(sell_y, -out, amount), np.where(sell_y, amount, -out)
-        gx, gy = x + dx, y + dy
-        gx_lo += dx - (gx - x)
-        gy_lo += dy - (gy - y)
+        # trade finds the reserve left to 1e-13 of itself, x - out to the rounding of x
+        reread = rare & executed
+        gx, gy = np.where(reread, x_rare, x + dx), np.where(reread, y_rare, y + dy)
+        for g, lo, r, dr in ((gx, gx_lo, x, dx), (gy, gy_lo, y, dy)):
+            lo += dr - (g - r)
+            # an error term large next to its reserve sums roundings from before it drained
+            lo[reread | (np.abs(lo) >= 2.0 ** -26 * g)] = 0.0
         volume += np.where(sell_y, out, amount)   # volume counts X traded
         slip = np.where(executed, np.maximum(s, 0.0), slip)
         skipped += (~executed).sum(axis=1)
     return (gx, gx_lo), (gy, gy_lo), slip, volume, clamped, skipped
 
 
-def arbitrage_path(x0, y0, z_values, prices, do_arb, *noise):
-    """The arbitraged pools of ``run_steps``, one per z, in closed form.
+def arbitrage_path(x0, y0, z_values, prices, *noise):
+    """The arbitraged pools of ``run_steps``, one per z < 1, in closed form.
 
-    Takes ``run_steps``' arguments, with one pool per z; without the noise
-    arguments it runs ``NO_NOISE``.  Returns ``(x, y, slippage, volume,
-    clamped, skipped)``: ``run_steps``' columns of those names, each shaped
-    (len(z_values), len(prices)), and its noise-trade counts per pool.
-
-    The route: with ``do_arb``, the pools computed are exactly those with
-    z < 1 whose columns stay finite.  Every other pool comes back as rows of
-    nan and counts of 0, for the caller to run through ``run_steps``.
+    Takes ``run_steps``' arguments, with one pool per z and the arbitrageur
+    on; without the noise arguments it runs ``NO_NOISE``.  Returns ``(x, y,
+    slippage, volume, clamped, skipped)``: ``run_steps``' columns of those
+    names, each shaped (len(z_values), len(prices)), and its noise-trade
+    counts per pool.  A value past double range comes back inf or nan.
 
     Each arbitrage moves x by exp(l_t) to x*_t, where the spot price is p_t:
     with w = 2 - z and r = y / (p_t*x) before it, l_t = log((w*r + z)/2) / w.
@@ -615,67 +617,62 @@ def arbitrage_path(x0, y0, z_values, prices, do_arb, *noise):
     ``trade``'s cost against the marginal price before the trade, is
     (y_{t-1}/x_{t-1} + c) * N / |expm1(l_t)| with c = z*p_t/(2-z), a = 1 - z
     and the cancellation-free N = a*(expm1(l) - l) + (expm1(-a*l) + a*l).
+    exp(l_0) may leave double range where x*_0 does not, so step 0's expm1
+    and N take l_0 clipped to [-700, 700] and x*_0 and its volume the rest of
+    the move as a factor; there N / |expm1| comes first, as y_0/x_0 * N can
+    overflow, and below the clip it grows by that factor to the power -a.
     A step's slippage is that of its last executed noise trade, the unit
     pool's times p_t, or the arbitrage's if none executed; its volume adds
-    x*_t times the unit pool's.
-
-    There is no dead band after step 0: a balanced pool at an unchanged
-    price has l = 0, so its reserves stay exactly as they were and the step
-    reports no arbitrage; any other step arbitrages.
+    x*_t times the unit pool's.  There is no dead band after step 0: a
+    balanced pool at an unchanged price has l = 0, so its reserves stay
+    exactly as they were and the step reports no arbitrage.
     """
-    fractions, directions, trades_per_step, max_fraction = noise or NO_NOISE
-    zs = np.asarray(z_values, dtype=np.float64)
-    columns = np.full((4, len(zs), len(prices)), math.nan)
-    x, y, slip, volume = columns
-    clamped, skipped = np.zeros((2, len(zs)), dtype=np.int64)
-    routed = (zs < 1.0) & do_arb
-    if not routed.any():
-        return x, y, slip, volume, clamped, skipped
     p0 = float(prices[0])
     # log r from exact mantissas and exponents, so r may lie past double range
     (mx, ex), (my, ey), (mp, ep) = math.frexp(x0), math.frexp(y0), math.frexp(p0)
     log_r = math.log(my / (mx * mp)) + (ey - ex - ep) * math.log(2.0)
 
-    z = zs[routed][:, None]
-    w = 2.0 - z
-    a = 1.0 - z
+    z = np.asarray(z_values, dtype=np.float64)[:, None]
+    w, a = 2.0 - z, 1.0 - z
 
     def after(first, rest):   # step 0's value, then each later step's
         return np.concatenate((np.broadcast_to(first, (len(z), 1)), rest), axis=1)
 
-    # overflow gives inf or nan silently; such a pool comes back as nan
+    # overflow gives inf or nan silently, which run_scenario rejects
     with np.errstate(all="ignore"):
-        (gx, gx_lo), (gy, gy_lo), unit_slip, unit_volume, *counts = _unit_trades(
-            z, len(prices), fractions, directions, trades_per_step, max_fraction)
-        clamped[routed], skipped[routed] = counts
+        (gx, gx_lo), (gy, gy_lo), unit_slip, unit_volume, clamped, skipped = _unit_trades(
+            z, len(prices), *(noise or NO_NOISE))
         # log((w*r + z)/2), where z/2 would underflow at z = 5e-324
         l0 = (np.logaddexp(np.log(w) + log_r, np.log(z)) - math.log(2.0)) / w
         band = np.abs(np.expm1(l0)) <= ARB_BAND_REL
         l0[band] = 0.0
+        clipped = np.clip(l0, -700.0, 700.0)
+        beyond = np.exp(l0 - clipped)   # the move beyond the clip, exactly 1 within it
         # gy/gx - 1 before each arbitrage
         gap = (((gy - gx) + (gy_lo - gx_lo)) / (gx + gx_lo))[:, :-1]
         # p_{t-1} - p_t is exact within a factor of 2, so a small move keeps its digits
         move = (prices[:-1] - prices[1:]) / prices[1:]
         move = move + gap + move * gap
         ell = np.log1p(w * move / 2.0) / w
-        growth = after(1.0, np.exp(_cumsum2((np.log(gx) + gx_lo / gx)[:, :-1] + ell)))
-        xt = x0 * np.exp(l0) * growth
-        ell = after(l0, ell)
+        log_gx = (np.log(gx) + gx_lo / gx)[:, :-1]
+        # log(gx_{t-1}) + l_t cancels where the unit X moved by e**4 or more: (a*log(gx) + log h)/w
+        h = (z * (gx + gx_lo)[:, :-1] + w * (gy + gy_lo)[:, :-1] * prices[:-1] / prices[1:]) / 2.0
+        d = np.where(np.abs(log_gx) > 4.0, (a * log_gx + np.log(h)) / w, log_gx + ell)
+        growth = after(1.0, np.exp(_cumsum2(d)))
+        xt = x0 * np.exp(clipped) * beyond * growth
+        ell = after(clipped, ell)
         yt = np.where(band, y0 * (prices / p0 * growth), prices * xt)
-        x[routed] = xt * gx + xt * gx_lo
-        y[routed] = yt * gy + yt * gy_lo
+        x, y = xt * gx + xt * gx_lo, yt * gy + yt * gy_lo
         em = np.expm1(ell)
         ea, eb = _expm1_minus(np.stack((ell, -a * ell)))
         n = a * ea + eb
         size = np.abs(em)
-        slip_t = np.zeros_like(ell)
         # y/x before each arbitrage, plus c
-        np.divide((after(y0 / x0, prices[:-1] + prices[:-1] * gap) + z * prices / w) * n, size,
-                  out=slip_t, where=size > 0.0)
-        slip[routed] = np.where(np.isnan(unit_slip), slip_t, unit_slip * prices)
-        volume[routed] = np.cumsum(np.abs(after(x0, x[routed][:, :-1]) * em) + xt * unit_volume,
-                                   axis=1)
-        covered = np.isfinite(columns).all(axis=(0, 2))
-    columns[:, ~covered] = math.nan
-    clamped[~covered] = skipped[~covered] = 0
+        spot = after(y0 / x0, prices[:-1] + prices[:-1] * gap) + z * prices / w
+        slip = np.where(size > 0.0, spot * n / size, 0.0)
+        slip[:, :1] = np.where(band, 0.0, spot[:, :1] * (n[:, :1] / size[:, :1])
+                               * np.minimum(beyond, 1.0) ** -a)
+        slip = np.where(np.isnan(unit_slip), slip, unit_slip * prices)
+        volume = np.cumsum(np.abs(after(x0 * np.maximum(beyond, 1.0), x[:, :-1]) * em)
+                           + xt * unit_volume, axis=1)
     return x, y, slip, volume, clamped, skipped

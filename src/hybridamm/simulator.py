@@ -227,9 +227,9 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     Every pool sees the same oracle path and the same pre-drawn noise
     attempts, so runs differ only through the curve itself.  Each pool's start
     is anchored with :meth:`PoolState.anchored` first, and a start it rejects
-    raises its ``DomainError`` prefixed with the pool's z.  The pools that
-    ``_kernels.arbitrage_path``'s route takes are computed at once in closed
-    form, and every other pool steps through ``_kernels.run_steps``.
+    raises its ``DomainError`` prefixed with the pool's z.  The pools with the
+    arbitrageur and z < 1 are computed at once in closed form by
+    ``_kernels.arbitrage_path``, the others step through ``_kernels.run_steps``.
     """
     prices = config.path.prices
     steps = len(prices)
@@ -247,14 +247,17 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
         fractions = np.exp(noise.size_mu + noise.size_sigma * rng.standard_normal(total))
         directions = rng.integers(0, 2, size=total, dtype=np.int8)
         args = (fractions, directions, noise.trades_per_step, noise.max_fraction)
-    xs, ys, slip, vol, clamped, skipped = _kernels.arbitrage_path(
-        config.x0, config.y0, zs, prices, bool(config.arbitrageur), *args)
-    for i in np.flatnonzero(np.isnan(xs[:, 0])).tolist():
+    z_col = np.array(zs)[:, None]
+    closed = (z_col[:, 0] < 1.0) & bool(config.arbitrageur)
+    xs, ys, slip, vol = np.empty((4, len(zs), steps))
+    clamped, skipped = np.empty((2, len(zs)), dtype=np.int64)
+    xs[closed], ys[closed], slip[closed], vol[closed], clamped[closed], skipped[closed] = (
+        _kernels.arbitrage_path(config.x0, config.y0, z_col[closed, 0], prices, *args))
+    for i in np.flatnonzero(~closed).tolist():
         _, xs[i], ys[i], _, _, _, slip[i], vol[i], clamped[i], skipped[i] = _kernels.run_steps(
-            config.x0, config.y0, zs[i], prices, bool(config.arbitrageur), *args)
+            config.x0, config.y0, zs[i], prices, config.arbitrageur, *args)
 
-    spot, pool, hold, il = _kernels.derived_columns(config.x0, config.y0, xs, ys, prices,
-                                                    np.array(zs)[:, None])
+    spot, pool, hold, il = _kernels.derived_columns(config.x0, config.y0, xs, ys, prices, z_col)
     bad = ~((pool > 0.0) & np.isfinite(il))
     if bad.any():
         i, t = np.argwhere(bad)[0]

@@ -18,6 +18,7 @@ import importlib.util
 import math
 import pathlib
 from functools import partial
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -164,25 +165,40 @@ def curve_root(x, total, c, z, y_target, start, prec):
 
     The curve is decreasing and convex in x', so from a start left of the
     root (the tangent at x lands there) the iterates rise to it monotonically.
+    Where they do not settle within 100 steps, as on a pool drained to 1e-24 of
+    x, bisection finds the root: the curve is +inf at 0 and below the target
+    at x, so the root lies in (0, x).
     """
-    _, sub, mul, div, log, exp = arithmetic(prec)
+    add, sub, mul, div, log, exp = arithmetic(prec)
     zm1 = sub(z, ONE)
+    tol = f(2.0 ** (10 - prec))
 
     def curve(u):
         return mul(total, exp(mul(zm1, log(div(u, x)))))   # the power term at u
 
-    u = start
-    if not libmp.mpf_gt(u, ZERO):   # the tangent left the domain: halve x until left of the root
+    def left_of_root(u):
+        return libmp.mpf_gt(sub(sub(curve(u), mul(c, u)), y_target), ZERO)
+
+    def halving_left_of_root():   # the first of x/2, x/4, ... left of the root
         u = div(x, f(2.0))
-        while libmp.mpf_le(sub(sub(curve(u), mul(c, u)), y_target), ZERO):
+        while not left_of_root(u):
             u = div(u, f(2.0))
+        return u
+
+    # the tangent may leave the domain: then start from a halving of x
+    u = start if libmp.mpf_gt(start, ZERO) else halving_left_of_root()
     for _ in range(100):
         power = curve(u)
         step = div(sub(sub(power, mul(c, u)), y_target), sub(div(mul(zm1, power), u), c))
         u = sub(u, step)
-        if libmp.mpf_le(libmp.mpf_abs(step), mul(f(2.0 ** (10 - prec)), u)):
+        if libmp.mpf_le(libmp.mpf_abs(step), mul(tol, u)):
             return u
-    raise AssertionError("no root")
+    lo = halving_left_of_root()
+    hi = mul(lo, f(2.0))   # x, or the halving before lo, which is not left of the root
+    while libmp.mpf_gt(sub(hi, lo), mul(tol, lo)):
+        mid = div(add(lo, hi), f(2.0))
+        lo, hi = (mid, hi) if left_of_root(mid) else (lo, mid)
+    return lo
 
 
 def split(values):
@@ -217,7 +233,7 @@ JUDGE_Z = [i / 20 for i in range(20)] + [1.0 - 2.0 ** -52, 5e-324]
 @pytest.mark.parametrize("steps, sigma", [(40, 0.01), (2000, 0.01), (2000, 0.1)])
 def test_closed_form_is_as_accurate_as_run_steps(steps, sigma):
     prices = ha.gbm_path(p0=1.0, mu=0.0, sigma=sigma, steps=steps, seed=7).prices
-    closed = _kernels.arbitrage_path(1000.0, 1000.0, JUDGE_Z, prices, True)
+    closed = _kernels.arbitrage_path(1000.0, 1000.0, JUDGE_Z, prices)
     exact = mp_prices(prices)
     worst = np.zeros((2, 2))   # [closed form, run_steps] x [x, y]
     for i, z in enumerate(JUDGE_Z):
@@ -269,13 +285,20 @@ _perfbench = load_perfbench_scenarios()
 NOISE_JUDGE.update({f"sim-noise-{ref}": _perfbench.scenario("sim-noise", ref) for ref in range(8)})
 
 
+def closed_pools(config, prices, noise):
+    """The closed form's columns and counts per z < 1 of the config, by z."""
+    zs = [z for z in config.z_values if z < 1.0]
+    return dict(zip(zs, zip(*_kernels.arbitrage_path(config.x0, config.y0, zs, prices, *noise))))
+
+
 @functools.cache
 def judged(case):
-    """The case's config and noise, the closed form, and per pool run_steps and the reference."""
+    """The case's config and noise, the closed form by z, and per pool run_steps and the
+    reference."""
     config = ScenarioConfig.from_dict(NOISE_JUDGE[case])
     prices = config.path.prices
     noise = noise_draws(config)
-    closed = _kernels.arbitrage_path(config.x0, config.y0, config.z_values, prices, True, *noise)
+    closed = closed_pools(config, prices, noise)
     exact = mp_prices(prices)
     pools = [(kernel_columns(config.x0, config.y0, z, prices, noise),
               reference_path(config.x0, config.y0, z, exact, noise)) for z in config.z_values]
@@ -303,14 +326,15 @@ def test_noise_pools_match_the_reference(case):
     config, closed, pools = judged(case)
     prices = config.path.prices
     worst = np.zeros((2, 2))   # [closed form, run_steps] x [x, y]
-    for i, (z, (kernel, reference)) in enumerate(zip(config.z_values, pools)):
+    for z, (kernel, reference) in zip(config.z_values, pools):
         decisions = reference[5]
         # no arbitrage after step 0 lies in the dead band, where the two routes' rules differ
         assert decisions["band"] == 0, (z, decisions)
         routes = [("run_steps", kernel[0], kernel[1], kernel[3], kernel[4])]
         if z < 1.0:
             assert decisions["near"] == 0, (z, decisions)
-            routes.append(("closed form", closed[0][i], closed[1][i], closed[4][i], closed[5][i]))
+            x, y, _, _, clamped, skipped = closed[z]
+            routes.append(("closed form", x, y, clamped, skipped))
         for name, x, y, clamped, skipped in routes:
             errors = reserve_errors(x, y, reference, prices)
             assert max(errors) <= 1e-12, (name, z, errors)
@@ -334,7 +358,7 @@ def test_the_closed_form_runs_no_scalar_kernel(monkeypatch):
     for name in ("arbitrage_step", "curve_anchor", "trade", "run_steps"):
         monkeypatch.setattr(_kernels, name, scalar)
     closed = _kernels.arbitrage_path(config.x0, config.y0, config.z_values, config.path.prices,
-                                     True, *noise_draws(config))
+                                     *noise_draws(config))
     assert all(np.isfinite(column).all() for column in closed[:4])
 
 
@@ -365,10 +389,10 @@ def test_noise_pool_slippage_matches_the_reference(case):
     """
     config, closed, pools = judged(case)
     prices = config.path.prices
-    for i, (z, (kernel, reference)) in enumerate(zip(config.z_values, pools)):
+    for z, (kernel, reference) in zip(config.z_values, pools):
         if z < 1.0:
             closed_error, kernel_error = ((np.abs(slip - reference[4]) / prices).max()
-                                          for slip in (closed[2][i], kernel[2]))
+                                          for slip in (closed[z][2], kernel[2]))
             assert closed_error <= 1e-11, (z, closed_error)
             # on heavy-60 at z = 0.3 and 0.5 the closed form is off by up to 1.4 times
             # run_steps' 1.6e-13 and 2.4e-13, on trades past half a reserve
@@ -430,12 +454,9 @@ def test_noise_counts_match_run_steps_on_every_sim_noise_reference():
     for ref in range(_perfbench.REFERENCE_SEEDS):
         config = ScenarioConfig.from_dict(_perfbench.scenario("sim-noise", ref))
         prices, noise = config.path.prices, noise_draws(config)
-        closed = _kernels.arbitrage_path(config.x0, config.y0, config.z_values, prices, True,
-                                         *noise)
-        for i, z in enumerate(config.z_values):
-            if z < 1.0:
-                counts = kernel_columns(config.x0, config.y0, z, prices, noise)[3:]
-                assert (closed[4][i], closed[5][i]) == counts, (ref, z)
+        for z, closed in closed_pools(config, prices, noise).items():
+            counts = kernel_columns(config.x0, config.y0, z, prices, noise)[3:]
+            assert closed[4:] == counts, (ref, z)
 
 
 def test_reanchor_workload_counts():
@@ -489,7 +510,7 @@ def found_slippage():
 
 def test_closed_form_slippage_of_a_small_move_matches_mpmath():
     prices, want = found_slippage()
-    got = _kernels.arbitrage_path(1000.0, 1000.0, [0.0], prices, True)[2][0, 7]
+    got = _kernels.arbitrage_path(1000.0, 1000.0, [0.0], prices)[2][0, 7]
     assert abs(got - want) <= 1e-12 * want
 
 
@@ -517,11 +538,22 @@ def assert_stepped(run, x0, y0, prices, arbitrageur=True):
     assert (run.clamped_trades, run.skipped_trades) == result[8:]
 
 
+def routed_runs(config):
+    """run_scenario's pools, and the z of each pool that stepped through run_steps."""
+    with mock.patch.object(_kernels, "run_steps", wraps=_kernels.run_steps) as steps:
+        runs = ha.run_scenario(config)
+    return runs, [call.args[2] for call in steps.call_args_list]
+
+
+def column(run, name):
+    return run.table[:, METRICS_HEADER.index(name)]
+
+
 def test_closed_form_agrees_with_run_steps_over_20k_steps():
     path = ha.gbm_path(p0=1.0, mu=0.0, sigma=0.01, steps=20_000, seed=11)
     prices = path.prices
     zs = [0.0, 5e-324, 0.3, 0.6, 0.99, 1.0 - 2.0 ** -52]
-    x, y, slip, volume, _, _ = _kernels.arbitrage_path(1000.0, 1000.0, zs + [1.0], prices, True)
+    x, y, slip, volume, _, _ = _kernels.arbitrage_path(1000.0, 1000.0, zs, prices)
     for i, z in enumerate(zs):
         result = _kernels.run_steps(1000.0, 1000.0, z, prices, True, np.zeros(0),
                                     np.zeros(0), 0, 0.0)
@@ -533,10 +565,10 @@ def test_closed_form_agrees_with_run_steps_over_20k_steps():
         # run_steps' own slippage is off by up to 1.5e-10 of the price here,
         # on moves of 5e-7, so it is held to the benchmark's 1e-9 of the price
         assert np.all(np.abs(slip[i] - result[6]) <= 1e-9 * prices), z
-    # the z = 1 pool is left to run_steps
-    assert all(np.isnan(column[-1]).all() for column in (x, y, slip, volume))
-    config = ScenarioConfig(x0=1000.0, y0=1000.0, z_values=(1.0,), path=path)
-    assert_stepped(ha.run_scenario(config)[0], 1000.0, 1000.0, prices)
+    # the z = 1 pool steps through run_steps
+    runs, stepped = routed_runs(ScenarioConfig(x0=1000.0, y0=1000.0, z_values=(1.0,), path=path))
+    assert stepped == [1.0]
+    assert_stepped(runs[0], 1000.0, 1000.0, prices)
 
 
 def test_repeated_prices_leave_the_pool_alone():
@@ -544,26 +576,27 @@ def test_repeated_prices_leave_the_pool_alone():
     # and a move of one ulp trades, though x may not resolve it
     prices = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 0.5, 0.5, math.nextafter(0.5, 1.0)])
     zs = (0.0, 5e-324, 0.5, 1.0 - 2.0 ** -52, 1.0)
-    x, y, slip, volume, _, _ = _kernels.arbitrage_path(1.0, 1.0, zs, prices, True)
+    x, y, slip, volume, _, _ = _kernels.arbitrage_path(1.0, 1.0, zs[:4], prices)
     for t in (1, 3, 4, 6):
-        assert np.array_equal(x[:4, t], x[:4, t - 1]) and np.array_equal(y[:4, t], y[:4, t - 1])
-        assert np.array_equal(volume[:4, t], volume[:4, t - 1])
-        assert not slip[:4, t].any()
-    assert np.all(volume[:4, 7] > volume[:4, 6]) and np.all(slip[:4, 7] > 0.0)
-    # the closed form leaves the z = 1 pool and the pools without the arbitrageur to
-    # run_steps, where nothing trades and the reserves stay as they start
-    without = _kernels.arbitrage_path(3.0, 0.7, zs, prices, False)
-    assert all(np.isnan(column[4]).all() for column in (x, y, slip, volume))
-    assert all(np.isnan(column).all() for column in without[:4])
-    runs = [(1.0, 1.0, True, ha.run_scenario(ScenarioConfig(
-        x0=1.0, y0=1.0, z_values=zs, path=ha.PricePath(prices)))[4])]
-    runs += [(3.0, 0.7, False, run) for run in ha.run_scenario(ScenarioConfig(
-        x0=3.0, y0=0.7, z_values=zs, path=ha.PricePath(prices), arbitrageur=False))]
-    for x0, y0, arbitrageur, run in runs:
+        assert np.array_equal(x[:, t], x[:, t - 1]) and np.array_equal(y[:, t], y[:, t - 1])
+        assert np.array_equal(volume[:, t], volume[:, t - 1])
+        assert not slip[:, t].any()
+    assert np.all(volume[:, 7] > volume[:, 6]) and np.all(slip[:, 7] > 0.0)
+    # the z = 1 pool and the pools without the arbitrageur step through run_steps,
+    # where nothing trades and the reserves stay as they start
+    runs, stepped = routed_runs(ScenarioConfig(x0=1.0, y0=1.0, z_values=zs,
+                                               path=ha.PricePath(prices)))
+    assert stepped == [1.0]
+    pools = [(1.0, 1.0, True, runs[4])]
+    runs, stepped = routed_runs(ScenarioConfig(x0=3.0, y0=0.7, z_values=zs,
+                                               path=ha.PricePath(prices), arbitrageur=False))
+    assert stepped == list(zs)
+    pools += [(3.0, 0.7, False, run) for run in runs]
+    for x0, y0, arbitrageur, run in pools:
         assert_stepped(run, x0, y0, prices, arbitrageur)
         for name, value in (("reserve_x", x0), ("reserve_y", y0), ("slippage_cost", 0.0),
                             ("cum_volume", 0.0)):
-            assert np.all(run.table[:, METRICS_HEADER.index(name)] == value), (run.z, name)
+            assert np.all(column(run, name) == value), (run.z, name)
 
 
 def test_a_pool_the_closed_form_leaves_out_steps_through_run_steps():
@@ -573,17 +606,73 @@ def test_a_pool_the_closed_form_leaves_out_steps_through_run_steps():
     assert math.isnan(_kernels.arb_target_x(_kernels.curve_anchor(x0, y0, p, 0.5), p, 0.5))
     prices = np.full(3, p)
     zs = (0.5, 0.99, 1.0)
-    closed = _kernels.arbitrage_path(x0, y0, zs, prices, True)
-    assert closed[0][0, 0] == pytest.approx(3.97e-218, rel=1e-3)
-    for i, z in enumerate(zs[:2]):
-        x_hi, x_lo, y_hi, y_lo, slip, _ = reference_path(x0, y0, z, mp_prices(prices))
-        assert rel_err(closed[0][i], x_hi, x_lo).max() <= 2.5e-15, z
-        assert rel_err(closed[1][i], y_hi, y_lo).max() <= 2.5e-15, z
-        assert np.all(np.abs(closed[2][i] - slip) <= 1e-15 * slip), z
-    # the z = 1 pool has no arbitrage, so it is left out
-    assert [bool(np.isnan(column[2]).all()) for column in closed[:4]] == [True] * 4
-    config = ScenarioConfig(x0=x0, y0=y0, z_values=zs, path=ha.PricePath(prices))
-    assert_stepped(ha.run_scenario(config)[2], x0, y0, prices)
+    runs, stepped = routed_runs(ScenarioConfig(x0=x0, y0=y0, z_values=zs,
+                                               path=ha.PricePath(prices)))
+    # the z = 1 pool has no arbitrage, so it steps, and the z < 1 pools do not
+    assert stepped == [1.0]
+    assert column(runs[0], "reserve_x")[0] == pytest.approx(3.97e-218, rel=1e-3)
+    for run in runs[:2]:
+        x_hi, x_lo, y_hi, y_lo, slip, _ = reference_path(x0, y0, run.z, mp_prices(prices))
+        assert rel_err(column(run, "reserve_x"), x_hi, x_lo).max() <= 2.5e-15, run.z
+        assert rel_err(column(run, "reserve_y"), y_hi, y_lo).max() <= 2.5e-15, run.z
+        assert np.all(np.abs(column(run, "slippage_cost") - slip) <= 1e-15 * slip), run.z
+    assert_stepped(runs[2], x0, y0, prices)
+
+
+# starts whose re-anchored arbitrage target (2-z)*k/(2p) leaves double range: inf for A and
+# nan for B.  run_steps skips every such arbitrage, and run_scenario once recomputed these
+# pools with it after their closed-form columns overflowed, writing x0 on every row
+SKIPPED_STARTS = {
+    "A": {"x0": 4.691087310167731e+47, "y0": 4.313763165957766e+210, "p0": 6.701491293113275e-88,
+          "z_values": [0.6637327805734813], "steps": 323,
+          "path": {"kind": "gbm", "mu": 0.0, "sigma": 0.2846863564764775, "seed": 915422931}},
+    "B": {"x0": 2.1688244338354632e-239, "y0": 2.56088677206935e+126,
+          "p0": 8.351817534295527e+228, "z_values": [5e-324], "steps": 114,
+          "path": {"kind": "gbm", "mu": 0.0, "sigma": 0.21606892162900132, "seed": 1212758362}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKIPPED_STARTS))
+def test_an_arbitrage_run_steps_skips_takes_the_closed_form(case):
+    """x and y within 1e-13 of the reference, in units of the pool value, and a step-0 trade.
+    B's step-0 slippage is inf, priced against y0/x0 = 1.2e365 (FOUND 69)."""
+    config = ScenarioConfig.from_dict(SKIPPED_STARTS[case])
+    z, prices = config.z_values[0], config.path.prices
+    p0 = float(prices[0])
+    k = _kernels.curve_anchor(config.x0, config.y0, p0, z)
+    assert not math.isfinite(_kernels.arb_target_x(k, p0, z))
+    (run,), stepped = routed_runs(config)
+    assert stepped == []
+    reference = reference_path(config.x0, config.y0, z, mp_prices(prices))
+    errors = reserve_errors(column(run, "reserve_x"), column(run, "reserve_y"), reference, prices)
+    assert max(errors) <= 1e-13, errors
+    assert column(run, "cum_volume")[0] > 0.0
+
+
+# the unit pool's X drains to 1e-24 at some steps: a noise trade past half of a reserve, and
+# compensation terms that outlive the reserve they were made at, once sent it to nan
+DRAINED = {"x0": 13.471835199153224, "y0": 13.471835199153224, "p0": 1.0, "z_values": [0.999],
+           "steps": 200,
+           "path": {"kind": "gbm", "mu": 0.0, "sigma": 0.061369198392252536, "seed": 2682},
+           "noise": {"size_mu": -1.3578749130819041, "size_sigma": 1.129426761467322,
+                     "seed": 1579, "max_fraction": 0.9100825637902319, "trades_per_step": 3}}
+
+
+def test_a_drained_unit_pool_stays_in_the_closed_form():
+    """Finite positive reserves on every row, no further from the reference than run_steps
+    (measured: 2.96e-15 of the pool value against run_steps' 3.03e-15)."""
+    config = ScenarioConfig.from_dict(DRAINED)
+    z, prices, noise = config.z_values[0], config.path.prices, noise_draws(config)
+    (run,), stepped = routed_runs(config)
+    assert stepped == []
+    x, y = column(run, "reserve_x"), column(run, "reserve_y")
+    assert np.all((x > 0.0) & (y > 0.0) & np.isfinite(x) & np.isfinite(y))
+    assert x.min() < 1e-22
+    reference = reference_path(config.x0, config.y0, z, mp_prices(prices), noise)
+    kernel = kernel_columns(config.x0, config.y0, z, prices, noise)
+    closed_error = max(reserve_errors(x, y, reference, prices))
+    assert closed_error <= max(reserve_errors(kernel[0], kernel[1], reference, prices))
+    assert (run.clamped_trades, run.skipped_trades) == kernel[3:] == (175, 0)
 
 
 UNBALANCED_STARTS = [(1.0, 2.0, 1.0), (3.0, 0.7, 1.0), (3.0, 700.0, 50.0), (1e-3, 500.0, 7.0),
@@ -596,7 +685,7 @@ def test_closed_form_from_an_unbalanced_start_matches_the_reference(x0, y0, p0):
     start is as accurate as a balanced one: x and y within 2.5e-15 of the reference on
     200 GBM steps, and the slippage within 1e-15 of itself."""
     prices = ha.gbm_path(p0=p0, mu=0.0, sigma=0.01, steps=200, seed=3).prices
-    closed = _kernels.arbitrage_path(x0, y0, JUDGE_Z, prices, True)
+    closed = _kernels.arbitrage_path(x0, y0, JUDGE_Z, prices)
     exact = mp_prices(prices)
     for i, z in enumerate(JUDGE_Z):
         x_hi, x_lo, y_hi, y_lo, slip, _ = reference_path(x0, y0, z, exact)
@@ -611,7 +700,7 @@ def test_step_zero_keeps_the_z_term_at_subnormal_z():
     l_0 = -373 there, and a half ulp of it is 2.8e-14 of x*."""
     x0, y0, p0 = 5.65436523868885e-19, 9.696905985201018e-84, 4.238979148115741e296
     prices = ha.gbm_path(p0=p0, mu=0.0, sigma=0.03, steps=20, seed=1).prices
-    closed = _kernels.arbitrage_path(x0, y0, [5e-324], prices, True)
+    closed = _kernels.arbitrage_path(x0, y0, [5e-324], prices)
     x_hi, x_lo, y_hi, y_lo, slip, _ = reference_path(x0, y0, 5e-324, mp_prices(prices))
     assert rel_err(closed[0][0], x_hi, x_lo).max() <= 1e-13
     assert rel_err(closed[1][0], y_hi, y_lo).max() <= 1e-13

@@ -492,16 +492,37 @@ def test_starts_at_the_edge_of_the_double_range_are_not_tracebacks(capsys, tmp_p
 
 def test_an_arbitrage_target_past_double_range_is_an_error_not_a_traceback(capsys, tmp_path):
     # x* of the re-anchored curve is inf: the arbitrage once traded the pool to (inf, -inf)
-    # and step 1 anchored a curve at x = inf, a raw ZeroDivisionError; the hold value
-    # y0/p0 = 4e381 overflows
+    # and step 1 anchored a curve at x = inf, a raw ZeroDivisionError; the closed form
+    # moves the pool to a finite value, but the hold value y0/p0 = 4e381 overflows
     config = write_scenario(
         tmp_path, x0=1e20, y0=4.083307274826564e231, p0=1e-150, z_values=[0.5], steps=24,
         path={"kind": "gbm", "mu": 0.0, "sigma": 0.14619002982048895, "seed": 1340138202})
     out_dir = tmp_path / "out"
     code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
     assert (code, out) == (1, "")
-    assert err == ("error: z=0.5, step 0: pool value inf must be > 0 and il_relative nan "
-                   "finite\n")
+    assert err == ("error: z=0.5, step 0: pool value 1.9576973196727605e+261 must be > 0 and "
+                   "il_relative nan finite\n")
+    assert not out_dir.exists()
+
+
+# a start whose closed-form pool leaves double range at step 142; run_steps ran such a
+# pool once, and ended in a raw ValueError from log in arb_target_x, or at
+# z = 1 - 2**-52 in a raw ZeroDivisionError from curve_anchor
+FAR_NOISE = {
+    "x0": 1.0577103519649293e+298, "y0": 4.449861660019503e+142, "p0": 4.2070701603259415e-156,
+    "steps": 339, "path": {"kind": "gbm", "mu": 0.0, "sigma": 0.4247068050813691,
+                           "seed": 601374498},
+    "noise": {"size_mu": -0.17833909107172552, "size_sigma": 1.3069836196189755,
+              "seed": 1234521329, "max_fraction": 0.7776123389176486, "trades_per_step": 2}}
+
+
+@pytest.mark.parametrize("z", [0.6384333733145956, 1.0 - 2.0 ** -52])
+def test_a_closed_form_pool_past_double_range_is_an_error_not_a_traceback(capsys, tmp_path, z):
+    config = write_scenario(tmp_path, **FAR_NOISE, z_values=[z])
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: z={z}, step 142: pool value ") and err.count("\n") == 1, err
     assert not out_dir.exists()
 
 

@@ -29,6 +29,7 @@ import pytest
 from hybridamm import (DomainError, PoolState, PricePath, ScenarioConfig, _kernels, cli,
                        run_scenario)
 from hybridamm.simulator import METRICS_HEADER
+from test_arbitrage_path import mp_prices, reference_path, reserve_errors
 
 EDGE_Z = [0.0, 5e-324, 0.3, 0.9, 0.999, 0.9999, 1.0 - 2.0 ** -52, 1.0]
 # columns a pool without the arbitrageur may write as inf or nan once noise
@@ -58,6 +59,11 @@ ROUTE_EXAMPLES = {
     "noise closed form": scenario([0.5, 0.9], 200, 0.1, True, noise(-3.0, 1.0, 0.25, 2)),
     "run_steps": scenario([1.0], 200, 0.1, True, noise(-3.0, 1.0, 0.25, 2)),
 }
+# starts whose closed-form columns once overflowed, so run_scenario recomputed the pool with
+# run_steps: y0/x0 * N overflowed at step 0, where l_0 = 307, and exp(l_0) leaves double
+# range at l_0 = 837, although x*_0 = 2.5e163 does not
+FAR_STARTS = [scenario([0.0], 200, 0.1, True, None, x0=1.12e-267),
+              scenario([0.9], 200, 0.1, True, None, x0=1e-200, y0=1e100, p0=1e-100)]
 # once a raw TypeError: a SELL_X trade left y < 0, and the solvency bound of
 # the curve re-anchored there took a root of a negative number
 TYPE_ERROR = scenario(
@@ -75,6 +81,15 @@ ALL_OF_X = [scenario([0.0], 20, 0.1, True, None, x0=1e150, y0=1e-150, p0=0.001, 
 # step 1 anchored a curve at x = inf; the hold value y0/p0 = 4e381 overflows
 TARGET_INF = scenario([0.5], 24, 0.14619002982048895, True, None, x0=1e20,
                       y0=4.083307274826564e231, p0=1e-150, seed=1340138202)
+
+# once a raw ValueError from log in arb_target_x, and at the second z a raw
+# ZeroDivisionError from curve_anchor: the closed form's columns overflowed, and
+# run_scenario recomputed the pools with run_steps; both now leave double range at step 142
+FAR_NOISE = scenario([0.6384333733145956, 1.0 - 2.0 ** -52], 339, 0.4247068050813691, True,
+                     noise(-0.17833909107172552, 1.3069836196189755, 0.7776123389176486, 2,
+                           seed=1234521329),
+                     x0=1.0577103519649293e+298, y0=4.449861660019503e+142,
+                     p0=4.2070701603259415e-156, seed=601374498)
 
 # once a raw ZeroDivisionError: a SELL_Y at z = 1 paid out all of a subnormal x, whose
 # floor X_FLOOR_REL*x underflows, and the next trade divided by x = 0
@@ -110,11 +125,14 @@ def scenarios(steps=st.integers(1, 1000)):
     )
 
 
+def route(config, z):
+    """The route of a scenario dict's pool of this z, which the config alone sets."""
+    return ("run_steps" if z == 1.0 or not config["arbitrageur"] else
+            "noise closed form" if "noise" in config else "noise-free closed form")
+
+
 def routes(config):
-    """The route of each pool of a scenario dict, as ``run_scenario`` picks it."""
-    return {("run_steps" if z == 1.0 or not config["arbitrageur"] else
-             "noise closed form" if "noise" in config else "noise-free closed form")
-            for z in config["z_values"]}
+    return {route(config, z) for z in config["z_values"]}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -124,22 +142,29 @@ def routes(config):
 @example(config=K_INF)
 @example(config=TARGET_INF)
 @example(config=X_TO_ZERO)
+@example(config=FAR_NOISE)
 @example(config=ALL_OF_X[0])
 @example(config=ALL_OF_X[1])
 @example(config=ROUTE_EXAMPLES["noise-free closed form"])
 @example(config=ROUTE_EXAMPLES["noise closed form"])
 @example(config=ROUTE_EXAMPLES["run_steps"])
 def test_simulate_exits_cleanly_with_finite_numbers(config):
-    for route in sorted(routes(config)):
-        event(route)
+    for name in sorted(routes(config)):
+        event(name)
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "scenario.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(config, handle)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(_kernels, "run_steps", wraps=_kernels.run_steps) as steps:
             code = cli.main(["simulate", "--config", path, "--out", os.path.join(work, "out")])
         event(f"exit {code}")
+        # exactly the pools of the run_steps route step; a config rejected before its pools
+        # run steps none
+        stepped = [call.args[2] for call in steps.call_args_list]
+        want = [z for z in config["z_values"] if route(config, z) == "run_steps"]
+        assert stepped == want or (code == 1 and stepped == [])
         if code == 1:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
             return
@@ -169,11 +194,22 @@ def test_route_examples_take_their_routes(monkeypatch):
     real_steps = _kernels.run_steps
     monkeypatch.setattr(_kernels, "run_steps", lambda *args: stepped.append(args[2])
                         or real_steps(*args))
-    for route, config in ROUTE_EXAMPLES.items():
-        assert routes(config) == {route}
+    for name, config in ROUTE_EXAMPLES.items():
+        assert routes(config) == {name}
         stepped.clear()
         run_scenario(ScenarioConfig.from_dict(config))
-        assert stepped == (config["z_values"] if route == "run_steps" else []), route
+        assert stepped == (config["z_values"] if name == "run_steps" else []), name
+    # the far starts take the closed form, and match the reference to 1e-13 of the pool value
+    for config in FAR_STARTS:
+        assert routes(config) == {"noise-free closed form"}
+        stepped.clear()
+        base = ScenarioConfig.from_dict(config)
+        (run,) = run_scenario(base)
+        assert stepped == []
+        prices = base.path.prices
+        reference = reference_path(base.x0, base.y0, run.z, mp_prices(prices))
+        x, y = (run.table[:, METRICS_HEADER.index(c)] for c in ("reserve_x", "reserve_y"))
+        assert max(reserve_errors(x, y, reference, prices)) <= 1e-13, config
 
 
 def powers(a, b):
@@ -203,9 +239,9 @@ def rescaled_pools(config, a, b, k_stepped):
     each column's power of two, and the run of the rescaled config.
 
     Only the pools whose route re-anchors k if ``k_stepped``, else only the others: those
-    that step through ``run_steps`` at either scale and trade, with noise trades or with
-    an arbitrage the closed form left out because its columns left double range.  A config
-    whose scaled start or prices are not normal is rejected.  A pool is left out where
+    that step through ``run_steps`` and trade, which there only noise trades do (z = 1
+    has no arbitrage).  Both scales take the same route.  A config whose scaled start or
+    prices are not normal is rejected.  A pool is left out where
     ``PoolState.anchored`` rejects its start at either scale (P15: k leaves double range),
     where the unscaled run raises ``DomainError``, or where a cell, or y/x at the start or
     after a step, is not normal, unscaled or scaled (FOUND 46: the spot price is derived
@@ -232,9 +268,9 @@ def rescaled_pools(config, a, b, k_stepped):
                     and normal(np.ldexp(ratios, b - a)).all()):
                 continue
             got, scaled_stepped = stepped_run(scaled, z)
-            trades = base.noise is not None or (base.arbitrageur and z < 1.0)
-            if ((stepped or scaled_stepped) and trades) == k_stepped:
-                event("stepped" if stepped or scaled_stepped else "closed form")
+            assert scaled_stepped == stepped, z
+            if (stepped and base.noise is not None) == k_stepped:
+                event("stepped" if stepped else "closed form")
                 yield z, run, np.ldexp(run.table, powers(a, b)), got
 
 

@@ -141,6 +141,19 @@ def test_full_mix_pool_quotes_oracle_even_without_arbitrage():
         assert (m["reserve_x"], m["reserve_y"]) == (1.0, 2.0)   # arb skipped at z=1
 
 
+def test_full_mix_pool_drained_by_noise_quotes_oracle():
+    # noise drains x to 4.8e-27 while y = 2e282, so y/x overflows: (1-z)*(y/x) was
+    # 0*inf, and spot_price was written as nan with exit 0
+    noise = NoiseParams(size_mu=0.0, size_sigma=0.0, seed=0, max_fraction=0.5,
+                        trades_per_step=1)
+    config = ScenarioConfig(x0=1.0, y0=1e282, z_values=(1.0,), path=ha.PricePath([1e282] * 66),
+                            arbitrageur=True, noise=noise)
+    run = ha.run_scenario(config)[0]
+    assert steps(run)[-1]["reserve_x"] < 1e-26
+    for m in steps(run):
+        assert m["spot_price"] == m["oracle_price"]
+
+
 def test_arbitrage_moves_stay_on_the_reanchored_curve():
     path = ha.PricePath([1.0, 1.3, 0.8, 2.2, 1.0])
     config = ScenarioConfig(x0=1.0, y0=1.0, z_values=(0.4,),
@@ -277,7 +290,6 @@ def test_step_metrics_validation(monkeypatch):
     routes = {   # route: noise, arbitrageur, and whether the pool steps through run_steps
         "closed form": (None, True, False),
         "noise closed form": (dust, True, False),
-        "run_steps fallback": (None, True, True),
         "noise run_steps": (dust, False, True),
     }
     for route, (noise, arbitrageur, steps_through) in routes.items():
@@ -286,13 +298,9 @@ def test_step_metrics_validation(monkeypatch):
         for x, y, message in cases:
             stepped = []
 
-            def broken_path(*args, x=x, y=y, route=route):
+            def broken_path(*args, x=x, y=y):
                 columns = real_path(*args)
-                if route == "run_steps fallback":   # a pool the closed form leaves to run_steps
-                    for column in columns[:4]:
-                        column[:] = math.nan
-                else:
-                    columns[0][:, 2], columns[1][:, 2] = x, y
+                columns[0][:, 2], columns[1][:, 2] = x, y
                 return columns
 
             def broken_steps(*args, x=x, y=y, stepped=stepped):
