@@ -144,7 +144,7 @@ def _taylor(state: PoolState, dx: float) -> float:
 def slippage_taylor(state: PoolState, dx: float) -> SlippageEstimate:
     """Second-order Taylor prediction of trader slippage for buying with dx of X."""
     dx = _check_finite_positive(dx, "dx")
-    reserve_y(state.k, state.x + dx, state.p, state.z)   # insolvency check of x + dx >= x
+    reserve_y(state, state.x + dx)   # insolvency check of x + dx >= x
     return _unchecked(SlippageEstimate, {"trade_size": dx,
                                          "taylor_second_derivative_form": _taylor(state, dx),
                                          "exact": None})
@@ -159,7 +159,7 @@ def slippage_exact(state: PoolState, direction: TradeDirection,
     """
     result: SwapResult = swap_exact_in(state, direction, amount_in)
     if result.direction is TradeDirection.SELL_Y:   # a SELL_X swap has checked x + dx < bound
-        _check_solvent(state.k, state.x, state.p, state.z)
+        _check_solvent(state, state.x)
     dx = amount_in if result.direction is TradeDirection.SELL_X else result.amount_out
     return _unchecked(SlippageEstimate, {"trade_size": dx,
                                          "taylor_second_derivative_form": _taylor(state, dx),

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .analytics import il_closed_form, il_simulated, slippage_exact
+from .analytics import il_closed_form, slippage_exact
 from .core import PoolState, _check_finite_positive
 from .errors import DomainError, HybridAmmError
 from .oracle import dump_price_csv
@@ -95,13 +95,13 @@ def cmd_swap(args) -> int:
 def cmd_il(args) -> int:
     if args.prices is not None:
         p0, p1 = args.prices
-        moves = [(_check_finite_positive(p0, "p0"), _check_finite_positive(p1, "p1"))]
+        rhos = [_check_finite_positive(p0, "p0") / _check_finite_positive(p1, "p1")]
     else:
-        moves = [(float(rho), 1.0) for rho in args.rho_grid]
+        rhos = args.rho_grid.tolist()
     rows = []
     for z in args.z:
-        for p0, p1 in moves:
-            report = il_simulated(1.0, p0, p1, z) if args.simulate else il_closed_form(z, p0 / p1)
+        for rho in rhos:
+            report = il_closed_form(z, rho)
             rows.append((z, report.rho, report.il_paper, report.il_relative))
     _emit(args, ("z", "rho", "il_paper", "il_relative"), rows)
     return 0
@@ -194,8 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="grid of price ratios p0/p1, each a move from p0 = rho to p1 = 1")
     move.add_argument("--prices", type=_exactly("p0", "p1"), metavar="P0,P1",
                       help="one move of the oracle price from p0 to p1")
-    il.add_argument("--simulate", action="store_true",
-                    help="measure by rebalancing a pool instead of the closed form")
     _add_output_flags(il)
     il.set_defaults(func=cmd_il)
 

@@ -63,7 +63,8 @@ class PoolState:
     derives and the residual once each.  Swaps check what they change (the
     new reserves) and the residual.  Rebalancing reads y from the curve at
     its new x, so it checks the new reserves only.  All but the constructor
-    build the state with ``_unchecked``.
+    build the state with ``_unchecked``.  The curve queries take a state and
+    check only the x they are asked about.
     """
 
     x: float
@@ -126,25 +127,18 @@ def _anchor(x: float, y: float, p: float, z: float) -> tuple[float, float, float
     return k, power, linear
 
 
-def max_x_bound(k: float, p: float, z: float) -> float:
-    """Solvency bound: the x where the Y reserve is exhausted.
+def max_x_bound(state: PoolState) -> float:
+    """Solvency bound of the state's curve: the x where the Y reserve is exhausted.
 
     Returns ((2-z)*k/(z*p))**(1/(2-z)) for z > 0 and +inf for z = 0
     (the hyperbola never exhausts Y).
     """
-    k = _check_finite_positive(k, "k")
-    p = _check_finite_positive(p, "p")
-    z = _check_mix(z)
-    return _kernels.solvency_bound(k, p, z)
+    return _kernels.solvency_bound(state.k, state.p, state.z)
 
 
-def _checked_point(k: float, x: float, p: float, z: float) -> tuple[float, float, float, float]:
-    """Validated (k, x, p, z) of a point strictly inside the curve's domain."""
-    return _check_solvent(_check_finite_positive(k, "k"), _check_finite_positive(x, "x"),
-                          _check_finite_positive(p, "p"), _check_mix(z))
-
-
-def _check_solvent(k: float, x: float, p: float, z: float) -> tuple[float, float, float, float]:
+def _check_solvent(state: PoolState, x: float) -> tuple[float, float, float, float]:
+    """(k, x, p, z) of the state's curve at x, once x is below its solvency bound."""
+    k, p, z = state.k, state.p, state.z
     bound = _kernels.solvency_bound(k, p, z)
     if x >= bound:
         raise InsolvencyError(
@@ -154,22 +148,22 @@ def _check_solvent(k: float, x: float, p: float, z: float) -> tuple[float, float
     return k, x, p, z
 
 
-def reserve_y(k: float, x: float, p: float, z: float) -> float:
-    """Y reserve at coordinate x on the (k, p, z) curve.
+def reserve_y(state: PoolState, x: float) -> float:
+    """Y reserve at coordinate x on the state's curve.
 
     y = k * x**(z-1) - z*p*x/(2-z); valid for 0 < x < max_x_bound.
     """
-    return _kernels.curve_y(*_checked_point(k, x, p, z))
+    return _kernels.curve_y(*_check_solvent(state, _check_finite_positive(x, "x")))
 
 
-def dy_dx(k: float, x: float, p: float, z: float) -> float:
+def dy_dx(state: PoolState, x: float) -> float:
     """Curve slope k*(z-1)*x**(z-2) - z*p/(2-z); negative for z < 1, exactly -p at z = 1."""
-    return _kernels.curve_dy(*_checked_point(k, x, p, z))
+    return _kernels.curve_dy(*_check_solvent(state, _check_finite_positive(x, "x")))
 
 
-def d2y_dx2(k: float, x: float, p: float, z: float) -> float:
+def d2y_dx2(state: PoolState, x: float) -> float:
     """Curve curvature k*(z-1)*(z-2)*x**(z-3); nonnegative everywhere on [0, 1]."""
-    return _kernels.curve_d2y(*_checked_point(k, x, p, z))
+    return _kernels.curve_d2y(*_check_solvent(state, _check_finite_positive(x, "x")))
 
 
 def spot_price(state: PoolState) -> float:

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels, oracle
-from .core import PoolState, _check_finite_positive, _check_int, _check_mix
+from .core import PoolState, _check_finite_positive, _check_int, _check_mix, max_x_bound
 from .errors import ConfigError, DomainError, HybridAmmError
 from .oracle import PricePath
 
@@ -253,9 +253,10 @@ def run_scenario(config: ScenarioConfig) -> list[ScenarioRun]:
     clamped, skipped = np.empty((2, len(zs)), dtype=np.int64)
     xs[closed], ys[closed], slip[closed], vol[closed], clamped[closed], skipped[closed] = (
         _kernels.arbitrage_path(config.x0, config.y0, z_col[closed, 0], prices, *args))
+    # a stepped pool has no arbitrage: it has no arbitrageur, or z = 1 and no target
     for i in np.flatnonzero(~closed).tolist():
         _, xs[i], ys[i], _, _, _, slip[i], vol[i], clamped[i], skipped[i] = _kernels.run_steps(
-            config.x0, config.y0, zs[i], prices, config.arbitrageur, *args)
+            config.x0, config.y0, zs[i], prices, False, *args)
 
     spot, pool, hold, il = _kernels.derived_columns(config.x0, config.y0, xs, ys, prices, z_col)
     bad = ~((pool > 0.0) & np.isfinite(il))
@@ -291,8 +292,7 @@ def sweep_reserve_curve(anchor: tuple[float, float, float], z_values: Sequence[f
     rows: list[tuple[float, float, float]] = []
     for z in zs:
         state = PoolState.anchored(*anchor, z)
-        k, p = state.k, state.p
-        bound = _kernels.solvency_bound(k, p, z)
+        k, p, bound = state.k, state.p, max_x_bound(state)
         rows.extend((z, x, _kernels.curve_y(k, x, p, z) if 0.0 < x < bound else math.nan)
                     for x in xs.tolist())
     return rows

@@ -50,13 +50,13 @@ def read_csv(path):
 
 def test_unit_pool_anchors_and_coefficients(report):
     with report("unit-pool anchors 20/19 and 20/11; Taylor coefficients 0.9 and 0.1, ninefold"):
-        k_low = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.1).k
-        k_high = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.9).k
-        assert abs(k_low - 20.0 / 19.0) <= 1e-12
-        assert abs(k_high - 20.0 / 11.0) <= 1e-12
+        low = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.1)
+        high = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.9)
+        assert abs(low.k - 20.0 / 19.0) <= 1e-12
+        assert abs(high.k - 20.0 / 11.0) <= 1e-12
         # slippage per unit trade size, dx -> 0, on the unit pool: y''(1) / 2
-        c_low = 0.5 * ha.d2y_dx2(k_low, 1.0, 1.0, 0.1)
-        c_high = 0.5 * ha.d2y_dx2(k_high, 1.0, 1.0, 0.9)
+        c_low = 0.5 * ha.d2y_dx2(low, 1.0)
+        c_high = 0.5 * ha.d2y_dx2(high, 1.0)
         assert abs(c_low - 0.9) <= 1e-12
         assert abs(c_high - 0.1) <= 1e-12
         assert abs(c_low / c_high - 9.0) <= 1e-12
@@ -111,9 +111,9 @@ def test_spot_price_solves_blend_equation(report):
         worst = 0.0
         for x, y, p, z in zip(xs, ys, ps, zs):
             state = ha.PoolState.anchored(x, y, p, z)
-            y_curve = ha.reserve_y(state.k, x, p, z)
+            y_curve = ha.reserve_y(state, x)
             blend = (1.0 - z) * y_curve / x + z * p
-            worst = max(worst, abs(-ha.dy_dx(state.k, x, p, z) - blend) / blend)
+            worst = max(worst, abs(-ha.dy_dx(state, x) - blend) / blend)
         assert worst <= 1e-10
 
 

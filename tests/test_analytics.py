@@ -165,7 +165,7 @@ def test_il_pipeline_matches_closed_form(x0, p0, p1, z):
 def unit_coefficient(z):
     """Slippage per unit trade size, dx -> 0, on the unit pool: y''(1) / 2, or 1 - z."""
     state = ha.PoolState.anchored(1.0, 1.0, 1.0, z)
-    return 0.5 * ha.d2y_dx2(state.k, state.x, state.p, state.z)
+    return 0.5 * ha.d2y_dx2(state, state.x)
 
 
 def test_concentration_coefficients_from_worked_example():
@@ -197,12 +197,12 @@ def test_slippage_taylor_zero_at_full_mix():
     estimate = ha.slippage_taylor(state, 0.5)
     assert estimate.taylor_second_derivative_form == 0.0
     # the expanded form's slope excess y' + z*p/(2-z) is exactly 0 here too
-    assert ha.dy_dx(state.k, state.x, state.p, 1.0) + state.p == 0.0
+    assert ha.dy_dx(state, state.x) + state.p == 0.0
 
 
 def test_slippage_taylor_rejects_insolvent_size():
     state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5)
-    bound = ha.max_x_bound(state.k, state.p, state.z)
+    bound = ha.max_x_bound(state)
     with pytest.raises(ha.InsolvencyError):
         ha.slippage_taylor(state, bound)
     with pytest.raises(ha.DomainError):
@@ -217,12 +217,12 @@ def test_taylor_forms_agree(x, y, p, z, frac):
     cap = x if math.isinf(bound) else min(x, 0.9 * (bound - x))
     dx = frac * cap
     estimate = ha.slippage_taylor(state, dx)
-    expected = 0.5 * ha.d2y_dx2(state.k, x, p, z) * dx
+    expected = 0.5 * ha.d2y_dx2(state, x) * dx
     assert estimate.taylor_second_derivative_form == expected
     assert estimate.taylor_second_derivative_form >= 0.0
     # the expanded form 1/2*dx*(z-2)/x*(y' + z*p/(2-z)) cancels to 0 as z -> 1,
     # leaving ~eps*p of absolute noise: hence the floor at the terms' scale
-    slope = ha.dy_dx(state.k, x, p, z)
+    slope = ha.dy_dx(state, x)
     expanded = 0.5 * (dx * (z - 2.0) / x) * (slope + z * p / (2.0 - z))
     scale = abs(0.5 * dx * (z - 2.0) / x) * (abs(slope) + z * p / (2.0 - z))
     assert abs(expected - expanded) <= 1e-10 * max(abs(expected), abs(expanded)) + 1e-13 * scale

@@ -179,23 +179,11 @@ def test_il_monotone_in_z(capsys):
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_il_simulate_matches_closed_form(capsys):
-    code, out, _ = run_cli(capsys, "il", "--z", "0.6", "--prices", "3,1.5", "--simulate")
-    assert code == 0
-    (row,) = csv_rows(out)
-    assert row["il_paper"] == pytest.approx(-0.28134142403055172, rel=1e-9)
-    code, out, _ = run_cli(capsys, "il", "--z", "0.6", "--rho-grid", "2:2:1",
-                           "--simulate")
-    (grid_row,) = csv_rows(out)
-    assert grid_row["il_paper"] == pytest.approx(row["il_paper"], rel=1e-12)
-
-
-def test_il_simulate_rejects_full_mix(capsys):
-    code, _, err = run_cli(capsys, "il", "--z", "1", "--rho-grid", "2:2:1",
-                           "--simulate")
-    assert code == 1
-    assert err.startswith("error:")
-    assert "z = 1" in err
+def test_il_has_no_simulate_flag(capsys):
+    # il reports the closed form only; il_simulated is the library's rebalancing check
+    code, out, err = run_cli(capsys, "il", "--z", "0.6", "--prices", "3,1.5", "--simulate")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: hybridamm")
 
 
 def test_il_price_flag_coupling(capsys):
@@ -308,7 +296,7 @@ FULL_NAMES = [
      "--format", "table", "--out", "{tmp}/swap.txt"),
     ("swap", "--z", "0.6", "--anchor", "1,1,1", "--direction", "sell-x", "--amount-out", "0.01"),
     ("il", "--help"),
-    ("il", "--z", "0", "--prices", "4,1", "--simulate", "--format", "csv", "--out", "{tmp}/il.csv"),
+    ("il", "--z", "0", "--prices", "4,1", "--format", "csv", "--out", "{tmp}/il.csv"),
     ("il", "--z", "0", "--rho-grid", "4:4:1"),
     ("slippage", "--help"),
     ("slippage", "--z", "0.5", "--dx-grid", "0.01:0.02:2", "--anchor", "1,1,1",

@@ -10,8 +10,8 @@ import hybridamm as ha
 from hybridamm import _kernels
 
 # reference values computed independently with mpmath at 50 decimal digits
-RESERVE_Y_REF = 0.90461678566078975393   # reserve_y(k=4/3, x=1.1, p=1, z=0.5)
-BOUND_REF = 2.5198420997897463295        # max_x_bound(4/3, 1, 0.5) = 4**(2/3)
+RESERVE_Y_REF = 0.90461678566078975393   # curve_y(k=4/3, x=1.1, p=1, z=0.5)
+BOUND_REF = 2.5198420997897463295        # solvency_bound(4/3, 1, 0.5) = 4**(2/3)
 
 # sampling ranges keep reserve/price ratios within ~1e3 of balanced; the
 # 1e-12 round-trip tolerance cannot survive arbitrarily degenerate pools
@@ -43,70 +43,71 @@ def test_anchor_k_rejects_bad_inputs():
 
 @given(x=reserves, y=reserves, p=prices, z=mixes)
 def test_anchoring_round_trip(x, y, p, z):
-    k = ha.PoolState.anchored(x, y, p, z).k
-    assert ha.reserve_y(k, x, p, z) == pytest.approx(y, rel=1e-12)
+    state = ha.PoolState.anchored(x, y, p, z)
+    assert ha.reserve_y(state, x) == pytest.approx(y, rel=1e-12)
 
 
 def test_reserve_y_limit_curves():
-    assert ha.reserve_y(1.0, 2.0, 7.3, 0.0) == 0.5         # y = k/x, p irrelevant
-    assert ha.reserve_y(2.0, 0.5, 1.0, 1.0) == 1.5         # y = k - p*x
+    assert _kernels.curve_y(1.0, 2.0, 7.3, 0.0) == 0.5         # y = k/x, p irrelevant
+    assert _kernels.curve_y(2.0, 0.5, 1.0, 1.0) == 1.5         # y = k - p*x
 
 
 def test_reserve_y_half_mix_reference():
-    assert ha.reserve_y(4.0 / 3.0, 1.1, 1.0, 0.5) == pytest.approx(RESERVE_Y_REF, rel=1e-14)
+    assert _kernels.curve_y(4.0 / 3.0, 1.1, 1.0, 0.5) == pytest.approx(RESERVE_Y_REF, rel=1e-14)
 
 
 @given(z=st.floats(min_value=0.0, max_value=1.0), p=prices)
 def test_reserve_y_strictly_decreasing(z, p):
-    k = ha.PoolState.anchored(1.0, 1.0, p, z).k
-    bound = min(ha.max_x_bound(k, p, z), 8.0)
+    state = ha.PoolState.anchored(1.0, 1.0, p, z)
+    bound = min(ha.max_x_bound(state), 8.0)
     xs = [bound * f for f in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95)]
-    ys = [ha.reserve_y(k, x, p, z) for x in xs]
+    ys = [ha.reserve_y(state, x) for x in xs]
     assert all(a > b for a, b in zip(ys, ys[1:]))
 
 
 def test_reserve_y_insolvency_carries_bound():
-    k, p, z = 4.0 / 3.0, 1.0, 0.5
-    bound = ha.max_x_bound(k, p, z)
+    state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5)   # k = 4/3
+    bound = ha.max_x_bound(state)
     with pytest.raises(ha.InsolvencyError) as exc_info:
-        ha.reserve_y(k, bound * 1.01, p, z)
+        ha.reserve_y(state, bound * 1.01)
     assert exc_info.value.bound == pytest.approx(bound)
     with pytest.raises(ha.InsolvencyError):
-        ha.reserve_y(k, bound, p, z)       # the boundary itself is excluded
+        ha.reserve_y(state, bound)       # the boundary itself is excluded
 
 
 def test_z0_constant_product_identity():
     k = 1.7
     for x in (0.01, 0.5, 3.0, 250.0):
-        assert ha.reserve_y(k, x, 9.9, 0.0) * x == pytest.approx(k, rel=1e-12)
+        assert _kernels.curve_y(k, x, 9.9, 0.0) * x == pytest.approx(k, rel=1e-12)
 
 
 def test_z1_curve_is_affine():
     k, p = 2.0, 1.3
     xs = [0.1 + 0.05 * i for i in range(25)]
-    ys = [ha.reserve_y(k, x, p, 1.0) for x in xs]
+    ys = [_kernels.curve_y(k, x, p, 1.0) for x in xs]
     second_differences = [ys[i + 2] - 2.0 * ys[i + 1] + ys[i] for i in range(len(ys) - 2)]
     assert all(abs(d) <= 1e-12 for d in second_differences)
     for x in xs:
-        assert ha.dy_dx(k, x, p, 1.0) == -p
+        assert _kernels.curve_dy(k, x, p, 1.0) == -p
 
 
 def test_dy_dx_values():
-    assert ha.dy_dx(1.0, 1.0, 1.0, 0.0) == -1.0
-    assert ha.dy_dx(4.0 / 3.0, 1.0, 1.0, 0.5) == pytest.approx(-1.0, rel=1e-14)
-    assert ha.dy_dx(2.0, 0.5, 3.0, 1.0) == -3.0
+    assert _kernels.curve_dy(1.0, 1.0, 1.0, 0.0) == -1.0
+    assert _kernels.curve_dy(4.0 / 3.0, 1.0, 1.0, 0.5) == pytest.approx(-1.0, rel=1e-14)
+    assert _kernels.curve_dy(2.0, 0.5, 3.0, 1.0) == -3.0
 
 
 def test_dy_dx_rejects_insolvent_point():
     # z=1 with k=2, p=3 exhausts Y at x = 2/3, so x = 0.7 is out of domain
+    state = ha.PoolState.anchored(0.5, 0.5, 3.0, 1.0)
+    assert state.k == 2.0
     with pytest.raises(ha.InsolvencyError):
-        ha.dy_dx(2.0, 0.7, 3.0, 1.0)
+        ha.dy_dx(state, 0.7)
 
 
 @given(x=reserves, y=reserves, p=prices, z=mixes)
 def test_dy_dx_sign(x, y, p, z):
-    k = ha.PoolState.anchored(x, y, p, z).k
-    slope = ha.dy_dx(k, x, p, z)
+    slope = ha.dy_dx(ha.PoolState.anchored(x, y, p, z), x)
     if z == 1.0:
         assert slope == -p
     else:
@@ -114,16 +115,30 @@ def test_dy_dx_sign(x, y, p, z):
 
 
 def test_d2y_dx2_values():
-    assert ha.d2y_dx2(1.0, 1.0, 1.0, 0.0) == 2.0            # y'' = 2k/x^3
-    assert ha.d2y_dx2(5.0, 2.0, 1.0, 1.0) == 0.0
+    assert _kernels.curve_d2y(1.0, 1.0, 1.0, 0.0) == 2.0            # y'' = 2k/x^3
+    assert _kernels.curve_d2y(5.0, 2.0, 1.0, 1.0) == 0.0
     # unit-pool z=0.1: k*(z-1)*(z-2) = (20/19)*1.71 = 1.8
-    assert ha.d2y_dx2(20.0 / 19.0, 1.0, 1.0, 0.1) == pytest.approx(1.8, rel=1e-13)
+    assert _kernels.curve_d2y(20.0 / 19.0, 1.0, 1.0, 0.1) == pytest.approx(1.8, rel=1e-13)
 
 
 @given(x=reserves, y=reserves, p=prices, z=mixes)
 def test_d2y_dx2_convexity(x, y, p, z):
-    k = ha.PoolState.anchored(x, y, p, z).k
-    assert ha.d2y_dx2(k, x, p, z) >= 0.0
+    assert ha.d2y_dx2(ha.PoolState.anchored(x, y, p, z), x) >= 0.0
+
+
+# sample_states' ranges, with the exact and extreme mixes drawn as well
+@given(x=reserves, y=reserves, p=prices,
+       z=mixes | st.sampled_from([0.0, 5e-324, 1.0 - 2.0 ** -52, 1.0]),
+       share=st.floats(min_value=1e-6, max_value=0.999))
+def test_curve_queries_are_their_kernels_on_the_state(x, y, p, z, share):
+    state = ha.PoolState.anchored(x, y, p, z)
+    k = state.k
+    bound = _kernels.solvency_bound(k, p, z)
+    assert ha.max_x_bound(state).hex() == bound.hex()
+    for at in (x, share * min(bound, 10.0 * x)):
+        for query, kernel in ((ha.reserve_y, _kernels.curve_y), (ha.dy_dx, _kernels.curve_dy),
+                              (ha.d2y_dx2, _kernels.curve_d2y)):
+            assert query(state, at).hex() == kernel(k, at, p, z).hex()
 
 
 def test_spot_price_values():
@@ -136,21 +151,20 @@ def test_spot_price_values():
 def test_spot_price_solves_pricing_equation(x, y, p, z):
     # -dy/dx must reproduce the blend (1-z)*y/x + z*p: the curve solves the ODE
     state = ha.PoolState.anchored(x, y, p, z)
-    assert -ha.dy_dx(state.k, x, p, z) == pytest.approx(ha.spot_price(state), rel=1e-10)
+    assert -ha.dy_dx(state, x) == pytest.approx(ha.spot_price(state), rel=1e-10)
 
 
 def test_max_x_bound_values():
-    assert ha.max_x_bound(2.0, 1.0, 1.0) == 2.0
-    assert ha.max_x_bound(1.0, 1.0, 0.0) == math.inf
-    assert ha.max_x_bound(4.0 / 3.0, 1.0, 0.5) == pytest.approx(BOUND_REF, rel=1e-14)
+    assert _kernels.solvency_bound(2.0, 1.0, 1.0) == 2.0
+    assert _kernels.solvency_bound(1.0, 1.0, 0.0) == math.inf
+    assert _kernels.solvency_bound(4.0 / 3.0, 1.0, 0.5) == pytest.approx(BOUND_REF, rel=1e-14)
 
 
 @given(k=st.floats(min_value=0.2, max_value=20.0), p=prices,
        z=st.floats(min_value=0.05, max_value=1.0))
 def test_reserve_vanishes_at_bound(k, p, z):
-    bound = ha.max_x_bound(k, p, z)
-    assert ha.reserve_y(k, bound * (1.0 - 1e-9), p, z) > 0.0
-    # evaluated through the raw kernel: the public op treats the bound as out of domain
+    bound = _kernels.solvency_bound(k, p, z)
+    assert _kernels.curve_y(k, bound * (1.0 - 1e-9), p, z) > 0.0
     assert abs(_kernels.curve_y(k, bound, p, z)) <= 1e-9 * max(1.0, k, p)
 
 

@@ -150,7 +150,7 @@ def test_solvency_bound_at_subnormal_z(z, p):
     with mpmath.workdps(40):
         zm = mpmath.mpf(z)
         ref = ((2 - zm) / (zm * p)) ** (1 / (2 - zm))
-        assert ulps(max_x_bound(1.0, p, z), ref) <= 2.0
+        assert ulps(_kernels.solvency_bound(1.0, p, z), ref) <= 2.0
 
 
 @pytest.mark.parametrize("k, p, z", [
@@ -165,12 +165,12 @@ def test_solvency_bound_where_zp_leaves_double_range(k, p, z):
     with mpmath.workdps(50):
         zm = mpmath.mpf(z)
         ref = ((2 - zm) * k / (zm * p)) ** (1 / (2 - zm))
-        assert abs(max_x_bound(k, p, z) - ref) <= 1e-14 * ref
+        assert abs(_kernels.solvency_bound(k, p, z) - ref) <= 1e-14 * ref
 
 
 def test_solvency_bound_past_double_range_is_inf():
     # z*p underflows as above, and the bound, about 2**1311, overflows
-    assert max_x_bound(1e308, 5e-324, 0.4) == math.inf
+    assert _kernels.solvency_bound(1e308, 5e-324, 0.4) == math.inf
 
 
 @settings(max_examples=500, deadline=None)
@@ -185,7 +185,7 @@ def test_solvency_bound_matches_mpmath_across_double_range(k, p, z):
         zm = mpmath.mpf(z)
         ref = ((2 - zm) * k / (zm * p)) ** (1 / (2 - zm))
         assume(2.0 ** -1022 <= ref <= sys.float_info.max)
-        assert abs(max_x_bound(k, p, z) - ref) <= 1e-12 * ref
+        assert abs(_kernels.solvency_bound(k, p, z) - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("z", REF_Z)
@@ -328,7 +328,7 @@ def replay_step(x, y, p, z, fractions, directions, max_fraction):
         # _kernels.headroom
         if direction == 0:
             direction, amount = TradeDirection.SELL_X, frac * state.x
-            cap = 0.999 * (max_x_bound(state.k, p, z) - state.x)
+            cap = 0.999 * (max_x_bound(state) - state.x)
         else:
             direction, amount = TradeDirection.SELL_Y, frac * state.y
             x_floor = _kernels.X_FLOOR_REL * state.x

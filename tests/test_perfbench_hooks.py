@@ -83,4 +83,5 @@ def test_every_reference_scenario_passes_the_benchmark_gate(monkeypatch):
                     tolerance = bench.SIM_RTOL * abs(r) + bench.SIM_ATOL * s
                     share = abs(g - r) / tolerance if tolerance else float(g != r) * math.inf
                     worst = max(worst, (share, (workload, ref, z, name)), key=lambda w: w[0])
+    print(f"benchmark gate: worst share {worst[0]:.3g} of the tolerance, at {worst[1]}")
     assert worst[0] <= 1.0, worst

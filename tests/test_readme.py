@@ -39,7 +39,7 @@ def examples():
 
 def test_readme_has_cli_examples():
     commands = [param.values for param in examples()]
-    assert len(commands) == 6
+    assert len(commands) == 5
     assert [argv[0] for argv, shown in commands if shown] == ["swap", "slippage", "simulate"]
 
 

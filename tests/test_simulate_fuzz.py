@@ -212,6 +212,18 @@ def test_route_examples_take_their_routes(monkeypatch):
         assert max(reserve_errors(x, y, reference, prices)) <= 1e-13, config
 
 
+def test_simulate_never_calls_arbitrage_step(monkeypatch):
+    # the closed form has its own arbitrage, and a stepped pool has none: it has no
+    # arbitrageur, or z = 1, where there is no target
+    def refuse(*args):
+        raise AssertionError(f"arbitrage_step{args}")
+
+    monkeypatch.setattr(_kernels, "arbitrage_step", refuse)
+    for config in [*ROUTE_EXAMPLES.values(),
+                   scenario([0.3, 1.0], 50, 0.05, True, noise(-3.0, 1.0, 0.25, 2))]:
+        run_scenario(ScenarioConfig.from_dict(config))
+
+
 def powers(a, b):
     """Each column's power of two, in table order, under the scaling (x0*2**a, y0*2**b,
     prices*2**(b-a)): X amounts scale by 2**a, Y amounts by 2**b, prices by 2**(b-a)."""

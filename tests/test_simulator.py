@@ -444,7 +444,7 @@ def test_sweep_anchored_curves_share_the_anchor_point():
 
 def test_sweep_marks_out_of_domain_points():
     state = ha.PoolState.anchored(1.0, 1.0, 1.0, 0.5)
-    bound = ha.max_x_bound(state.k, 1.0, 0.5)
+    bound = ha.max_x_bound(state)
     rows = ha.sweep_reserve_curve((1.0, 1.0, 1.0), [0.5], [1.0, bound * 1.5])
     assert rows[0][2] == pytest.approx(1.0, rel=1e-12)
     assert math.isnan(rows[1][2])
@@ -453,8 +453,8 @@ def test_sweep_marks_out_of_domain_points():
 @pytest.mark.parametrize("z", [0.0, 1e-300, 0.5, 1.0])
 def test_sweep_nan_markers_at_domain_edges(z):
     p = 1.0
-    k = ha.PoolState.anchored(1.0, 1.0, p, z).k
-    bound = ha.max_x_bound(k, p, z)
+    state = ha.PoolState.anchored(1.0, 1.0, p, z)
+    bound = ha.max_x_bound(state)
     # subnormal x overflows x**(z-1) for small z, which gives inf, not an error
     xs = [-1.0, -5e-324, 0.0, 5e-324, 1e-310, 1e-200, 0.1, 1.0, 1.5]
     if math.isfinite(bound):
@@ -465,7 +465,7 @@ def test_sweep_nan_markers_at_domain_edges(z):
         if x <= 0.0 or x >= bound:
             assert math.isnan(y)
         else:
-            assert y == ha.reserve_y(k, x, p, z)
+            assert y == ha.reserve_y(state, x)
 
 
 def test_sweep_validation():

@@ -168,7 +168,7 @@ def test_spot_after_below_double_range_is_admitted():
     # at subnormal z the bound lies near 6e162, where the true spot (~5e-332)
     # is below the smallest subnormal and rounds to 0
     state = ha.PoolState.anchored(1.0, 1.0, 0.01, 5e-324)
-    amount_in = 0.999999 * (ha.max_x_bound(state.k, state.p, state.z) - 1.0)
+    amount_in = 0.999999 * (ha.max_x_bound(state) - 1.0)
     result = ha.swap_exact_in(state, SELL_X, amount_in)
     assert result.spot_after == 0.0
     assert result.amount_in == amount_in
@@ -180,7 +180,7 @@ def test_spot_after_below_double_range_is_admitted():
 
 def test_sell_x_insolvency_reports_max_feasible():
     state = unit_pool(0.5)
-    bound = ha.max_x_bound(state.k, state.p, state.z)
+    bound = ha.max_x_bound(state)
     with pytest.raises(ha.InsolvencyError) as exc_info:
         ha.swap_exact_in(state, SELL_X, bound)  # x + bound > bound
     assert exc_info.value.max_amount_in == pytest.approx(bound - 1.0, rel=1e-12)
