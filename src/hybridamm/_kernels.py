@@ -252,7 +252,7 @@ def solve_delta_x(x, y, p, z, dy):
     t = abs(dy)
     c = z * p / (2.0 - z)
     a = y + c * x
-    spot = blend_spot(x, y, p, z)
+    spot = (1.0 - z) * (y / x) + z * p   # blend_spot, inlined
     if spot == 0.0:   # underflowed: no start for Newton, so trade inverts the curve
         return math.nan
     # The power term alone, and the linear term c*u alone, move Y by t at
@@ -320,7 +320,7 @@ def trade(x, y, p, z, k, sell_y, amount, exact_out):
     """
     if not exact_out and amount < DUST_REL * (y if sell_y else x):
         return x, y, 0.0, 0.0, 0.0, DUST
-    spot0 = blend_spot(x, y, p, z)
+    spot0 = (1.0 - z) * (y / x) + z * p   # blend_spot, inlined
     if exact_out == sell_y:
         dx = -amount if sell_y else amount
         x_new = x + dx

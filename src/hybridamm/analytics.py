@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .core import (PoolState, _anchor, _check_finite_positive, _check_mix, _check_residual,
-                   _check_solvent, _unchecked, reserve_y)
+from .core import (PoolState, _check_finite_positive, _check_mix, _check_residual,
+                   _check_solvent, _new, _past_range, reserve_y)
 from .errors import DomainError, UnsupportedConfigurationError
-from .swap import SwapResult, TradeDirection, swap_exact_in
+from .swap import _SELL_Y, SwapResult, TradeDirection, swap_exact_in
 
 __all__ = [
     "ILReport",
@@ -48,7 +48,9 @@ class ILReport:
     """Impermanent loss of one price move, in X-units per unit of initial x.
 
     ``il_paper`` is v_hold - v_pool (positive means the LP underperforms
-    holding); ``il_relative`` normalizes by v_hold.
+    holding); ``il_relative`` normalizes by v_hold.  Near z = 1 with rho
+    past about 9e307, 2*rho**(1/(2-z)) overflows: ``v_pool`` is then inf,
+    while ``il_paper`` and ``il_relative`` stay finite.
     """
 
     z: float
@@ -63,11 +65,25 @@ def il_closed_form(z: float, rho: float) -> ILReport:
     """Closed-form impermanent loss for a pool balanced at p0, moved to p1 = p0/rho."""
     z = _check_mix(z)
     rho = _check_finite_positive(rho, "rho")
-    v_pool = 2.0 * _rho_power(rho, z)
+    power = _rho_power(rho, z)
+    v_pool = 2.0 * power
     v_hold = 1.0 + rho
-    il = v_hold - v_pool
-    return _unchecked(ILReport, {"z": z, "rho": rho, "v_pool": v_pool, "v_hold": v_hold,
-                                 "il_paper": il, "il_relative": il / v_hold})
+    # near z = 1, 2*power overflows for rho past about 9e307, while power and the loss do not
+    il = v_hold - v_pool if v_pool < math.inf else (1.0 - power) + (rho - power)
+    return _il_report(z, rho, v_pool, v_hold, il)
+
+
+def _il_report(z: float, rho: float, v_pool: float, v_hold: float, il: float) -> ILReport:
+    """The report, built in place as ``core.PoolState.anchored`` builds a state."""
+    report = _new(ILReport)
+    fields = report.__dict__
+    fields["z"] = z
+    fields["rho"] = rho
+    fields["v_pool"] = v_pool
+    fields["v_hold"] = v_hold
+    fields["il_paper"] = il
+    fields["il_relative"] = il / v_hold
+    return report
 
 
 def rebalance_to_oracle(state: PoolState, p_new: float) -> PoolState:
@@ -79,7 +95,14 @@ def rebalance_to_oracle(state: PoolState, p_new: float) -> PoolState:
     """
     p_new = _check_finite_positive(p_new, "p_new")
     x, y = _rebalance(state.k, p_new, state.z)
-    return _unchecked(PoolState, {"x": x, "y": y, "p": p_new, "z": state.z, "k": state.k})
+    rebalanced = _new(PoolState)
+    fields = rebalanced.__dict__
+    fields["x"] = x
+    fields["y"] = y
+    fields["p"] = p_new
+    fields["z"] = state.z
+    fields["k"] = state.k
+    return rebalanced
 
 
 def _rebalance(k: float, p_new: float, z: float) -> tuple[float, float]:
@@ -109,14 +132,17 @@ def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
     p1 = _check_finite_positive(p1, "p1")
     z = _check_mix(z)
     y0 = _check_finite_positive(p0 * x0, "y")
-    k, power, linear = _anchor(x0, y0, p0, z)   # as PoolState.anchored, with no state built
+    # as PoolState.anchored, with no state built
+    power = _kernels.pow_zm1(x0, z)
+    linear = z * p0 * x0 / (2.0 - z)
+    k = (y0 + linear) / power
+    if k == 0.0 and power == math.inf:
+        raise _past_range(x0, z)
     _check_residual(x0, y0, p0, z, _check_finite_positive(k, "k"), power, linear)
     x1, y1 = _rebalance(k, p1, z)
     v_pool = (x1 + y1 / p1) / x0
     v_hold = (x0 + y0 / p1) / x0
-    il = v_hold - v_pool
-    return _unchecked(ILReport, {"z": z, "rho": p0 / p1, "v_pool": v_pool, "v_hold": v_hold,
-                                 "il_paper": il, "il_relative": il / v_hold})
+    return _il_report(z, p0 / p1, v_pool, v_hold, v_hold - v_pool)
 
 
 @dataclass(frozen=True)
@@ -133,6 +159,16 @@ class SlippageEstimate:
     exact: float | None = None
 
 
+def _estimate(dx: float, taylor: float, exact: float | None) -> SlippageEstimate:
+    """The estimate, built in place as ``core.PoolState.anchored`` builds a state."""
+    estimate = _new(SlippageEstimate)
+    fields = estimate.__dict__
+    fields["trade_size"] = dx
+    fields["taylor_second_derivative_form"] = taylor
+    fields["exact"] = exact
+    return estimate
+
+
 def _taylor(state: PoolState, dx: float) -> float:
     k, x, z = state.k, state.x, state.z
     d2y = _kernels.curve_d2y(k, x, state.p, z)   # callers have checked x below the bound
@@ -144,10 +180,11 @@ def _taylor(state: PoolState, dx: float) -> float:
 def slippage_taylor(state: PoolState, dx: float) -> SlippageEstimate:
     """Second-order Taylor prediction of trader slippage for buying with dx of X."""
     dx = _check_finite_positive(dx, "dx")
-    reserve_y(state, state.x + dx)   # insolvency check of x + dx >= x
-    return _unchecked(SlippageEstimate, {"trade_size": dx,
-                                         "taylor_second_derivative_form": _taylor(state, dx),
-                                         "exact": None})
+    x_new = state.x + dx
+    if x_new == math.inf:
+        raise DomainError(f"x + dx overflows: {state.x} + {dx} is past double range")
+    reserve_y(state, x_new)   # insolvency check of x + dx >= x
+    return _estimate(dx, _taylor(state, dx), None)
 
 
 def slippage_exact(state: PoolState, direction: TradeDirection,
@@ -158,10 +195,10 @@ def slippage_exact(state: PoolState, direction: TradeDirection,
     prediction is evaluated at the realized X output.
     """
     result: SwapResult = swap_exact_in(state, direction, amount_in)
-    if result.direction is TradeDirection.SELL_Y:   # a SELL_X swap has checked x + dx < bound
-        _check_solvent(state, state.x)
-    dx = amount_in if result.direction is TradeDirection.SELL_X else result.amount_out
-    return _unchecked(SlippageEstimate, {"trade_size": dx,
-                                         "taylor_second_derivative_form": _taylor(state, dx),
-                                         "exact": result.slippage_cost})
+    if result.direction is _SELL_Y:
+        _check_solvent(state, state.x)   # a SELL_X swap has checked x + dx < bound
+        dx = result.amount_out
+    else:
+        dx = amount_in
+    return _estimate(dx, _taylor(state, dx), result.slippage_cost)
 

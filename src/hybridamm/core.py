@@ -31,6 +31,11 @@ __all__ = [
 # On-curve residual admitted by PoolState, relative to the curve-term scale.
 _ON_CURVE_RTOL = 1e-12
 
+# Quote results are built without their dataclass __init__, which sets each
+# field through object.__setattr__: _new(cls), then one store per field into
+# the instance __dict__, in declaration order.
+_new = object.__new__
+
 
 def _check_finite_positive(value: float, name: str) -> float:
     value = float(value)
@@ -63,8 +68,10 @@ class PoolState:
     derives and the residual once each.  Swaps check what they change (the
     new reserves) and the residual.  Rebalancing reads y from the curve at
     its new x, so it checks the new reserves only.  All but the constructor
-    build the state with ``_unchecked``.  The curve queries take a state and
-    check only the x they are asked about.
+    build the state in place, without ``__init__``: ``_new(PoolState)``,
+    then one store per field into its ``__dict__``, in declaration order,
+    so ``vars()`` lists the fields as the constructor does.  The curve
+    queries take a state and check only the x they are asked about.
     """
 
     x: float
@@ -87,17 +94,20 @@ class PoolState:
         """Build a state from reserves, deriving k so the curve passes through (x, y)."""
         x, y = _check_finite_positive(x, "x"), _check_finite_positive(y, "y")
         p, z = _check_finite_positive(p, "p"), _check_mix(z)
-        k, power, linear = _anchor(x, y, p, z)
+        power = _kernels.pow_zm1(x, z)
+        linear = z * p * x / (2.0 - z)
+        k = (y + linear) / power   # as _kernels.curve_anchor
+        if k == 0.0 and power == math.inf:
+            raise _past_range(x, z)
         _check_residual(x, y, p, z, _check_finite_positive(k, "k"), power, linear)
-        return _unchecked(cls, {"x": x, "y": y, "p": p, "z": z, "k": k})
-
-
-def _unchecked(cls, fields: dict):
-    """Instance of the frozen dataclass ``cls`` whose __dict__ is the new dict ``fields``."""
-    # no check, and no __init__: it would set each field through object.__setattr__
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
+        state = _new(cls)
+        fields = state.__dict__
+        fields["x"] = x
+        fields["y"] = y
+        fields["p"] = p
+        fields["z"] = z
+        fields["k"] = k
+        return state
 
 
 def _check_residual(x: float, y: float, p: float, z: float, k: float,
@@ -116,15 +126,9 @@ def _check_residual(x: float, y: float, p: float, z: float, k: float,
         raise DomainError(message)
 
 
-def _anchor(x: float, y: float, p: float, z: float) -> tuple[float, float, float]:
-    """k, and the curve terms x**(z-1) and z*p*x/(2-z) it is built from."""
-    power = _kernels.pow_zm1(x, z)
-    linear = z * p * x / (2.0 - z)
-    k = (y + linear) / power   # as _kernels.curve_anchor
-    # x**(z-1) is inf at tiny x with small z, where k comes out 0
-    if k == 0.0 and power == math.inf:
-        raise DomainError(f"x**(z-1) is past double range at x={x!r}, z={z!r}")
-    return k, power, linear
+def _past_range(x: float, z: float) -> DomainError:
+    """The error of an anchor whose x**(z-1) is inf, at tiny x with small z, so k comes out 0."""
+    return DomainError(f"x**(z-1) is past double range at x={x!r}, z={z!r}")
 
 
 def max_x_bound(state: PoolState) -> float:

@@ -10,10 +10,12 @@ the trade.  A trade that takes more than half of the reserve it is paid from
 reads the new state from the curve instead.
 
 Who checks what: ``_swap`` checks the amount, the new reserves and that
-they lie on the curve, then builds the result with ``core._unchecked`` and
-runs ``SwapResult._check`` on it, the field check that the public
-``SwapResult(...)`` runs from ``__post_init__``.  The pool's own fields were
-checked when it was built and are not checked again.
+they lie on the curve.  It then builds the new state and the result in
+place, as ``PoolState.anchored`` builds a state: ``core._new``, then one
+store per field into the instance ``__dict__``, in declaration order, with
+no ``__init__``.  Last it runs ``SwapResult._check`` on the result, the field
+check that the public ``SwapResult(...)`` runs from ``__post_init__``.  The
+pool's own fields were checked when it was built and are not checked again.
 
 The reason codes of ``trade`` become exceptions: ``DUST`` and ``NO_MOVE`` a
 ``DomainError``, ``PAST_BOUND`` an ``InfeasibleTradeError`` and ``NO_ROOT`` a
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .core import PoolState, _check_finite_positive, _check_residual, _unchecked
+from .core import PoolState, _check_finite_positive, _check_residual, _new
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -50,6 +52,10 @@ class TradeDirection(enum.Enum):
 
     SELL_X = "sell-x"
     SELL_Y = "sell-y"
+
+
+# a module global is read faster than an enum member through its class
+_SELL_Y = TradeDirection.SELL_Y
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,9 @@ def swap_exact_in(state: PoolState, direction: TradeDirection, amount_in: float)
 
     Raises InsolvencyError (with the maximum feasible input attached) when the
     trade would exhaust the output reserve, and DomainError for dust inputs
-    below 1e-15 of the input-side reserve.
+    below 1e-15 of the input-side reserve, or where x + amount_in overflows
+    on a curve whose solvency bound is past double range (the z = 0 hyperbola
+    has none).
     """
     return _swap(state, direction, amount_in, False)
 
@@ -114,7 +122,7 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
         direction = TradeDirection(direction)
     amount = _check_finite_positive(amount, "amount_out" if exact_out else "amount_in")
     x, y, k, p, z = state.x, state.y, state.k, state.p, state.z
-    sell_y = direction is TradeDirection.SELL_Y
+    sell_y = direction is _SELL_Y
     if exact_out:
         reserve = x if sell_y else y
         if amount >= reserve * _EXACT_OUT_MARGIN:
@@ -138,6 +146,8 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
             max_in = bound - x
             insolvent = x + amount >= bound
         if insolvent:
+            if bound == math.inf:   # no bound in double range: x + amount overflows
+                raise DomainError(f"x + amount_in overflows: {x} + {amount} is past double range")
             sold, bought = ("Y", "X") if sell_y else ("X", "Y")
             raise InsolvencyError(
                 f"selling {amount} {sold} would exhaust the {bought} reserve "
@@ -166,14 +176,23 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
     x_new, y_new = _check_finite_positive(x_new, "x"), _check_finite_positive(y_new, "y")
     # where k or the spot price is subnormal, the trade and the curve round apart
     _check_residual(x_new, y_new, p, z, k, _kernels.pow_zm1(x_new, z), z * p * x_new / (2.0 - z))
-    # built without __init__, then checked as the public constructor checks it
-    return _unchecked(SwapResult, {
-        "direction": direction,
-        "amount_in": amount_in,
-        "amount_out": amount_out,
-        "exec_price": amount_in / amount_out if sell_y else amount_out / amount_in,
-        "spot_before": _kernels.blend_spot(x, y, p, z),
-        "spot_after": _kernels.blend_spot(x_new, y_new, p, z),
-        "slippage_cost": slippage,
-        "new_state": _unchecked(PoolState, {"x": x_new, "y": y_new, "p": p, "z": z, "k": k}),
-    })._check()
+    new_state = _new(PoolState)
+    fields = new_state.__dict__
+    fields["x"] = x_new
+    fields["y"] = y_new
+    fields["p"] = p
+    fields["z"] = z
+    fields["k"] = k
+    # built without __init__, then checked as the public constructor checks it;
+    # the spot prices are _kernels.blend_spot, inlined
+    result = _new(SwapResult)
+    fields = result.__dict__
+    fields["direction"] = direction
+    fields["amount_in"] = amount_in
+    fields["amount_out"] = amount_out
+    fields["exec_price"] = amount_in / amount_out if sell_y else amount_out / amount_in
+    fields["spot_before"] = (1.0 - z) * (y / x) + z * p
+    fields["spot_after"] = (1.0 - z) * (y_new / x_new) + z * p
+    fields["slippage_cost"] = slippage
+    fields["new_state"] = new_state
+    return result._check()

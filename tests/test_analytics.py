@@ -64,6 +64,20 @@ def test_il_relative_is_paper_over_hold(z, rho):
     assert report.il_paper == pytest.approx(report.v_hold - report.v_pool, abs=1e-15)
 
 
+def test_il_where_the_pool_value_overflows():
+    # 2*rho**(1/(2-z)) is past double range, and il_paper = 1 - rho is not
+    for rho in (8.99e307, 1e308, 1.7976931348623157e308):
+        report = ha.il_closed_form(1.0, rho)
+        assert report.v_pool == math.inf
+        assert report.v_hold == 1.0 + rho
+        assert report.il_paper == pytest.approx(1.0 - rho, rel=1e-13)
+        assert report.il_relative == pytest.approx(-1.0, rel=1e-13)
+    # just below the overflow, il_paper is still v_hold - v_pool
+    report = ha.il_closed_form(1.0, 8.98e307)
+    assert report.v_pool < math.inf
+    assert report.il_paper == report.v_hold - report.v_pool
+
+
 def test_il_z_monotonicity_both_regimes():
     grid = [round(0.1 * i, 1) for i in range(11)]
     rising = [ha.il_closed_form(z, 4.0).il_paper for z in grid]    # price fell, rho > 1

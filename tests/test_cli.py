@@ -145,6 +145,14 @@ def test_swap_insolvency_reports_max_feasible(capsys):
     assert "max feasible amount_in 1.519842099789746" in err
 
 
+def test_swap_whose_new_x_overflows(capsys):
+    # the z = 0 hyperbola has no solvency bound: the error is the overflow, not insolvency
+    code, out, err = run_cli(capsys, "swap", "--z", "0", "--anchor", "1e308,1,1",
+                             "--direction", "sell-x", "--amount-in", "1e308")
+    assert (code, out) == (1, "")
+    assert err == "error: x + amount_in overflows: 1e+308 + 1e+308 is past double range\n"
+
+
 def test_swap_usage_errors(capsys):
     assert run_cli(capsys, "swap", "--z", "0", "--anchor", "1,1,1",
                    "--direction", "sell-x")[0] == 2
@@ -177,6 +185,14 @@ def test_il_monotone_in_z(capsys):
     assert code == 0
     values = [row["il_paper"] for row in csv_rows(out)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_il_where_the_pool_value_overflows(capsys):
+    code, out, _ = run_cli(capsys, "il", "--z", "1", "--prices", "1e308,1")
+    assert code == 0
+    (row,) = csv_rows(out)
+    assert row["il_paper"] == pytest.approx(-1e308, rel=1e-13)
+    assert row["il_relative"] == pytest.approx(-1.0, rel=1e-13)
 
 
 def test_il_has_no_simulate_flag(capsys):

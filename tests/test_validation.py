@@ -89,6 +89,10 @@ CASES = {
     "in-spot-after-inf": (lambda: ha.swap_exact_in(ha.PoolState.anchored(1e-10, 1e298, 1.0, 0.0),
                                                    SY, 5e297), DomainError,
                           "swap produced non-finite or negative spot_after: inf"),
+    # the z = 0 hyperbola has no solvency bound, but x + amount_in is past double range
+    "in-new-x-overflows": (lambda: ha.swap_exact_in(ha.PoolState.anchored(1e308, 1.0, 1.0, 0.0),
+                                                    SX, 1e308), DomainError,
+                           "x + amount_in overflows: 1e+308 + 1e+308 is past double range"),
     # the spot price is subnormal, and the trade and the curve round apart
     "in-new-state-off-curve": (lambda: ha.swap_exact_in(ha.PoolState.anchored(5.6e253, 2e-65, 1.5e-11,
                                                                               2.2e-308), SX, 1e250),
@@ -116,12 +120,17 @@ CASES = {
     # slippage
     "taylor-dx-zero": (lambda: ha.slippage_taylor(S, 0.0), DomainError, positive("dx", 0.0)),
     "taylor-dx-nan": (lambda: ha.slippage_taylor(S, NAN), DomainError, positive("dx", NAN)),
+    # x + dx is past double range, where the z = 0 hyperbola has no bound
     "taylor-x-plus-dx-inf": (lambda: ha.slippage_taylor(ha.PoolState.anchored(1e308, 1.0, 1.0, 0.0),
-                                                         1e308), DomainError, positive("x", INF)),
+                                                         1e308), DomainError,
+                             "x + dx overflows: 1e+308 + 1e+308 is past double range"),
     "taylor-bound": (lambda: ha.slippage_taylor(LINE, 1.0), InsolvencyError,
                      bound(2.0, 2.0, 2.0, 1.0, 1.0)),
     "exact-neg": (lambda: ha.slippage_exact(S, SY, -1.0), DomainError, positive("amount_in", -1.0)),
     "exact-inf": (lambda: ha.slippage_exact(S, SX, INF), DomainError, positive("amount_in", INF)),
+    "exact-new-x-overflows": (lambda: ha.slippage_exact(ha.PoolState.anchored(1e308, 1.0, 1.0, 0.0),
+                                                        SX, 1e308), DomainError,
+                              "x + amount_in overflows: 1e+308 + 1e+308 is past double range"),
     # the SELL_Y swap succeeds; the Taylor term then finds x at the bound
     "exact-sell-y-at-bound": (lambda: ha.slippage_exact(AT_BOUND, SY, 0.5), InsolvencyError,
                               bound(1.0, 1.0, 1.0, 1.0, 1.0)),
