@@ -19,13 +19,16 @@ SELL_Y pays out all of X or more).  ``headroom`` is the largest input the
 pool can take.  The swaps turn the reasons into typed exceptions;
 ``run_steps`` counts a noise trade that did not execute as skipped.
 
-Curve family (mix parameter z in [0, 1], oracle price p, constant k):
+Curve family (mix parameter z in [0, 1], oracle price p): every kernel takes
+the point the pool is at, (x, y, p, z), and with c = z*p/(2-z), a = y + c*x,
 
-    y(x)  = k * x**(z-1) - z*p*x / (2-z)
-    y'(x) = k * (z-1) * x**(z-2) - z*p / (2-z)
-    y''(x)= k * (z-1) * (z-2) * x**(z-3)
+    y(x')  = a * (x'/x)**(z-1) - c*x'
+    y'(x') = a * (z-1) * (x'/x)**(z-1) / x' - c
+    y''(x')= a * (1-z) * (2-z) * (x'/x)**(z-1) / x'**2
 
-z = 0 is the constant-product curve x*y = k; z = 1 is the line y = k - p*x.
+z = 0 is the hyperbola x'*y' = x*y, z = 1 the line y' = y + p*(x - x').  The
+constant k = a * x**(1-z), which may leave double range where x, y and p do
+not, is no kernel's input.
 """
 
 from __future__ import annotations
@@ -72,28 +75,30 @@ def pow_zm1(x, z):
         return math.inf if x == 0.0 else math.nan
 
 
-def curve_anchor(x, y, p, z):
-    """Constant k of the curve through (x, y) at oracle price p."""
-    # k = (y + z*p*x/(2-z)) * x**(1-z); dividing by pow_zm1 keeps the
-    # anchoring round trip exact apart from two rounding steps.
-    return (y + z * p * x / (2.0 - z)) / pow_zm1(x, z)
+def pow_ratio(x_at, x, z):
+    """(x_at/x)**(z-1), by logs where x_at/x leaves double range although x_at does not."""
+    ratio = x_at / x
+    if not 2.0 ** -1022 <= ratio < math.inf and 0.0 < x_at < math.inf:
+        try:
+            return math.exp((z - 1.0) * (math.log(x_at) - math.log(x)))
+        except OverflowError:
+            return math.inf
+    return pow_zm1(ratio, z)
 
 
-def curve_y(k, x, p, z):
-    return k * pow_zm1(x, z) - z * p * x / (2.0 - z)
+def curve_y(x, y, p, z, x_at):
+    c = z * p / (2.0 - z)
+    return (y + c * x) * pow_ratio(x_at, x, z) - c * x_at
 
 
-def curve_dy(k, x, p, z):
-    return k * (z - 1.0) * (pow_zm1(x, z) / x) - z * p / (2.0 - z)
+def curve_dy(x, y, p, z, x_at):
+    c = z * p / (2.0 - z)
+    return (y + c * x) * (z - 1.0) * (pow_ratio(x_at, x, z) / x_at) - c
 
 
-def curve_d2y(k, x, p, z):
-    xx = x * x
-    if xx < 2.0 ** -1022:
-        # x*x underflows below x ~ 1.5e-154 and reaches 0 below ~ 1.5e-162;
-        # dividing by x twice gives inf (or -0.0 at z = 1), never 1/0 or nan
-        return k * (z - 1.0) * (z - 2.0) * pow_zm1(x, z) / x / x
-    return k * (z - 1.0) * (z - 2.0) * (pow_zm1(x, z) / xx)
+def curve_d2y(x, y, p, z, x_at):
+    c = z * p / (2.0 - z)
+    return (1.0 - z) * (2.0 - z) * (y + c * x) * (pow_ratio(x_at, x, z) / x_at) / x_at
 
 
 def blend_spot(x, y, p, z):
@@ -101,58 +106,59 @@ def blend_spot(x, y, p, z):
     return (1.0 - z) * (y / x) + z * p
 
 
-def solvency_bound(k, p, z):
-    """x where the Y reserve hits zero; +inf only for the z = 0 hyperbola."""
+def solvency_bound(x, y, p, z):
+    """x where Y hits zero on the curve through (x, y): x * (1 + y/(c*x))**(1/(2-z)),
+    above x for every y > 0, and +inf only at z = 0."""
     if z == 0.0:
         return math.inf
+    c = z * p / (2.0 - z)
     if z == 1.0:
-        return k / p
-    # Below z = 2**-53, 2 - z rounds to 2, so the bound is sqrt(2k/(zp)).  Here
-    # zp can underflow and 2k/(zp) overflow although the bound itself lies
-    # well inside double range (about 6.4e161 at z = 5e-324, k = p = 1);
-    # scaling z by 2**1000, which is exact, keeps the factors in range unless
-    # p is far from 1 as well.
-    small = z < 2.0 ** -53
-    den = z * 2.0 ** 1000 * p if small else z * p
-    # a subnormal k, denominator or quotient keeps only a few bits, so the
-    # fast path takes only normal ones
-    if k >= 2.0 ** -1022 and den >= 2.0 ** -1022:
-        b = (2.0 - z) * k / den
-        if 2.0 ** -1022 <= b < math.inf:
-            return math.sqrt(b) * 2.0 ** 500 if small else math.exp(math.log(b) / (2.0 - z))
-    if not k > 0.0:   # a trade that emptied Y re-anchors k to 0 or below: no curve
+        return (y + c * x) / c
+    if not y > -c * x:   # y + c*x <= 0, which a trade that emptied Y may leave: no curve
         return math.nan
-    # zp or b = (2-z)k/(zp) is subnormal or left double range (to 0 or to
-    # inf), although the bound b**(1/(2-z)) may lie inside it.
-    # With b = m * 2**e and m in (0.5, 8), e/(2-z) is split exactly into an
-    # integer q and a fraction: rounded as a float, it would move the bound
-    # by up to 1e-13 of itself.
-    (mk, ek), (mz, ez), (mp, ep) = math.frexp(k), math.frexp(z), math.frexp(p)
-    n, d = z.as_integer_ratio()
-    q, r = divmod((ek - ez - ep) * d, 2 * d - n)
-    m = (2.0 - z) * mk / (mz * mp)
+    # r = y/(c*x) directly only from a normal c and c*x: subnormal ones keep few bits
+    cx = c * x
+    r = y / cx if c >= 2.0 ** -1022 and 2.0 ** -1022 <= cx < math.inf else math.nan
+    if not r < math.inf:
+        # r = m * 2**e, m in (0.5, 16), formed exactly; past 2**60, where 1 + r is r,
+        # e/(2-z) is split exactly into an integer q and a fraction, e/2 below z = 2**-53
+        # (a float quotient would move the bound by up to 1e-13 of itself)
+        (mx, ex), (my, ey), (mz, ez), (mp, ep) = map(math.frexp, (x, y, z, p))
+        m = (2.0 - z) * my / (mz * mp * mx)
+        e = ey - ez - ep - ex
+        if e >= 60 and y != 0.0:   # frexp(0) gives no exponent
+            n, d = (0, 1) if 2.0 - z == 2.0 else z.as_integer_ratio()
+            q, rem = divmod(e * d, 2 * d - n)
+            try:
+                return math.ldexp(mx * 2.0 ** (rem / (2 * d - n)) * m ** (1.0 / (2.0 - z)), q + ex)
+            except OverflowError:
+                return math.inf
+        r = math.ldexp(m, e)
+    return x * math.exp(math.log1p(r) / (2.0 - z))
+
+
+def arb_target_x(x, y, p, z, p_new):
+    """x * r**(1/(2-z)), r = ((2-z)*y/x + z*p) / (2*p_new): where the spot price is p_new
+    on the curve through (x, y) at price p, its k kept (``arbitrage_step``: p_new = p).
+    nan at z = 1, where the price is p everywhere."""
+    if z == 1.0:
+        return math.nan
+    w = 2.0 - z
+    ratio = (w * (y / x) + z * p) / (2.0 * p_new)
+    if 2.0 ** -1022 <= ratio < math.inf:
+        return x * math.exp(math.log(ratio) / w)
+    # y/x, z*p or r left double range, although x* may lie inside it: r in logs
+    u = math.log(w) + math.log(y) - math.log(x)
+    v = math.log(z) + math.log(p) if z > 0.0 else -math.inf
+    log_ratio = max(u, v) + math.log1p(math.exp(-abs(u - v))) - math.log(2.0) - math.log(p_new)
     try:
-        return math.ldexp(2.0 ** (r / (2 * d - n)) * m ** (1.0 / (2.0 - z)), q)
+        return math.exp(math.log(x) + log_ratio / w)
     except OverflowError:
         return math.inf
 
 
-def arb_target_x(k, p, z):
-    """x on the (k, p, z) curve where the marginal price equals p.
-
-    Undefined at z = 1 (price is p everywhere); returns nan there, and where
-    (2-z)*k/(2p) underflows to 0.
-    """
-    if z == 1.0:
-        return math.nan
-    ratio = (2.0 - z) * k / (2.0 * p)
-    if ratio == 0.0:   # log would raise
-        return math.nan
-    return math.exp(math.log(ratio) / (2.0 - z))
-
-
-def invert_curve(k, p, z, y_target, lo, hi):
-    """Solve curve_y(k, x, p, z) == y_target for x in [lo, hi].
+def invert_curve(x, y, p, z, y_target, lo, hi):
+    """Solve curve_y(x, y, p, z, x_at) == y_target for x_at in [lo, hi].
 
     Requires a valid, finite bracket: curve_y(lo) >= y_target >= curve_y(hi)
     (the curve is strictly decreasing).  Bisection to a 1e-13 relative
@@ -164,8 +170,8 @@ def invert_curve(k, p, z, y_target, lo, hi):
     """
     if not lo <= hi < math.inf:
         return math.nan
-    f_lo = curve_y(k, lo, p, z) - y_target
-    f_hi = curve_y(k, hi, p, z) - y_target
+    f_lo = curve_y(x, y, p, z, lo) - y_target
+    f_hi = curve_y(x, y, p, z, hi) - y_target
     if f_lo < 0.0 or f_hi > 0.0:
         return math.nan
     if f_lo == 0.0:
@@ -185,7 +191,7 @@ def invert_curve(k, p, z, y_target, lo, hi):
         if b - a <= 1e-13 * mid:
             converged = True
             break
-        f_mid = curve_y(k, mid, p, z) - y_target
+        f_mid = curve_y(x, y, p, z, mid) - y_target
         if f_mid == 0.0:
             return mid
         if f_mid > 0.0:
@@ -194,25 +200,25 @@ def invert_curve(k, p, z, y_target, lo, hi):
             b = mid
     if not converged:
         return math.nan
-    x = 0.5 * (a + b)
+    root = 0.5 * (a + b)
     for _ in range(3):
-        d = curve_dy(k, x, p, z)
+        d = curve_dy(x, y, p, z, root)
         if d == 0.0 or not math.isfinite(d):
             break
-        x_next = x - (curve_y(k, x, p, z) - y_target) / d
-        if x_next <= a or x_next >= b:
+        root_next = root - (curve_y(x, y, p, z, root) - y_target) / d
+        if root_next <= a or root_next >= b:
             break
-        x = x_next
-    return x
+        root = root_next
+    return root
 
 
 def delta_y(x, y, p, z, dx):
     """Change of the Y reserve when X moves by dx (dx > -x) along the curve.
 
     Computed as (y + c*x) * expm1((z-1) * log1p(dx/x)) - c*dx with
-    c = z*p/(2-z), where y + c*x = k*x**(z-1) on the curve.  Both terms have
-    the sign of -dx, so nothing cancels and the result keeps its relative
-    accuracy for any trade, dust included; at z = 1 it is exactly -p*dx.
+    c = z*p/(2-z), the curve family's terms.  Both terms have the sign of
+    -dx, so nothing cancels and the result keeps its relative accuracy for
+    any trade, dust included; at z = 1 it is exactly -p*dx.
     """
     c = z * p / (2.0 - z)
     if dx > -0.5 * x:
@@ -283,18 +289,19 @@ def solve_delta_x(x, y, p, z, dy):
     return math.nan
 
 
-def headroom(x, y, p, z, k, sell_y):
+def headroom(x, y, p, z, sell_y):
     """Largest input the pool can take.
 
     X up to the solvency bound, or Y until X falls to X_FLOOR_REL of x.
     """
     if sell_y:
-        return curve_y(k, X_FLOOR_REL * x, p, z) - y
-    return solvency_bound(k, p, z) - x
+        c = z * p / (2.0 - z)
+        return (y + c * x) * pow_zm1(X_FLOOR_REL, z) - c * (X_FLOOR_REL * x) - y
+    return solvency_bound(x, y, p, z) - x
 
 
-def trade(x, y, p, z, k, sell_y, amount, exact_out):
-    """Trade X for Y (or Y for X, if ``sell_y``) on the (k, p, z) curve.
+def trade(x, y, p, z, sell_y, amount, exact_out):
+    """Trade X for Y (or Y for X, if ``sell_y``) on the curve through (x, y) at price p.
 
     ``amount`` is what the trader pays in, or with ``exact_out`` what they
     receive.  Returns ``(x_new, y_new, amount_in, amount_out, slippage,
@@ -327,7 +334,7 @@ def trade(x, y, p, z, k, sell_y, amount, exact_out):
         if x_new <= 0.0:   # an exact-out SELL_Y that pays out all of X
             return x, y, 0.0, 0.0, 0.0, PAST_BOUND
         dy = delta_y(x, y, p, z, dx)
-        y_new = y + dy if -dy <= 0.5 * y else curve_y(k, x_new, p, z)
+        y_new = y + dy if -dy <= 0.5 * y else curve_y(x, y, p, z, x_new)
         moved = y_new - y if sell_y else y - y_new
     else:
         dy = amount if sell_y else -amount
@@ -340,16 +347,12 @@ def trade(x, y, p, z, k, sell_y, amount, exact_out):
         if -dx <= 0.5 * x:
             x_new = x + dx
         elif sell_y:
-            x_new = invert_curve(k, p, z, y_new, X_FLOOR_REL * x, x)
+            x_new = invert_curve(x, y, p, z, y_new, X_FLOOR_REL * x, x)
         else:
-            hi = solvency_bound(k, p, z) * BOUND_REL
-            if curve_y(k, hi, p, z) > y_new:
+            hi = solvency_bound(x, y, p, z) * BOUND_REL
+            if curve_y(x, y, p, z, hi) > y_new:
                 return x, y, 0.0, 0.0, 0.0, PAST_BOUND
-            x_new = invert_curve(k, p, z, y_new, x, hi)
-            if math.isnan(x_new) and x + solve_delta_x(x, y, p, z, dy) == x:
-                # the X move is below the resolution of x, so the bracket
-                # held only the rounding of curve_y at x
-                x_new = x
+            x_new = invert_curve(x, y, p, z, y_new, x, hi)
         if not x_new > 0.0:   # nan, or 0 from a SELL_Y floor X_FLOOR_REL*x that underflows
             return x, y, 0.0, 0.0, 0.0, NO_ROOT
         moved = x - x_new if sell_y else x_new - x
@@ -360,20 +363,20 @@ def trade(x, y, p, z, k, sell_y, amount, exact_out):
     return x_new, y_new, amount_in, amount_out, 0.0 if slip < 0.0 else slip, EXECUTED
 
 
-def arbitrage_step(x, y, p, z, k):
+def arbitrage_step(x, y, p, z):
     """The arbitrageur's ``trade`` to x* = ``arb_target_x``, where the spot price is p.
 
     X out of the pool is an exact-out SELL_Y of |x* - x|, X in an exact-in
     SELL_X.  Returns ``(x_new, y_new, slippage, volume)``; the X volume is
     |x* - x| if ``trade`` executes, else 0.  There is no trade where x* is nan
-    (z = 1, or (2-z)*k/(2p) underflows) or inf, or within ``ARB_BAND_REL`` of x.
+    (z = 1) or inf, or within ``ARB_BAND_REL`` of x.
     """
-    x_star = arb_target_x(k, p, z)
+    x_star = arb_target_x(x, y, p, z, p)
     size = abs(x_star - x)
     if not ARB_BAND_REL * x < size < math.inf:
         return x, y, 0.0, 0.0
     sell_y = x_star < x
-    x_new, y_new, _, _, slip, reason = trade(x, y, p, z, k, sell_y, size, sell_y)
+    x_new, y_new, _, _, slip, reason = trade(x, y, p, z, sell_y, size, sell_y)
     return x_new, y_new, slip, size if reason == EXECUTED else 0.0
 
 
@@ -394,15 +397,15 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
               max_fraction):
     """Advance one pool through the full scenario; returns per-step metric arrays.
 
-    Per step: oracle update (re-anchor k at fixed reserves), arbitrage to the
-    oracle price (none at z = 1), then ``trades_per_step`` noise trades.
-    ``noise_frac`` holds pre-drawn lognormal size fractions laid out step-major,
-    ``noise_dir`` the matching directions (0 sells X, 1 sells Y).  Trades are
-    clamped to ``max_fraction`` of the input-side reserve and to
-    ``HEADROOM_SHARE`` of ``headroom``.  Every trade, the arbitrage included,
-    is executed by ``trade`` as ``swap_exact_in`` and ``swap_exact_out``
-    execute it; a trade whose reason is not ``EXECUTED`` is skipped; the
-    arbitrage is ``arbitrage_step``.
+    Per step: oracle update (the curve through the current reserves at the new
+    price), arbitrage to the oracle price (none at z = 1), then
+    ``trades_per_step`` noise trades.  ``noise_frac`` holds pre-drawn lognormal
+    size fractions laid out step-major, ``noise_dir`` the matching directions
+    (0 sells X, 1 sells Y).  Trades are clamped to ``max_fraction`` of the
+    input-side reserve and to ``HEADROOM_SHARE`` of ``headroom``.  Every trade,
+    the arbitrage included, is executed by ``trade`` as ``swap_exact_in`` and
+    ``swap_exact_out`` execute it; a trade whose reason is not ``EXECUTED`` is
+    skipped; the arbitrage is ``arbitrage_step``.
 
     The loop records x, y, the last trade's slippage and the cumulative X
     volume per step, and ``derived_columns`` adds the rest.  Returns ``(spot,
@@ -421,11 +424,10 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
     skipped = 0
 
     for t, p in enumerate(prices.tolist()):
-        k = curve_anchor(x, y, p, z)
         last_slip = 0.0
 
         if do_arb:
-            x, y, last_slip, traded = arbitrage_step(x, y, p, z, k)
+            x, y, last_slip, traded = arbitrage_step(x, y, p, z)
             volume += traded
 
         for j in range(trades_per_step):
@@ -438,7 +440,7 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
                 frac = max_fraction
                 clamped += 1
             amount_in = frac * (y if sell_y else x)
-            cap = HEADROOM_SHARE * headroom(x, y, p, z, k, sell_y)
+            cap = HEADROOM_SHARE * headroom(x, y, p, z, sell_y)
             if cap <= 0.0:
                 skipped += 1
                 continue
@@ -446,7 +448,7 @@ def run_steps(x0, y0, z, prices, do_arb, noise_frac, noise_dir, trades_per_step,
                 amount_in = cap
                 clamped += 1
             x_new, y_new, amount_in, amount_out, slip, reason = trade(
-                x, y, p, z, k, sell_y, amount_in, False)
+                x, y, p, z, sell_y, amount_in, False)
             if reason != EXECUTED:
                 skipped += 1
                 continue
@@ -550,7 +552,7 @@ def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction)
         x, y = gx, gy
         reserve = np.where(sell_y, y, x)
         amount = np.minimum(frac, max_fraction) * reserve
-        # headroom's curve, relative to the current reserves: no k
+        # headroom, written elementwise
         cap = HEADROOM_SHARE * np.where(
             sell_y, (y + c * x) * floor_power - c * (X_FLOOR_REL * x) - y,
             x * np.power(1.0 + y / (c * x), 1.0 / (2.0 - z)) - x)
@@ -568,10 +570,9 @@ def _unit_trades(z, steps, fractions, directions, trades_per_step, max_fraction)
         rare = tried & ~(out <= 0.5 * np.where(sell_y, x, y))
         x_rare, y_rare = np.empty_like(x), np.empty_like(y)
         for i, t in np.argwhere(rare).tolist():
-            zi = z[i, 0].item()
             x_rare[i, t], y_rare[i, t], _, out[i, t], s[i, t], reason = trade(
-                x[i, t].item(), y[i, t].item(), 1.0, zi, curve_anchor(1.0, 1.0, 1.0, zi),
-                bool(sell_y[t]), amount[i, t].item(), False)
+                x[i, t].item(), y[i, t].item(), 1.0, z[i, 0].item(), bool(sell_y[t]),
+                amount[i, t].item(), False)
             executed[i, t] = reason == EXECUTED
         out = np.where(executed, out, 0.0)
         amount = np.where(executed, amount, 0.0)

@@ -94,7 +94,7 @@ def rebalance_to_oracle(state: PoolState, p_new: float) -> PoolState:
     the line and no finite rebalancing point exists.
     """
     p_new = _check_finite_positive(p_new, "p_new")
-    x, y = _rebalance(state.k, p_new, state.z)
+    x, y = _rebalance(state.x, state.y, state.p, state.z, p_new)
     rebalanced = _new(PoolState)
     fields = rebalanced.__dict__
     fields["x"] = x
@@ -105,19 +105,16 @@ def rebalance_to_oracle(state: PoolState, p_new: float) -> PoolState:
     return rebalanced
 
 
-def _rebalance(k: float, p_new: float, z: float) -> tuple[float, float]:
-    """Checked reserves on the (k, z) curve where the spot price is p_new."""
+def _rebalance(x: float, y: float, p: float, z: float, p_new: float) -> tuple[float, float]:
+    """Checked reserves where the spot price is p_new, on the curve through (x, y) at
+    oracle price p with its k kept: x* from ``_kernels.arb_target_x``, and y* = p_new*x*."""
     if z == 1.0:
         raise UnsupportedConfigurationError(
             "rebalance_to_oracle is undefined at z = 1: the curve quotes the oracle "
             "price at every point"
         )
-    x_star = _kernels.arb_target_x(k, p_new, z)
-    if math.isnan(x_star):
-        raise DomainError(f"cannot rebalance the (k={k}, z={z}) curve to p={p_new}: "
-                          f"(2-z)*k/(2*p) underflows to 0")
-    y_star = _kernels.curve_y(k, x_star, p_new, z)
-    return _check_finite_positive(x_star, "x"), _check_finite_positive(y_star, "y")
+    x_star = _check_finite_positive(_kernels.arb_target_x(x, y, p, z, p_new), "x")
+    return x_star, _check_finite_positive(p_new * x_star, "y")
 
 
 def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
@@ -139,7 +136,7 @@ def il_simulated(x0: float, p0: float, p1: float, z: float) -> ILReport:
     if k == 0.0 and power == math.inf:
         raise _past_range(x0, z)
     _check_residual(x0, y0, p0, z, _check_finite_positive(k, "k"), power, linear)
-    x1, y1 = _rebalance(k, p1, z)
+    x1, y1 = _rebalance(x0, y0, p0, z, p1)
     v_pool = (x1 + y1 / p1) / x0
     v_hold = (x0 + y0 / p1) / x0
     return _il_report(z, p0 / p1, v_pool, v_hold, v_hold - v_pool)
@@ -170,11 +167,10 @@ def _estimate(dx: float, taylor: float, exact: float | None) -> SlippageEstimate
 
 
 def _taylor(state: PoolState, dx: float) -> float:
-    k, x, z = state.k, state.x, state.z
-    d2y = _kernels.curve_d2y(k, x, state.p, z)   # callers have checked x below the bound
-    if d2y == math.inf:   # x**(z-3) overflows at tiny x although x**(z-3)*dx may not
-        return 0.5 * k * (z - 1.0) * (z - 2.0) * (_kernels.pow_zm1(x, z) / x) * (dx / x)
-    return 0.5 * d2y * dx
+    # 1/2*y''*dx at the pool's x, y'' = (1-z)*(2-z)*((y + c*x)/x)/x: times dx/x, no x*x
+    x, y, z = state.x, state.y, state.z
+    c = z * state.p / (2.0 - z)
+    return 0.5 * (1.0 - z) * (2.0 - z) * ((y + c * x) / x) * (dx / x)
 
 
 def slippage_taylor(state: PoolState, dx: float) -> SlippageEstimate:

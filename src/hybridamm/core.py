@@ -66,12 +66,14 @@ class PoolState:
     residual, since its caller may pass any k.  :meth:`anchored`, which an
     oracle tick re-runs at the new price, checks x, y, p, z, the k it
     derives and the residual once each.  Swaps check what they change (the
-    new reserves) and the residual.  Rebalancing reads y from the curve at
-    its new x, so it checks the new reserves only.  All but the constructor
-    build the state in place, without ``__init__``: ``_new(PoolState)``,
-    then one store per field into its ``__dict__``, in declaration order,
-    so ``vars()`` lists the fields as the constructor does.  The curve
-    queries take a state and check only the x they are asked about.
+    new reserves) and the residual.  Rebalancing sets y = p_new*x, where the
+    spot price is p_new, so it checks the new reserves only.  All but the
+    constructor build the state in place, without ``__init__``:
+    ``_new(PoolState)``, then one store per field into its ``__dict__``, in
+    declaration order, so ``vars()`` lists the fields as the constructor
+    does.  The curve queries take a state and check only the x they are
+    asked about.  k is checked and carried, but no curve is computed from
+    it: every curve is the one through the state's reserves, (x, y, p, z).
     """
 
     x: float
@@ -96,7 +98,7 @@ class PoolState:
         p, z = _check_finite_positive(p, "p"), _check_mix(z)
         power = _kernels.pow_zm1(x, z)
         linear = z * p * x / (2.0 - z)
-        k = (y + linear) / power   # as _kernels.curve_anchor
+        k = (y + linear) / power
         if k == 0.0 and power == math.inf:
             raise _past_range(x, z)
         _check_residual(x, y, p, z, _check_finite_positive(k, "k"), power, linear)
@@ -134,22 +136,22 @@ def _past_range(x: float, z: float) -> DomainError:
 def max_x_bound(state: PoolState) -> float:
     """Solvency bound of the state's curve: the x where the Y reserve is exhausted.
 
-    Returns ((2-z)*k/(z*p))**(1/(2-z)) for z > 0 and +inf for z = 0
-    (the hyperbola never exhausts Y).
+    Returns x*(1 + y/(c*x))**(1/(2-z)), c = z*p/(2-z), for z > 0 and +inf
+    for z = 0 (the hyperbola never exhausts Y).
     """
-    return _kernels.solvency_bound(state.k, state.p, state.z)
+    return _kernels.solvency_bound(state.x, state.y, state.p, state.z)
 
 
-def _check_solvent(state: PoolState, x: float) -> tuple[float, float, float, float]:
-    """(k, x, p, z) of the state's curve at x, once x is below its solvency bound."""
+def _check_solvent(state: PoolState, x: float) -> tuple[float, float, float, float, float]:
+    """The state's point and x, the arguments of a curve kernel, once x is below the bound."""
     k, p, z = state.k, state.p, state.z
-    bound = _kernels.solvency_bound(k, p, z)
+    bound = _kernels.solvency_bound(state.x, state.y, p, z)
     if x >= bound:
         raise InsolvencyError(
             f"x={x} is at or past the solvency bound {bound} of the (k={k}, p={p}, z={z}) curve",
             bound=bound,
         )
-    return k, x, p, z
+    return state.x, state.y, p, z, x
 
 
 def reserve_y(state: PoolState, x: float) -> float:

@@ -292,7 +292,7 @@ def sweep_reserve_curve(anchor: tuple[float, float, float], z_values: Sequence[f
     rows: list[tuple[float, float, float]] = []
     for z in zs:
         state = PoolState.anchored(*anchor, z)
-        k, p, bound = state.k, state.p, max_x_bound(state)
-        rows.extend((z, x, _kernels.curve_y(k, x, p, z) if 0.0 < x < bound else math.nan)
+        point, bound = (state.x, state.y, state.p, z), max_x_bound(state)
+        rows.extend((z, x, _kernels.curve_y(*point, x) if 0.0 < x < bound else math.nan)
                     for x in xs.tolist())
     return rows

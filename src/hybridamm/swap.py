@@ -131,7 +131,7 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
                 max_amount_out=reserve * _EXACT_OUT_MARGIN,
             )
     x_new, y_new, amount_in, amount_out, slippage, reason = _kernels.trade(
-        x, y, p, z, k, sell_y, amount, exact_out)
+        x, y, p, z, sell_y, amount, exact_out)
     # dust is reported before insolvency; an insolvent trade's result is discarded
     if reason == _kernels.DUST:
         raise DomainError(f"amount_in={amount} is dust below 1e-15 of the "
@@ -139,10 +139,10 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
     if not exact_out:
         if sell_y:
             bound = None
-            max_in = _kernels.headroom(x, y, p, z, k, True)
+            max_in = _kernels.headroom(x, y, p, z, True)
             insolvent = amount >= max_in
         else:
-            bound = _kernels.solvency_bound(k, p, z)
+            bound = _kernels.solvency_bound(x, y, p, z)
             max_in = bound - x
             insolvent = x + amount >= bound
         if insolvent:
@@ -161,12 +161,12 @@ def _swap(state: PoolState, direction: TradeDirection, amount: float, exact_out:
     if reason != _kernels.EXECUTED:
         # only the Y-fixed trades invert the curve: SELL_Y in, SELL_X out
         lo, hi = ((_kernels.X_FLOOR_REL * x, x) if sell_y
-                  else (x, _kernels.solvency_bound(k, p, z) * _kernels.BOUND_REL))
+                  else (x, _kernels.solvency_bound(x, y, p, z) * _kernels.BOUND_REL))
         if reason == _kernels.PAST_BOUND:
             raise InfeasibleTradeError(
                 f"paying out {amount} Y would land beyond numerical resolution "
                 f"of the solvency bound",
-                max_amount_out=y - _kernels.curve_y(k, hi, p, z),
+                max_amount_out=y - _kernels.curve_y(x, y, p, z, hi),
             )
         raise ConvergenceError(
             f"curve inversion failed for y={y + amount if sell_y else y - amount} on "

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -227,11 +228,14 @@ def test_slippage_taylor_rejects_insolvent_size():
        frac=st.floats(1e-3, 0.5))
 def test_taylor_forms_agree(x, y, p, z, frac):
     state = ha.PoolState.anchored(x, y, p, z)
-    bound = _kernels.solvency_bound(state.k, p, z)
+    bound = _kernels.solvency_bound(x, y, p, z)
     cap = x if math.isinf(bound) else min(x, 0.9 * (bound - x))
     dx = frac * cap
     estimate = ha.slippage_taylor(state, dx)
-    expected = 0.5 * ha.d2y_dx2(state, x) * dx
+    # 1/2*y''(x)*dx with y''(x) = (1-z)*(2-z)*((y + c*x)/x)/x, which d2y_dx2 gives at
+    # the pool's own x, and dx/x taken first, so no x*x is formed
+    c = z * p / (2.0 - z)
+    expected = 0.5 * (1.0 - z) * (2.0 - z) * ((y + c * x) / x) * (dx / x)
     assert estimate.taylor_second_derivative_form == expected
     assert estimate.taylor_second_derivative_form >= 0.0
     # the expanded form 1/2*dx*(z-2)/x*(y' + z*p/(2-z)) cancels to 0 as z -> 1,
@@ -280,3 +284,54 @@ def test_slippage_exact_sell_y_uses_realized_displacement():
     estimate = ha.slippage_exact(state, TradeDirection.SELL_Y, 0.1)
     assert estimate.trade_size == result.amount_out
     assert estimate.exact == result.slippage_cost
+
+
+def test_rebalance_where_the_k_form_underflowed():
+    # (2-z)*k/(2*p_new) underflows to 0, where the k form raised "underflows to 0"; from the
+    # pool's point, x* = x*r**(1/(2-z)) with r = ((2-z)*y/x + z*p)/(2*p_new) = 2.5e-101,
+    # and y* = p_new*x*.  exp(log(r)/(2-z)) turns the rounding of log(r) = -231 into
+    # about 1e-14 of x*
+    x, y, p, z, p_new = 1e-200, 1e-300, 1e200, 0.5, 1e300
+    rebalanced = ha.rebalance_to_oracle(ha.PoolState.anchored(x, y, p, z), p_new)
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        x_star = x * (((2 - zm) * y / mpmath.mpf(x) + zm * p) / (2 * p_new)) ** (1 / (2 - zm))
+        for got, want in ((rebalanced.x, x_star), (rebalanced.y, p_new * x_star)):
+            assert abs(got - want) <= 1e-13 * want
+    assert rebalanced.x == pytest.approx(8.55e-268, rel=1e-3)
+
+
+# Golden quote requests (tests/test_quote_golden.py) whose Taylor term was inf, as
+# x**(z-3) overflowed at tiny x, or 0, as it underflowed at huge x: (x, y, p, z, sell_y,
+# amount_in)
+TAYLOR_EDGES = {
+    "wide-36": (9.306588853065782e-212, 7.780187465231981e-35, 3567.3251123783884, 2.2e-308,
+                False, 6.0707428783287644e-226),
+    "wide-101": (1.4615113883598435e-267, 1.3739781789124773e-167, 4.5305895924806505e-235, 0.6,
+                 True, 1.0698330790516265e-170),
+    "wide-157": (4.7646005907185095e-196, 3.628466821510011e-43, 8.208249462337247e+148, 2.2e-308,
+                 True, 1.3114413848940243e-54),
+    "wide-431": (2.0177116586315892e-188, 2.0259254499206624e-23, 1.0339131770799007e+271, 5e-324,
+                 False, 1.4294070985843277e-202),
+    "wide-471": (3.796946846618078e-210, 3.3037568752571713e+40, 4.6216777458872446e+291, 0.0,
+                 True, 9.569291754845236e+25),
+    "wide-472": (1.1593082375515215e-159, 1.149534494190312e+104, 5.376047864677402e-230, 5e-324,
+                 True, 3.5883431636549307e+95),
+    "wide-39": (1.589098228360417e+161, 6.057169793358611e+254, 426789952520247.9, 0.9,
+                True, 7.439361616313489e+246),
+    "wide-452": (9.62427384289578e+175, 3.708289481158467e+237, 2.242018168440862e-141, 0.6,
+                 False, 2.4592784509748048e+173),
+}
+
+
+@pytest.mark.parametrize("request_id", sorted(TAYLOR_EDGES))
+def test_taylor_term_at_the_edges_of_double_range(request_id):
+    # 1/2*y''(x)*dx with y''(x) = (1-z)*(2-z)*(y + c*x)/x**2, dx being the X traded
+    x, y, p, z, sell_y, amount = TAYLOR_EDGES[request_id]
+    direction = TradeDirection.SELL_Y if sell_y else TradeDirection.SELL_X
+    estimate = ha.slippage_exact(ha.PoolState.anchored(x, y, p, z), direction, amount)
+    with mpmath.workdps(50):
+        xm, zm = mpmath.mpf(x), mpmath.mpf(z)
+        c = zm * p / (2 - zm)
+        want = (1 - zm) * (2 - zm) * (y + c * xm) / xm ** 2 * estimate.trade_size / 2
+        assert abs(estimate.taylor_second_derivative_form - want) <= 4 * math.ulp(float(want))

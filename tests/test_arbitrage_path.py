@@ -349,13 +349,13 @@ def test_noise_pools_match_the_reference(case):
 
 def test_the_closed_form_runs_no_scalar_kernel(monkeypatch):
     """An unbalanced start with noise trades, none of which pays out half of a reserve,
-    runs without ``arbitrage_step``, ``curve_anchor``, ``trade`` or ``run_steps``."""
+    runs without ``arbitrage_step``, ``trade`` or ``run_steps``."""
     config = ScenarioConfig.from_dict(dict(NOISE_JUDGE["gbm-200"], x0=3.0, y0=0.7))
 
     def scalar(*args):
         raise AssertionError("a scalar kernel ran")
 
-    for name in ("arbitrage_step", "curve_anchor", "trade", "run_steps"):
+    for name in ("arbitrage_step", "trade", "run_steps"):
         monkeypatch.setattr(_kernels, name, scalar)
     closed = _kernels.arbitrage_path(config.x0, config.y0, config.z_values, config.path.prices,
                                      *noise_draws(config))
@@ -600,10 +600,10 @@ def test_repeated_prices_leave_the_pool_alone():
 
 
 def test_a_pool_the_closed_form_leaves_out_steps_through_run_steps():
-    # (2-z)*k/(2p) underflows at z = 0.5, so the re-anchored curve has no target; the
-    # closed form needs no k and moves the pool to x* = 3.97e-218
+    # (2-z)*k/(2p) underflows at z = 0.5, where the k form found no target; the closed
+    # form and the scalar target, both from the pool's point, move the pool to x* = 3.97e-218
     x0, y0, p = 1e-217, 1e-200, 1e100
-    assert math.isnan(_kernels.arb_target_x(_kernels.curve_anchor(x0, y0, p, 0.5), p, 0.5))
+    x_star = _kernels.arb_target_x(x0, y0, p, 0.5, p)
     prices = np.full(3, p)
     zs = (0.5, 0.99, 1.0)
     runs, stepped = routed_runs(ScenarioConfig(x0=x0, y0=y0, z_values=zs,
@@ -611,6 +611,7 @@ def test_a_pool_the_closed_form_leaves_out_steps_through_run_steps():
     # the z = 1 pool has no arbitrage, so it steps, and the z < 1 pools do not
     assert stepped == [1.0]
     assert column(runs[0], "reserve_x")[0] == pytest.approx(3.97e-218, rel=1e-3)
+    assert column(runs[0], "reserve_x")[0] == pytest.approx(x_star, rel=1e-15)
     for run in runs[:2]:
         x_hi, x_lo, y_hi, y_lo, slip, _ = reference_path(x0, y0, run.z, mp_prices(prices))
         assert rel_err(column(run, "reserve_x"), x_hi, x_lo).max() <= 2.5e-15, run.z
@@ -620,8 +621,9 @@ def test_a_pool_the_closed_form_leaves_out_steps_through_run_steps():
 
 
 # starts whose re-anchored arbitrage target (2-z)*k/(2p) leaves double range: inf for A and
-# nan for B.  run_steps skips every such arbitrage, and run_scenario once recomputed these
-# pools with it after their closed-form columns overflowed, writing x0 on every row
+# nan for B.  run_steps, with k, once skipped every such arbitrage, and run_scenario once
+# recomputed these pools with it after their closed-form columns overflowed, writing x0 on
+# every row
 SKIPPED_STARTS = {
     "A": {"x0": 4.691087310167731e+47, "y0": 4.313763165957766e+210, "p0": 6.701491293113275e-88,
           "z_values": [0.6637327805734813], "steps": 323,
@@ -635,12 +637,16 @@ SKIPPED_STARTS = {
 @pytest.mark.parametrize("case", sorted(SKIPPED_STARTS))
 def test_an_arbitrage_run_steps_skips_takes_the_closed_form(case):
     """x and y within 1e-13 of the reference, in units of the pool value, and a step-0 trade.
-    B's step-0 slippage is inf, priced against y0/x0 = 1.2e365 (FOUND 69)."""
+    B's step-0 slippage is inf, priced against y0/x0 = 1.2e365 (FOUND 69).  The scalar
+    target, from the start's point, no longer leaves double range."""
     config = ScenarioConfig.from_dict(SKIPPED_STARTS[case])
     z, prices = config.z_values[0], config.path.prices
     p0 = float(prices[0])
-    k = _kernels.curve_anchor(config.x0, config.y0, p0, z)
-    assert not math.isfinite(_kernels.arb_target_x(k, p0, z))
+    with mpmath.workdps(50):
+        x0, zm = mpmath.mpf(config.x0), mpmath.mpf(z)
+        x_star = x0 * (((2 - zm) * config.y0 / (p0 * x0) + zm) / 2) ** (1 / (2 - zm))
+        got = _kernels.arb_target_x(config.x0, config.y0, p0, z, p0)
+        assert abs(got - x_star) <= 1e-13 * x_star
     (run,), stepped = routed_runs(config)
     assert stepped == []
     reference = reference_path(config.x0, config.y0, z, mp_prices(prices))
@@ -717,7 +723,7 @@ def test_arbitrage_dead_band_on_a_balanced_start(z):
     for x, p in ((1.0, 1.0), (1000.0, 1.7), (3e-5, 2e4), (2.5, 0.01)):
         for gap, in_band in ((0.0, True), (1e-12, True), (4e-12, False)):
             y = p * x * (1.0 + gap)
-            step = _kernels.arbitrage_step(x, y, p, z, _kernels.curve_anchor(x, y, p, z))
+            step = _kernels.arbitrage_step(x, y, p, z)
             if in_band:
                 assert step == (x, y, 0.0, 0.0), (x, p, gap)
             else:
@@ -729,20 +735,20 @@ def test_arbitrage_dead_band_on_a_balanced_start(z):
 
 
 def test_arbitrage_step_without_a_target():
-    # (2-z)*k/(2p) underflows at z = 0.5, and z = 1 has no target at all
+    # z = 1 has no target at all; at z = 0.5, where (2-z)*k/(2p) underflows, the
+    # target from the pool's point is x* = 3.97e-218, and the arbitrage trades to it
     x, y, p = 1e-217, 1e-200, 1e100
-    for z in (0.5, 1.0):
-        k = _kernels.curve_anchor(x, y, p, z)
-        assert _kernels.arbitrage_step(x, y, p, z, k) == (x, y, 0.0, 0.0)
+    assert _kernels.arbitrage_step(x, y, p, 1.0) == (x, y, 0.0, 0.0)
+    x_new, _, _, volume = _kernels.arbitrage_step(x, y, p, 0.5)
+    assert x_new == pytest.approx(3.97e-218, rel=1e-3) and volume == x - x_new
 
 
 @pytest.mark.parametrize("z", [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -52])
 def test_arbitrage_volume_is_the_requested_size(z):
     # X out of the pool (an exact-out SELL_Y) and X in (an exact-in SELL_X)
     for x0, y0 in ((1000.0, 1300.0), (1000.0, 700.0), (2.0, 0.5)):
-        k = _kernels.curve_anchor(x0, y0, 1.0, z)
-        size = abs(_kernels.arb_target_x(k, 1.0, z) - x0)
-        *_, volume = _kernels.arbitrage_step(x0, y0, 1.0, z, k)
+        size = abs(_kernels.arb_target_x(x0, y0, 1.0, z, 1.0) - x0)
+        *_, volume = _kernels.arbitrage_step(x0, y0, 1.0, z)
         result = _kernels.run_steps(x0, y0, z, np.ones(1), True, np.zeros(0), np.zeros(0),
                                     0, 0.0)
         assert size > 0.0 and volume == size == result[7][0], (x0, y0)

@@ -233,6 +233,15 @@ def test_slippage_full_mix_is_zero(capsys):
     assert row["exact"] == 0.0
 
 
+def test_slippage_full_mix_taylor_is_plus_zero(capsys):
+    # (1-z)*(2-z)*((y + c*x)/x)*(dx/x) is +0 at z = 1; k*(z-1)*(z-2)*x**(z-3) was -0
+    code, out, _ = run_cli(capsys, "slippage", "--z", "1", "--anchor", "1,1,1",
+                           "--dx-grid", "0.1:0.1:1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "z,dx,taylor,exact" and lines[1].split(",")[2] == "0"
+
+
 def test_slippage_marks_infeasible_rows(capsys):
     code, out, _ = run_cli(capsys, "slippage", "--z", "0.5",
                            "--dx-grid", "5:5:1", "--anchor", "1,1,1")

@@ -1,6 +1,7 @@
 """Kernel contract: flags, nan sentinels, mpmath references, and one trade engine.
 
-The kernels are plain Python.  Inversion and the delta kernels are checked
+The kernels are plain Python, and each takes the pool's point (x, y, p, z),
+never a curve constant k.  Inversion and the delta kernels are checked
 against mpmath or exact curve points, and ``run_steps`` is replayed step by
 step through the public API (``PoolState.anchored``, ``rebalance_to_oracle``
 for the arbitrage target only, ``swap_exact_in`` and ``swap_exact_out``),
@@ -10,6 +11,7 @@ clamped to ``headroom``.  How each ``trade`` reason code maps to an exception
 and to a skipped trade is checked in ``test_swap.py::test_dust_trades_rejected``.
 """
 
+import inspect
 import math
 import sys
 
@@ -55,34 +57,45 @@ def test_module_flags():
     assert len(set(reasons)) == 5
 
 
+def test_no_kernel_takes_k():
+    # every curve kernel takes the point it is at, (x, y, p, z): the curve constant k,
+    # which leaves double range where x, y and p do not, is no kernel's input
+    kernels = [f for _, f in inspect.getmembers(_kernels, inspect.isfunction)
+               if f.__module__ == _kernels.__name__]
+    assert len(kernels) >= 15
+    assert [f.__name__ for f in kernels if "k" in inspect.signature(f).parameters] == []
+    assert not hasattr(_kernels, "curve_anchor")
+
+
 def test_invert_accuracy():
     xs, ys, ps, zs = sample_states(n=120, seed=23)
     rng = np.random.Generator(np.random.PCG64(99))
     for x, y, p, z in zip(xs, ys, ps, zs):
-        k = _kernels.curve_anchor(x, y, p, z)
         x_true = x * rng.uniform(0.2, 0.95)
-        y_target = _kernels.curve_y(k, x_true, p, z)
-        got = _kernels.invert_curve(k, p, z, y_target, x * 1e-12, x)
+        y_target = _kernels.curve_y(x, y, p, z, x_true)
+        got = _kernels.invert_curve(x, y, p, z, y_target, x * 1e-12, x)
         assert got == pytest.approx(x_true, rel=1e-12)
 
 
 def test_invert_returns_nan_outside_bracket():
-    k = _kernels.curve_anchor(1.0, 1.0, 1.0, 0.5)
-    y_above_range = _kernels.curve_y(k, 0.05, 1.0, 0.5)
-    assert math.isnan(_kernels.invert_curve(k, 1.0, 0.5, y_above_range, 0.5, 1.0))
+    y_above_range = _kernels.curve_y(1.0, 1.0, 1.0, 0.5, 0.05)
+    assert math.isnan(_kernels.invert_curve(1.0, 1.0, 1.0, 0.5, y_above_range, 0.5, 1.0))
 
 
 # ------------------------------------------------------------- nan sentinels
 
 
 def test_sentinels():
-    assert math.isnan(_kernels.arb_target_x(2.0, 1.0, 1.0))
-    assert math.isinf(_kernels.solvency_bound(1.0, 1.0, 0.0))
-    assert _kernels.solvency_bound(2.0, 1.0, 1.0) == 2.0
-    # a trade that emptied Y re-anchors k to 0 or below, where no curve has a
-    # bound; k = -6.2e-12 once raised "must be real number, not complex"
-    for k in (-6.18e-12, 0.0, -math.inf, math.nan):
-        assert math.isnan(_kernels.solvency_bound(k, 12.772475197631874, 0.5124919555126976))
+    assert math.isnan(_kernels.arb_target_x(1.0, 1.0, 1.0, 1.0, 1.0))
+    assert math.isinf(_kernels.solvency_bound(1.0, 1.0, 1.0, 0.0))
+    assert _kernels.solvency_bound(1.0, 1.0, 1.0, 1.0) == 2.0
+    # a trade that emptied Y can leave y + c*x at 0 or below, where no curve has a
+    # bound; k = -6.2e-12 once raised "must be real number, not complex", and
+    # log1p(y/(c*x)) raises at y <= -c*x
+    p, z = 12.772475197631874, 0.5124919555126976
+    cx = z * p / (2.0 - z)
+    for y in (-cx - 6.18e-12, -cx, -math.inf, math.nan):
+        assert math.isnan(_kernels.solvency_bound(1.0, y, p, z))
 
 
 def test_underflows_give_nan_not_raw_errors():
@@ -90,13 +103,17 @@ def test_underflows_give_nan_not_raw_errors():
     x, y, p, z = 1e200, 1e-200, 0.5, 5e-324
     assert _kernels.blend_spot(x, y, p, z) == 0.0
     assert math.isnan(_kernels.solve_delta_x(x, y, p, z, 1e-201))
-    # (2-z)*k/(2p) underflows to 0, where its log would raise
-    assert math.isnan(_kernels.arb_target_x(1e-226, 1e100, 0.5))
-    # run_steps skips such an arbitrage, as it skips one inside the dead band
-    prices = np.full(2, 1e100)
-    result = _kernels.run_steps(1e-217, 1e-200, 0.5, prices, True, np.zeros(0), np.zeros(0),
-                                0, 1.0)
-    assert result[1].tolist() == [1e-217] * 2 and result[2].tolist() == [1e-200] * 2
+    # (2-z)*k/(2p) underflows to 0 here, and the k form once gave a nan target and
+    # run_steps skipped the arbitrage; the target from the pool's point,
+    # x*((2-z)*y/(p*x) + z)/2)**(1/(2-z)), is x* = 2**(-2/3) * 1e-217
+    x, y, p, z = 1e-217, 1e-200, 1e100, 0.5
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        x_star = x * (((2 - zm) * y / (p * mpmath.mpf(x)) + zm) / 2) ** (1 / (2 - zm))
+    assert ulps(_kernels.arb_target_x(x, y, p, z, p), x_star) <= 4.0
+    # run_steps trades to it, and stays there at an unchanged price
+    result = _kernels.run_steps(x, y, z, np.full(2, p), True, np.zeros(0), np.zeros(0), 0, 1.0)
+    assert result[1][0] == result[1][1] and ulps(result[1][0], x_star) <= 4.0
 
 
 @pytest.mark.parametrize("z", [0.0, 5e-324, 0.5, 0.999, 1.0 - 2.0 ** -52])
@@ -109,20 +126,26 @@ def test_pow_zm1_at_zero_is_inf(z):
 
 @pytest.mark.parametrize("z", [0.5, 0.9999, 1.0 - 1e-8])
 def test_headroom_at_subnormal_x(z):
-    # the SELL_Y floor X_FLOOR_REL * x underflows to 0, where the curve's y is inf
+    # the SELL_Y floor X_FLOOR_REL * x underflows to 0, where the curve's y is inf; the
+    # room (y + c*x) * X_FLOOR_REL**(z-1) - c*X_FLOOR_REL*x - y needs no point at the floor
     x, y, p = 5e-324, 2.0, 1.0
-    k = _kernels.curve_anchor(x, y, p, z)
     assert _kernels.X_FLOOR_REL * x == 0.0
-    assert _kernels.headroom(x, y, p, z, k, True) == math.inf
-    assert _kernels.headroom(x, y, p, z, k, False) == _kernels.solvency_bound(k, p, z) - x
+    with mpmath.workdps(50):
+        zm, floor = mpmath.mpf(z), mpmath.mpf(_kernels.X_FLOOR_REL)
+        c = zm * p / (2 - zm)
+        power = (y + c * x) * floor ** (zm - 1)
+        room = power - c * floor * x - y
+        # the power term comes from exp((z-1)*log(X_FLOOR_REL)), good to about 14 ulps,
+        # and near z = 1 the room is a cancellation of it and y
+        assert abs(_kernels.headroom(x, y, p, z, True) - room) <= 1e-14 * power
+    assert _kernels.headroom(x, y, p, z, False) == _kernels.solvency_bound(x, y, p, z) - x
 
 
 def test_invert_returns_nan_for_infinite_bracket():
     # the stopping test b - a <= 1e-13*mid holds at mid = inf, which once
     # "converged" to x = inf
-    assert math.isnan(_kernels.invert_curve(1.0, 1.0, 0.0, 0.5, 1.0, math.inf))
-    k = _kernels.curve_anchor(1.0, 1.0, 1.0, 0.5)
-    assert math.isnan(_kernels.invert_curve(k, 1.0, 0.5, 0.5, 1.0, math.inf))
+    assert math.isnan(_kernels.invert_curve(1.0, 1.0, 1.0, 0.0, 0.5, 1.0, math.inf))
+    assert math.isnan(_kernels.invert_curve(1.0, 1.0, 1.0, 0.5, 0.5, 1.0, math.inf))
 
 
 # ------------------------------------------------------------ mpmath references
@@ -143,14 +166,30 @@ def ulps(got, ref):
     return float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref))
 
 
+def mp_bound(x, y, p, z):
+    """x*(1 + y/(c*x))**(1/(2-z)), c = z*p/(2-z): the bound of the curve through (x, y)."""
+    x, y, p, z = map(mpmath.mpf, (x, y, p, z))
+    c = z * p / (2 - z)
+    return x * (1 + y / (c * x)) ** (1 / (2 - z))
+
+
+def mp_curve_point(k, p, z, x):
+    """(x, y) of the (k, p, z) curve, y = k*x**(z-1) - z*p*x/(2-z) rounded once."""
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        return x, float(k * mpmath.mpf(x) ** (zm - 1) - zm * p * x / (2 - zm))
+
+
 @pytest.mark.parametrize("z", [5e-324, 2.2e-308])
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 def test_solvency_bound_at_subnormal_z(z, p):
-    # (2-z)k/(zp) overflows, and zp may underflow, but the bound is finite
+    # y/(c*x) overflows, and c*x underflows, but the bound is finite
     with mpmath.workdps(40):
-        zm = mpmath.mpf(z)
-        ref = ((2 - zm) / (zm * p)) ** (1 / (2 - zm))
-        assert ulps(_kernels.solvency_bound(1.0, p, z), ref) <= 2.0
+        assert ulps(_kernels.solvency_bound(1.0, 1.0, p, z), mp_bound(1.0, 1.0, p, z)) <= 2.0
+
+
+# the pool's x on each (k, p, z) curve below where it is not 1, whose y would be negative
+POINT_X = {(1e-180, 1e300, 0.4): 1e-300, (1e-300, 1e300, 5e-324): 1e-200}
 
 
 @pytest.mark.parametrize("k, p, z", [
@@ -162,30 +201,32 @@ def test_solvency_bound_at_subnormal_z(z, p):
     # z < 2**-53, where z*2**1000*p underflows, or 2k/(z*2**1000*p) does
     (1e-100, 1e-305, 5e-324), (1e-300, 1e300, 5e-324)])
 def test_solvency_bound_where_zp_leaves_double_range(k, p, z):
+    # the pool on the (k, p, z) curve
+    x, y = mp_curve_point(k, p, z, POINT_X.get((k, p, z), 1.0))
     with mpmath.workdps(50):
-        zm = mpmath.mpf(z)
-        ref = ((2 - zm) * k / (zm * p)) ** (1 / (2 - zm))
-        assert abs(_kernels.solvency_bound(k, p, z) - ref) <= 1e-14 * ref
+        ref = mp_bound(x, y, p, z)
+        assert abs(_kernels.solvency_bound(x, y, p, z) - ref) <= 1e-14 * ref
 
 
 def test_solvency_bound_past_double_range_is_inf():
     # z*p underflows as above, and the bound, about 2**1311, overflows
-    assert _kernels.solvency_bound(1e308, 5e-324, 0.4) == math.inf
+    assert _kernels.solvency_bound(1.0, 1e308, 5e-324, 0.4) == math.inf
 
 
 @settings(max_examples=500, deadline=None)
-@given(k=st.floats(5e-324, sys.float_info.max), p=st.floats(5e-324, sys.float_info.max),
-       z=st.floats(5e-324, 1.0))
-# the quotient (2-z)k/(zp) is subnormal, and on the z < 2**-53 path so is
-# 2k/(z*2**1000*p); each once read 34% and 3.9% high
-@example(k=4.2263703131397034e-153, p=7.992081751075584e+174, z=0.00038335633511092827)
-@example(k=1.9225009346584343e-88, p=102424.39986408065, z=7.659241325484843e-71)
-def test_solvency_bound_matches_mpmath_across_double_range(k, p, z):
+@given(x=st.floats(5e-324, sys.float_info.max), y=st.floats(5e-324, sys.float_info.max),
+       p=st.floats(5e-324, sys.float_info.max), z=st.floats(5e-324, 1.0))
+# c*x is subnormal, and y/(c*x) lies in double range or past 2**60
+@example(x=1e-300, y=1e-310, p=1e-20, z=0.5)
+@example(x=1e-300, y=1e10, p=1e-20, z=0.5)
+def test_solvency_bound_matches_mpmath_across_double_range(x, y, p, z):
+    # at z = 1 the bound is (y + p*x)/p, as k/p was: where y + p*x overflows, so does
+    # the pool's k = y + p*x, and PoolState.anchored rejects the pool
+    assume(z < 1.0 or y + p * x < math.inf)
     with mpmath.workdps(50):
-        zm = mpmath.mpf(z)
-        ref = ((2 - zm) * k / (zm * p)) ** (1 / (2 - zm))
+        ref = mp_bound(x, y, p, z)
         assume(2.0 ** -1022 <= ref <= sys.float_info.max)
-        assert abs(_kernels.solvency_bound(k, p, z) - ref) <= 1e-12 * ref
+        assert abs(_kernels.solvency_bound(x, y, p, z) - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("z", REF_Z)
@@ -220,12 +261,11 @@ def test_solve_delta_x_matches_mpmath(z, dy):
 def test_exact_out_sell_x_can_land_on_the_last_x_it_may_reach():
     # more than half of Y paid out at 0 < z < 1 inverts the curve over
     # [x, bound*BOUND_REL]; a Y target the curve meets exactly at that end is its root
-    k = _kernels.curve_anchor(1.0, 1.0, 1.0, 0.5)
-    hi = _kernels.solvency_bound(k, 1.0, 0.5) * _kernels.BOUND_REL
-    y_hi = _kernels.curve_y(k, hi, 1.0, 0.5)
+    hi = _kernels.solvency_bound(1.0, 1.0, 1.0, 0.5) * _kernels.BOUND_REL
+    y_hi = _kernels.curve_y(1.0, 1.0, 1.0, 0.5, hi)
     amount = 1.0 - y_hi
     assert amount > 0.5 and 1.0 - amount == y_hi
-    result = _kernels.trade(1.0, 1.0, 1.0, 0.5, k, False, amount, True)
+    result = _kernels.trade(1.0, 1.0, 1.0, 0.5, False, amount, True)
     assert result[:4] == (hi, y_hi, hi - 1.0, amount) and result[5] == _kernels.EXECUTED
 
 
@@ -235,11 +275,10 @@ def test_sell_y_of_nearly_all_x_lies_on_the_curve():
     # change across the bisection's 1e-13 bracket, and on some of these amounts the Newton
     # polish steps out of the bracket and stops.  Either way Y is on the curve at the new X.
     z = 0.999
-    k = _kernels.curve_anchor(1.0, 1.0, 1.0, z)
     with mpmath.workdps(30):
         c = mpmath.mpf(z) / (2 - mpmath.mpf(z))
         for amount in np.linspace(0.98, 1.02, 41).tolist():
-            x_new, y_new, *_, reason = _kernels.trade(1.0, 1.0, 1.0, z, k, True, amount, False)
+            x_new, y_new, *_, reason = _kernels.trade(1.0, 1.0, 1.0, z, True, amount, False)
             assert reason == _kernels.EXECUTED and x_new < 0.03 and y_new == 1.0 + amount
             residual = (1 + c) * mpmath.mpf(x_new) ** (z - 1) - c * x_new - y_new
             assert abs(residual) <= 1e-15 * y_new, amount
@@ -251,8 +290,7 @@ def test_exact_out_sell_x_where_newton_does_not_settle():
     # and trade inverts the curve, whose bisection holds x to 1e-13
     x, y, p, z, amount = 1.0, 1.0, 1e-300, 0.999999, 1e-3
     assert math.isnan(_kernels.solve_delta_x(x, y, p, z, -amount))
-    k = _kernels.curve_anchor(x, y, p, z)
-    x_new, y_new, amount_in, amount_out, _, reason = _kernels.trade(x, y, p, z, k, False,
+    x_new, y_new, amount_in, amount_out, _, reason = _kernels.trade(x, y, p, z, False,
                                                                    amount, True)
     assert reason == _kernels.EXECUTED and (y_new, amount_out) == (y - amount, amount)
     with mpmath.workdps(40):
@@ -268,34 +306,30 @@ def test_sell_y_that_would_empty_a_subnormal_x():
     # point, so it finds no root either
     x, y, p, z = 5e-320, 1e-100, 1.0, 0.5
     assert math.isnan(_kernels.solve_delta_x(x, y, p, z, 1000.0 * y))
-    k = _kernels.curve_anchor(x, y, p, z)
-    assert _kernels.trade(x, y, p, z, k, True, 1000.0 * y, False) == (
+    assert _kernels.trade(x, y, p, z, True, 1000.0 * y, False) == (
         x, y, 0.0, 0.0, 0.0, _kernels.NO_ROOT)
 
 
 def test_exact_out_sell_y_of_all_of_x_is_past_the_bound():
     # a payout of all of X leaves no point on the curve; delta_y once took log(0) here
-    k = _kernels.curve_anchor(1.0, 1.0, 1.0, 0.5)
     for amount in (1.0, 2.0):
-        assert _kernels.trade(1.0, 1.0, 1.0, 0.5, k, True, amount, True) == (
+        assert _kernels.trade(1.0, 1.0, 1.0, 0.5, True, amount, True) == (
             1.0, 1.0, 0.0, 0.0, 0.0, _kernels.PAST_BOUND)
     # the arbitrage's target x* = 31.6 lies below half an ulp of x, so its payout is x
     x, y, p, z = 1e150, 1e-150, 0.001, 0.0
-    k = _kernels.curve_anchor(x, y, p, z)
-    size = x - _kernels.arb_target_x(k, p, z)
+    size = x - _kernels.arb_target_x(x, y, p, z, p)
     assert size == x
-    assert _kernels.trade(x, y, p, z, k, True, size, True) == (
+    assert _kernels.trade(x, y, p, z, True, size, True) == (
         x, y, 0.0, 0.0, 0.0, _kernels.PAST_BOUND)
-    assert _kernels.arbitrage_step(x, y, p, z, k) == (x, y, 0.0, 0.0)
+    assert _kernels.arbitrage_step(x, y, p, z) == (x, y, 0.0, 0.0)
 
 
 def test_a_sell_y_that_would_empty_x_has_no_root():
     # the SELL_Y floor X_FLOOR_REL*x underflows to 0 at x = 1.6e-312, so the curve was once
     # inverted down to x = 0, and the pool's next trade divided by it
     x, y, p = 1.56218721116e-312, 3.1689395230926763e-127, 7.197406650055293e170
-    k = _kernels.curve_anchor(x, y, p, 1.0)
-    amount = _kernels.HEADROOM_SHARE * _kernels.headroom(x, y, p, 1.0, k, True)
-    assert _kernels.trade(x, y, p, 1.0, k, True, amount, False) == (
+    amount = _kernels.HEADROOM_SHARE * _kernels.headroom(x, y, p, 1.0, True)
+    assert _kernels.trade(x, y, p, 1.0, True, amount, False) == (
         x, y, 0.0, 0.0, 0.0, _kernels.NO_ROOT)
 
 
@@ -325,14 +359,17 @@ def replay_step(x, y, p, z, fractions, directions, max_fraction):
             frac = max_fraction
             clamped += 1
         # the 0.999 headroom clamps, written out independently of
-        # _kernels.headroom
+        # _kernels.headroom: the SELL_Y room is the curve's Y at the floor
+        # X_FLOOR_REL * x, less y
         if direction == 0:
             direction, amount = TradeDirection.SELL_X, frac * state.x
             cap = 0.999 * (max_x_bound(state) - state.x)
         else:
             direction, amount = TradeDirection.SELL_Y, frac * state.y
-            x_floor = _kernels.X_FLOOR_REL * state.x
-            cap = 0.999 * (_kernels.curve_y(state.k, x_floor, p, z) - state.y)
+            c = z * p / (2.0 - z)
+            y_floor = ((state.y + c * state.x) * _kernels.pow_zm1(_kernels.X_FLOOR_REL, z)
+                       - c * (_kernels.X_FLOOR_REL * state.x))
+            cap = 0.999 * (y_floor - state.y)
         if amount > cap > 0.0:
             amount = cap
             clamped += 1

@@ -1,8 +1,9 @@
 """Derived pool states lie on the curve, and slippage estimates are not negative.
 
 The ``PoolState`` constructor checks the on-curve residual, since its caller
-may pass any k.  ``rebalance_to_oracle`` does not check its state: it reads y
-from the curve at its new x, so the residual is exactly 0.  ``SlippageEstimate``
+may pass any k.  ``rebalance_to_oracle`` does not check its state: its new x is
+where the spot price is p_new, and its y is p_new*x, on the curve to the
+rounding of x.  ``SlippageEstimate``
 does not check its fields: the Taylor term is 1/2*y''*dx with y'' >= 0 on
 [0, 1], and the realized cost is a ``SwapResult`` field checked to be >= 0.
 ``PoolState.anchored``, oracle updates and swaps keep their residual check,
@@ -32,7 +33,7 @@ def log_uniform(lo, hi):
 def room(state, sell_y):
     """What an exact-in trade may pay: up to the reserve it is paid from, and short of
     the headroom, as in the quotes benchmark."""
-    headroom = _kernels.headroom(state.x, state.y, state.p, state.z, state.k, sell_y)
+    headroom = _kernels.headroom(state.x, state.y, state.p, state.z, sell_y)
     return min(state.y if sell_y else state.x, headroom)
 
 
@@ -63,7 +64,7 @@ def test_derived_states_lie_on_the_curve(x, y, p, z, sell_y, exact_out, frac, p_
     assert_on_curve(ha.PoolState.anchored(state.x, state.y, p_new, state.z))
     if z < 1.0:
         rebalanced = ha.rebalance_to_oracle(state, p_new)
-        assert _kernels.curve_y(rebalanced.k, rebalanced.x, p_new, z) == rebalanced.y
+        assert rebalanced.y == p_new * rebalanced.x   # where the spot price is p_new
         assert_on_curve(rebalanced)
     direction = SY if sell_y else SX
     if exact_out:

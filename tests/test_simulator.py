@@ -161,9 +161,8 @@ def test_arbitrage_moves_stay_on_the_reanchored_curve():
     run = ha.run_scenario(config)[0]
     x_prev, y_prev = 1.0, 1.0
     for m in steps(run):
-        k = ha.PoolState.anchored(x_prev, y_prev, m["oracle_price"], 0.4).k
         assert m["reserve_y"] == pytest.approx(
-            _kernels.curve_y(k, m["reserve_x"], m["oracle_price"], 0.4), rel=1e-12)
+            _kernels.curve_y(x_prev, y_prev, m["oracle_price"], 0.4, m["reserve_x"]), rel=1e-12)
         x_prev, y_prev = m["reserve_x"], m["reserve_y"]
 
 

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, event, example, given, reject, settings
 from hypothesis import strategies as st
 
 import hybridamm as ha
@@ -35,11 +35,11 @@ def unit_pool(z: float, p: float = 1.0) -> ha.PoolState:
 def max_amount_in(state: ha.PoolState, direction: TradeDirection) -> float:
     """Largest input the tests may draw: capped by reserve and solvency headroom."""
     if direction is SELL_X:
-        bound = _kernels.solvency_bound(state.k, state.p, state.z)
+        bound = _kernels.solvency_bound(state.x, state.y, state.p, state.z)
         if math.isinf(bound):
             return state.x
         return min(state.x, 0.9 * (bound - state.x))
-    y_cap = _kernels.curve_y(state.k, _kernels.X_FLOOR_REL * state.x, state.p, state.z)
+    y_cap = _kernels.curve_y(state.x, state.y, state.p, state.z, _kernels.X_FLOOR_REL * state.x)
     return min(state.y, 0.9 * (y_cap - state.y))
 
 
@@ -253,8 +253,9 @@ def test_dust_trades_rejected(monkeypatch):
     # swap_exact_out, and one skipped trade in run_steps; on this pool 2e-15 X
     # is not dust, but 1e20 - 2e-15 rounds back to 1e20
     lopsided = ha.PoolState.anchored(1.0, 1e20, 1.0, 1.0)
-    # past half of Y this pool's X move rounds away, so the inversion that
-    # reads x from the curve has no root to find
+    # past half of Y this pool's X move rounds away: with the bound read from the
+    # pool's point, x*(1 + y/(c*x))**(1/(2-z)), it lies within an ulp of x, so
+    # the trade lands beyond its resolution (once NO_MOVE from a failed inversion)
     fine_x = ha.PoolState.anchored(313712079.96682334, 1.6737245634894265e-08,
                                    63.11089448371312, 0.3)
     steep = ha.PoolState.anchored(2.065616501414323, 1.6311924165368586e-18,
@@ -271,8 +272,8 @@ def test_dust_trades_rejected(monkeypatch):
          "amount_out=2e-15 is too small to move the curve"),
         (steep, SELL_X, True, 8.967967195644817e-19, _kernels.PAST_BOUND,
          ha.InfeasibleTradeError, "beyond numerical resolution of the solvency bound"),
-        (fine_x, SELL_X, True, 8.368622834184378e-09, _kernels.NO_MOVE, ha.DomainError,
-         "too small to move the curve"),
+        (fine_x, SELL_X, True, 8.368622834184378e-09, _kernels.PAST_BOUND,
+         ha.InfeasibleTradeError, "beyond numerical resolution of the solvency bound"),
     ]
     # past half of X a SELL_Y trade inverts the curve, and so does SELL_X
     # exact-out past half of Y; make that inversion fail
@@ -287,8 +288,7 @@ def test_dust_trades_rejected(monkeypatch):
             monkeypatch.setattr(_kernels, "invert_curve", lambda *args: math.nan)
         for pool, direction, exact_out, amount, reason, error, message in checked:
             sell_y = direction is SELL_Y
-            got = _kernels.trade(pool.x, pool.y, pool.p, pool.z, pool.k, sell_y, amount,
-                                 exact_out)
+            got = _kernels.trade(pool.x, pool.y, pool.p, pool.z, sell_y, amount, exact_out)
             assert got == (pool.x, pool.y, 0.0, 0.0, 0.0, reason)
             swap = ha.swap_exact_out if exact_out else ha.swap_exact_in
             with pytest.raises(error, match=message):
@@ -321,3 +321,126 @@ def test_direction_accepts_wire_names():
     assert estimate == ha.slippage_exact(unit_pool(0.5), SELL_X, 0.1)
     with pytest.raises(ValueError, match="'buy-x' is not a valid TradeDirection"):
         ha.swap_exact_in(unit_pool(0.5), "buy-x", 0.1)
+
+
+def test_room_past_the_bound_is_never_negative():
+    # golden request wide-566: x lies within rounding of the bound of its rounded k, which
+    # once gave a "max feasible amount_in" of -8.9e-239.  From the pool's point the bound is
+    # x*(1 + r)**(1/(2-z)) with r = y/(c*x) = 2.4e-116, above x for every y > 0, and the
+    # room x*((1 + r)**(1/(2-z)) - 1) = 6e-341 rounds to 0
+    x, y, p, z = 3.696743151929897e-225, 4.1719265582171364e-100, 1.1152126746686491e+241, 0.6
+    with pytest.raises(ha.InsolvencyError) as info:
+        ha.swap_exact_in(ha.PoolState.anchored(x, y, p, z), SELL_X, 9.084736598143786e-236)
+    with mpmath.workdps(50):
+        xm, zm = mpmath.mpf(x), mpmath.mpf(z)
+        c = zm * p / (2 - zm)
+        room = xm * mpmath.expm1(mpmath.log1p(y / (c * xm)) / (2 - zm))
+    assert 0 < room < mpmath.mpf(5e-324) / 2   # below half the smallest subnormal
+    assert info.value.max_amount_in == float(room) == 0.0
+    assert info.value.bound == x
+
+
+# ------------------------------------------------------------- scale invariance
+
+
+def rescaled_swaps(x, y, p, z, sell_y, exact_out, frac, a, b):
+    """The swap on (x, y, p), and on (x*2**a, y*2**b, p*2**(b-a)) with the amount scaled
+    alike, each a ``SwapResult`` or the error it raised, and which branch of
+    ``_kernels.trade`` the first took, or its error type.  Rejects a draw whose pool
+    does not anchor at either scale."""
+    try:
+        pools = [ha.PoolState.anchored(x, y, p, z),
+                 ha.PoolState.anchored(math.ldexp(x, a), math.ldexp(y, b), math.ldexp(p, b - a), z)]
+    except ha.DomainError:
+        reject()
+    paid_in_x = sell_y == exact_out
+    amount = frac * (x if paid_in_x else y)
+    swap = ha.swap_exact_out if exact_out else ha.swap_exact_in
+    direction = SELL_Y if sell_y else SELL_X
+    outcomes = []
+    for pool, amount in zip(pools, (amount, math.ldexp(amount, a if paid_in_x else b))):
+        try:
+            outcomes.append(swap(pool, direction, amount))
+        except ha.HybridAmmError as err:
+            outcomes.append(err)
+    name = f"{'exact-out' if exact_out else 'exact-in'} {direction.name}"
+    if isinstance(outcomes[0], Exception):
+        return outcomes, f"{name}: {type(outcomes[0]).__name__}"
+    # the trade rules: past half of the reserve paid out, Y is read from the curve
+    # (X fixed) or X is found by invert_curve (Y fixed; SELL_X out only at 0 < z < 1)
+    past_half = outcomes[0].amount_out > 0.5 * (x if sell_y else y)
+    if sell_y == exact_out:
+        return outcomes, f"{name}: {'Y read from the curve' if past_half else 'Y by delta_y'}"
+    inverted = past_half and (sell_y or 0.0 < z < 1.0)
+    return outcomes, f"{name}: {'X by invert_curve' if inverted else 'X by solve_delta_x'}"
+
+
+def assert_rescaled_swap(outcomes, sell_y, a, b):
+    """The same error type, or every field of the second result the first's times its power
+    of two, to 4 ulps.  k is left out: the anchoring derives it through x**(z-1), whose
+    exp/log rounding does not scale."""
+    want, got = outcomes
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        assert type(want) is type(got), outcomes
+        return
+    a_in, a_out = (b, a) if sell_y else (a, b)
+    for field, power in (("amount_in", a_in), ("amount_out", a_out), ("exec_price", b - a),
+                         ("spot_before", b - a), ("spot_after", b - a),
+                         ("slippage_cost", b - a)):
+        expected = math.ldexp(getattr(want, field), power)
+        assert abs(getattr(got, field) - expected) <= 4 * math.ulp(expected), field
+    for field, power in (("x", a), ("y", b), ("p", b - a)):
+        expected = math.ldexp(getattr(want.new_state, field), power)
+        assert abs(getattr(got.new_state, field) - expected) <= 4 * math.ulp(expected), field
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(x=log_uniform(1e-30, 1e30), y=log_uniform(1e-30, 1e30), p=log_uniform(1e-30, 1e30),
+       z=st.sampled_from([0.0, 5e-324, 2.2e-308, 0.3, 0.6, 0.9, 1.0 - 1e-16, 1.0])
+       | st.floats(0.0, 1.0),
+       sell_y=st.booleans(), exact_out=st.booleans(),
+       frac=log_uniform(1e-6, 1.0) | st.floats(0.45, 1.0),
+       a=st.integers(-300, 300), b=st.integers(-300, 300))
+def test_swaps_commute_with_rescaling(x, y, p, z, sell_y, exact_out, frac, a, b):
+    """ROADMAP item 15's scale property: every curve kernel works from the pool's point,
+    and each of its operations commutes with powers of two, so a swap on the rescaled pool
+    is the swap, rescaled, every field to 4 ulps, with the same error type.  The inverting
+    branch's geometric midpoint breaks it at odd a (the strict xfail below), so that
+    branch is compared at even a only."""
+    outcomes, branch = rescaled_swaps(x, y, p, z, sell_y, exact_out, frac, a, b)
+    if "invert_curve" in branch and a % 2:
+        event(f"{branch}, odd a: not compared")
+        return
+    event(branch)
+    assert_rescaled_swap(outcomes, sell_y, a, b)
+
+
+# Inverted trades at odd a that the property above drew, before it left them out:
+# (x, y, p, z, sell_y, exact_out, frac, a, b)
+INVERTED_AT_ODD_A = {
+    "exact-out-sell-x": (1.531095241948935e-26, 617912.8391113222, 8.222458117344327e+22, 0.6,
+                         False, True, 0.9227684666363423, 71, -4),
+    "exact-in-sell-y": (0.0008512669767565653, 9.768882249352342e-12, 8.2819778730891e-09,
+                        1.0 - 1e-16, True, False, 0.49099202329759656, -203, 128),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="invert_curve's geometric midpoint sqrt(lo)*sqrt(hi) does not commute "
+                          "with 2**a at odd a, as sqrt(2**a) is not a power of two, so the "
+                          "bisection's brackets and its Newton polish round apart: by 6 ulps "
+                          "of exec_price for the exact-out SELL_X, and by 1 ulp of amount_out "
+                          "for the SELL_Y, which the slippage cancellation at z = 1 - 1e-16 "
+                          "turns into 2e15 ulps.  With sqrt(lo*hi), which commutes, both agree "
+                          "bit for bit, but that moves the stepped z = 1 pools' simulate bytes")
+@pytest.mark.parametrize("case", sorted(INVERTED_AT_ODD_A))
+def test_inverted_swaps_at_odd_a_commute_with_rescaling(case):
+    x, y, p, z, sell_y, exact_out, frac, a, b = INVERTED_AT_ODD_A[case]
+    outcomes, branch = rescaled_swaps(x, y, p, z, sell_y, exact_out, frac, a, b)
+    assert "invert_curve" in branch and a % 2
+    assert_rescaled_swap(outcomes, sell_y, a, b)

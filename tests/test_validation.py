@@ -18,7 +18,8 @@ LINE = ha.PoolState.anchored(1.0, 1.0, 1.0, 1.0)          # z = 1, k = 2, bound 
 AT_BOUND = ha.PoolState.anchored(1.0, 1e-17, 1.0, 1.0)    # y/p below half an ulp of x
 BIG = ha.PoolState.anchored(1e200, 1.0, 1.0, 0.5)
 # a SELL_X trade just short of the headroom whose new y rounds below 0
-Y_GAP = ha.PoolState.anchored(26.7317089373902, 546.5168154215033, 0.05072323949998333, 0.5)
+Y_GAP = ha.PoolState.anchored(0.004777886050771952, 0.6522502987513712, 0.030160392964036317,
+                              0.5437608592359304)
 
 
 def positive(name, value):
@@ -80,8 +81,8 @@ CASES = {
     "in-zero": (lambda: ha.swap_exact_in(S, SY, 0.0), DomainError, positive("amount_in", 0.0)),
     "in-neg": (lambda: ha.swap_exact_in(S, SX, -1.0), DomainError, positive("amount_in", -1.0)),
     "in-inf": (lambda: ha.swap_exact_in(S, SY, INF), DomainError, positive("amount_in", INF)),
-    "in-new-y-rounds-below-0": (lambda: ha.swap_exact_in(Y_GAP, SX, 3008.977159479185), DomainError,
-                                positive("y", -1.4210854715202004e-14)),
+    "in-new-y-rounds-below-0": (lambda: ha.swap_exact_in(Y_GAP, SX, 3.039238405424865), DomainError,
+                                positive("y", -3.469446951953614e-17)),
     # the trade executes, but a price of the result is past double range
     "in-exec-price-inf": (lambda: ha.swap_exact_in(ha.PoolState.anchored(1e-300, 1e10, 1.0, 0.0),
                                                    SX, 1e-302), DomainError,
@@ -148,18 +149,18 @@ CASES = {
                        positive("y", INF)),
     "il-y0-underflow": (lambda: ha.il_simulated(1e-300, 1e-300, 1.0, 0.5), DomainError,
                         positive("y", 0.0)),
+    # the anchor's x**(z-1) = 1/x is past double range, so its k comes out 0
+    "il-x0-past-range": (lambda: ha.il_simulated(5e-324, 4.0, 1.0, 0.0), DomainError,
+                         "x**(z-1) is past double range at x=5e-324, z=0.0"),
     "il-full-mix": (lambda: ha.il_simulated(1.0, 1.0, 2.0, 1.0), ha.UnsupportedConfigurationError,
                     "rebalance_to_oracle is undefined at z = 1: the curve quotes the oracle "
                     "price at every point"),
     # rebalancing checks p_new, then the new reserves
     "rebalance-nan": (lambda: ha.rebalance_to_oracle(S, NAN), DomainError, positive("p_new", NAN)),
     "rebalance-zero": (lambda: ha.rebalance_to_oracle(S, 0.0), DomainError, positive("p_new", 0.0)),
-    "rebalance-new-x-inf": (lambda: ha.rebalance_to_oracle(S, 1e-320), DomainError,
+    # x* = 1e200 * (2.5e199)**(2/3) is past double range
+    "rebalance-new-x-inf": (lambda: ha.rebalance_to_oracle(BIG, 1e-200), DomainError,
                             positive("x", INF)),
-    "rebalance-target-underflow": (lambda: ha.rebalance_to_oracle(
-        ha.PoolState.anchored(1e-200, 1e-200, 1e100, 0.5), 1e300), DomainError,
-        "cannot rebalance the (k=3.3333333333332965e-201, z=0.5) curve to p=1e+300: "
-        "(2-z)*k/(2*p) underflows to 0"),
     # an oracle tick re-anchors the kept reserves at the new price
     "oracle-k-inf": (lambda: ha.PoolState.anchored(BIG.x, BIG.y, 1e308, BIG.z), DomainError,
                      positive("k", INF)),
